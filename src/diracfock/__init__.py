@@ -26,7 +26,6 @@ from .fields import (
     NoSolutionError,
     fock_charge_conjugation,
     psi,
-    psi_adjoint,
     psi_adjoint_matrices,
     psi_matrices,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "gaussian_family",
     "natural_units",
     "psi",
-    "psi_adjoint",
     "psi_adjoint_matrices",
     "psi_matrices",
     "quantum_energy",

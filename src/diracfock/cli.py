@@ -60,7 +60,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="JSON file with the state profile, constants, and grid")
     s.add_argument("--nodes", type=int, default=200)
     s.add_argument("--rmax", type=float, default=40.0)
-    s.add_argument("--seed", type=int, default=0, help="accepted for reproducibility plumbing")
     s.add_argument("--out", help="CSV output path (default stdout)")
     return p
 

@@ -12,28 +12,22 @@ exponent of its term.  Functions with a `_stack` suffix return all four
 Lorentz components at once as a (4, 16, 16) array.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import PhysicalConstants
 from .fields import plane_phase, psi_adjoint_matrices, psi_matrices
-from .fock import charge_operator, mode_annihilator, mode_creator
-from .gamma import GAMMA0, GAMMA1, GAMMA2, GAMMA3, covariant_components
+from .fock import ANNIHILATORS, CREATORS, charge_operator
+# unused here, but perfbench/tracer.py wraps these two names at this call site
+from .fock import mode_annihilator, mode_creator  # noqa: F401
+from .gamma import BILINEAR, GAMMA, covariant_components
 from .spinors import u_columns, v_columns
-
-_GAMMA_STACK = np.stack([GAMMA0, GAMMA1, GAMMA2, GAMMA3])
-_BILINEAR_STACK = np.einsum("ij,mjk->mik", GAMMA0, _GAMMA_STACK)
-
-_A = np.stack([mode_annihilator(s) for s in (1, 2, 3, 4)])
-_A_DAG = np.stack([mode_creator(s) for s in (1, 2, 3, 4)])
 
 # mode-pair product tables: EE = adag_s a_t over modes 1-2, PP the same over
 # modes 3-4, CC / AA create and annihilate one particle-antiparticle pair
-_EE = np.einsum("sij,tjl->stil", _A_DAG[:2], _A[:2])
-_PP = np.einsum("sij,tjl->stil", _A_DAG[2:], _A[2:])
-_CC = np.einsum("sij,tjl->stil", _A_DAG[:2], _A_DAG[2:])
-_AA = np.einsum("sij,tjl->stil", _A[2:], _A[:2])
+_EE = np.einsum("sij,tjl->stil", CREATORS[:2], ANNIHILATORS[:2])
+_PP = np.einsum("sij,tjl->stil", CREATORS[2:], ANNIHILATORS[2:])
+_CC = np.einsum("sij,tjl->stil", CREATORS[:2], CREATORS[2:])
+_AA = np.einsum("sij,tjl->stil", ANNIHILATORS[2:], ANNIHILATORS[:2])
 
 
 def _check_mu(mu: int):
@@ -47,22 +41,11 @@ def _cov(k: np.ndarray, kappa: float) -> np.ndarray:
     return covariant_components(k0, k)
 
 
-@dataclass(frozen=True)
-class CurrentOperator:
-    """One Lorentz component of a current at fixed (k, k', x)."""
-
-    mu: int
-    k: np.ndarray
-    kp: np.ndarray
-    x: np.ndarray
-    value: np.ndarray
-
-
 def r_current_stack(k, kp, x, kappa: float) -> np.ndarray:
     """All four components of the r-current, shape (4, 16, 16)."""
     pa = psi_adjoint_matrices(k, x, kappa)
     p = psi_matrices(kp, x, kappa)
-    return np.einsum("mrq,rij,qjl->mil", _GAMMA_STACK, pa, p)
+    return np.einsum("mrq,rij,qjl->mil", GAMMA, pa, p)
 
 
 def r_current(mu: int, k, kp, x, kappa: float) -> np.ndarray:
@@ -82,8 +65,8 @@ def j_current_stack(k, kp, x, kappa: float) -> np.ndarray:
     p_kp = psi_matrices(kp, x, kappa)
     p_k = psi_matrices(k, x, kappa)
     pa_kp = psi_adjoint_matrices(kp, x, kappa)
-    first = np.einsum("mrq,rij,qjl->mil", _GAMMA_STACK, pa_k, p_kp)
-    second = np.einsum("mqr,rij,qjl->mil", _GAMMA_STACK, p_k, pa_kp)
+    first = np.einsum("mrq,rij,qjl->mil", GAMMA, pa_k, p_kp)
+    second = np.einsum("mqr,rij,qjl->mil", GAMMA, p_k, pa_kp)
     return 0.5 * (first - second)
 
 
@@ -105,10 +88,10 @@ def j_current_conjugated_stack(k, kp, x, kappa: float, chat: np.ndarray) -> np.n
 def _diag_half(k, kp, x, kappa: float) -> np.ndarray:
     """The (k, k') ordered half of the number-conserving current."""
     uu = np.einsum(
-        "rs,mrq,qt->mst", u_columns(k, kappa).conj(), _BILINEAR_STACK, u_columns(kp, kappa)
+        "rs,mrq,qt->mst", u_columns(k, kappa).conj(), BILINEAR, u_columns(kp, kappa)
     )
     vv = np.einsum(
-        "rs,mrq,qt->mst", v_columns(kp, kappa).conj(), _BILINEAR_STACK, v_columns(k, kappa)
+        "rs,mrq,qt->mst", v_columns(kp, kappa).conj(), BILINEAR, v_columns(k, kappa)
     )
     phase = np.conj(plane_phase(k, x, kappa)) * plane_phase(kp, x, kappa)
     # the antiparticle bilinear carries creator index t and annihilator s
@@ -122,18 +105,13 @@ def j_diag_stack(k, kp, x, kappa: float) -> np.ndarray:
     return _diag_half(k, kp, x, kappa) + _diag_half(kp, k, x, kappa)
 
 
-def j_diag(mu: int, k, kp, x, kappa: float) -> np.ndarray:
-    _check_mu(mu)
-    return j_diag_stack(k, kp, x, kappa)[mu]
-
-
 def _off_parts(k, kp, x, kappa: float):
     """Pair-creating and pair-annihilating stacks for the (k, k') order."""
     uv = np.einsum(
-        "rs,mrq,qt->mst", u_columns(k, kappa).conj(), _BILINEAR_STACK, v_columns(kp, kappa)
+        "rs,mrq,qt->mst", u_columns(k, kappa).conj(), BILINEAR, v_columns(kp, kappa)
     )
     vu = np.einsum(
-        "rs,mrq,qt->mst", v_columns(k, kappa).conj(), _BILINEAR_STACK, u_columns(kp, kappa)
+        "rs,mrq,qt->mst", v_columns(k, kappa).conj(), BILINEAR, u_columns(kp, kappa)
     )
     e_k = plane_phase(k, x, kappa)
     e_kp = plane_phase(kp, x, kappa)
@@ -147,19 +125,6 @@ def j_off_stack(k, kp, x, kappa: float) -> np.ndarray:
     c1, a1 = _off_parts(k, kp, x, kappa)
     c2, a2 = _off_parts(kp, k, x, kappa)
     return c1 + a1 + c2 + a2
-
-
-def j_off(mu: int, k, kp, x, kappa: float) -> np.ndarray:
-    _check_mu(mu)
-    return j_off_stack(k, kp, x, kappa)[mu]
-
-
-def r_operator(mu: int, k, kp, x, kappa: float) -> CurrentOperator:
-    return CurrentOperator(mu, np.asarray(k, float), np.asarray(kp, float), np.asarray(x, float), r_current(mu, k, kp, x, kappa))
-
-
-def j_operator(mu: int, k, kp, x, kappa: float) -> CurrentOperator:
-    return CurrentOperator(mu, np.asarray(k, float), np.asarray(kp, float), np.asarray(x, float), j_current(mu, k, kp, x, kappa))
 
 
 def j_diag_divergence(k, kp, x, kappa: float) -> np.ndarray:

@@ -17,13 +17,13 @@ by default.  Scalar integrals (energies, charge) are damped by the
 density profile and always pass a cutoff-doubling stability test.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fock import DIM, charge_operator, mode_annihilator, mode_creator
-from .gamma import GAMMA0, GAMMA1, GAMMA2, GAMMA3
+from .fock import ANNIHILATORS, CREATORS, DIM, charge_operator
+from .gamma import BILINEAR, GAMMA, GAMMA0
 from .quadrature import (
     REFERENCE_R_MAX,
     Diverged,
@@ -34,12 +34,6 @@ from .quadrature import (
 )
 from .spinors import u_columns, v_columns
 from .states import GeneralStateFamily, RhoStateFamily, StateFamily
-
-_GAMMA_STACK = np.stack([GAMMA0, GAMMA1, GAMMA2, GAMMA3])
-_BILINEAR_STACK = np.einsum("ij,mjk->mik", GAMMA0, _GAMMA_STACK)
-
-_A = np.stack([mode_annihilator(s) for s in (1, 2, 3, 4)])
-_A_DAG = np.stack([mode_creator(s) for s in (1, 2, 3, 4)])
 
 _CHUNK_NODES = 60_000
 
@@ -78,10 +72,10 @@ def _product_chunks(family: StateFamily, spec: QuadratureSpec):
 def _chunk_parts(family, kv, consts, dagger: bool):
     """Per-node spinor columns, phases at x=0 data, and mode actions.
 
-    Returns (u, v, Z1, Z2, k0) where Z1 pairs with the particle columns
-    and Z2 with the antiparticle columns.  In the dagger variant the
-    roles of creator and annihilator are exchanged and the caller must
-    conjugate the spinor columns.
+    Returns (u, v, z, Z1, Z2, k0): z holds the state coefficients, Z1
+    pairs with the particle columns and Z2 with the antiparticle columns.
+    In the dagger variant the roles of creator and annihilator are
+    exchanged and the caller must conjugate the spinor columns.
     """
     kmag = np.linalg.norm(kv, axis=-1)
     k0 = np.sqrt(consts.kappa**2 + kmag**2)
@@ -89,11 +83,11 @@ def _chunk_parts(family, kv, consts, dagger: bool):
     v = v_columns(kv, consts.kappa)
     z = family.coefficients(kv)
     if dagger:
-        Z1 = np.einsum("sij,mj->smi", _A_DAG[:2], z)
-        Z2 = np.einsum("sij,mj->smi", _A[2:], z)
+        Z1 = np.einsum("sij,mj->smi", CREATORS[:2], z)
+        Z2 = np.einsum("sij,mj->smi", ANNIHILATORS[2:], z)
     else:
-        Z1 = np.einsum("sij,mj->smi", _A[:2], z)
-        Z2 = np.einsum("sij,mj->smi", _A_DAG[2:], z)
+        Z1 = np.einsum("sij,mj->smi", ANNIHILATORS[:2], z)
+        Z2 = np.einsum("sij,mj->smi", CREATORS[2:], z)
     return u, v, z, Z1, Z2, k0
 
 
@@ -175,7 +169,8 @@ def _converged(run, spec: QuadratureSpec, check: bool, label: str):
     v1 = run(spec)
     if check:
         v2 = run(spec.doubled())
-        if np.max(np.abs(np.asarray(v1) - np.asarray(v2))) > spec.abs_tol:
+        # "not <=" so that a NaN difference fails too
+        if not np.max(np.abs(np.asarray(v1) - np.asarray(v2))) <= spec.abs_tol:
             raise QuadratureNotConverged(f"{label}: refinement moved the result")
     return v1
 
@@ -217,18 +212,24 @@ def classical_dirac_residual(
 
     def run(sp):
         phi, dphi = _overlap_spinor(family, x, sp, consts, derivatives=True)
-        lhs = 1.0j * np.einsum("mrp,xmp->xr", _GAMMA_STACK, dphi) - consts.kappa * phi
+        lhs = 1.0j * np.einsum("mrp,xmp->xr", GAMMA, dphi) - consts.kappa * phi
         return np.abs(lhs)
 
     vals = _converged(run, spec, check, "Dirac residual")
     return float(np.max(vals))
 
 
-def _doubling_tolerance(spec: QuadratureSpec, v2: float) -> float:
+def _doubling_guard(run, spec: QuadratureSpec, label: str) -> float:
+    """run(spec), provided run(spec.doubled()) agrees with it; raises Diverged."""
+    v1, v2 = run(spec), run(spec.doubled())
     # node sums on large integrals scatter by roughly n eps |v| between
     # refinement levels; 1e-11 relative sits well above that noise and far
     # below the factor-two movement of a genuinely cutoff-sensitive integral
-    return max(spec.abs_tol, 1e-11 * abs(v2))
+    tol = max(spec.abs_tol, 1e-11 * abs(v2))
+    # "not <=" fails on NaN; an infinite v2 would make tol infinite, so it fails apart
+    if not (np.isfinite(v2) and abs(v2 - v1) <= tol):
+        raise Diverged(f"{label}: integral moved by {abs(v2 - v1):.3e} under doubling")
+    return v1
 
 
 def _stable_radial(integrand, family, spec: QuadratureSpec, label: str) -> float:
@@ -239,10 +240,7 @@ def _stable_radial(integrand, family, spec: QuadratureSpec, label: str) -> float
         k, w = radial_rule(upper, sp.n_radial, family.breakpoints)
         return float(4.0 * np.pi * np.sum(w * k**2 * integrand(k)))
 
-    v1, v2 = run(spec), run(spec.doubled())
-    if abs(v2 - v1) > _doubling_tolerance(spec, v2):
-        raise Diverged(f"{label}: integral moved by {abs(v2 - v1):.3e} under doubling")
-    return v1
+    return _doubling_guard(run, spec, label)
 
 
 def quantum_energy(family: RhoStateFamily, spec: QuadratureSpec, consts: PhysicalConstants) -> float:
@@ -288,10 +286,7 @@ def total_charge(family: StateFamily, spec: QuadratureSpec, consts: PhysicalCons
             acc += float(np.sum(wq * (np.abs(z) ** 2 @ qdiag)))
         return acc
 
-    v1, v2 = run(spec), run(spec.doubled())
-    if abs(v2 - v1) > _doubling_tolerance(spec, v2):
-        raise Diverged(f"total charge: integral moved by {abs(v2 - v1):.3e} under doubling")
-    return consts.ell**3 * v1
+    return consts.ell**3 * _doubling_guard(run, spec, "total charge")
 
 
 def two_point(
@@ -341,17 +336,9 @@ def two_point_dirac_residual(
     Gd_ket = np.einsum("rc,mpc->mpr", L.conj(), TBd)
     Gd_bra = np.einsum("mrc,pc->mpr", Ld.conj(), TB)
     lhs = 1.0j * consts.kappa * G
-    rhs_ket = -np.einsum("mab,mbr->ar", _GAMMA_STACK, Gd_ket)
-    rhs_bra = np.einsum("mpb,mbr->pr", Gd_bra, _GAMMA_STACK)
+    rhs_ket = -np.einsum("mab,mbr->ar", GAMMA, Gd_ket)
+    rhs_bra = np.einsum("mpb,mbr->pr", Gd_bra, GAMMA)
     return float(max(np.max(np.abs(lhs - rhs_ket)), np.max(np.abs(lhs - rhs_bra))))
-
-
-def _density_tensors(family, x, spec, consts, derivatives=False):
-    x = np.asarray(x, dtype=float)
-    if derivatives:
-        T, Td = _field_tensor(family, x, spec, consts, derivatives=True)
-        return x, T, Td
-    return x, _field_tensor(family, x, spec, consts), None
 
 
 def r_density(
@@ -365,7 +352,7 @@ def r_density(
     """
     x = np.asarray(x, dtype=float)
     T = _field_tensor(family, x, spec, consts)
-    vals = np.einsum("xrc,mrq,xqc->xm", T.conj(), _BILINEAR_STACK, T)
+    vals = np.einsum("xrc,mrq,xqc->xm", T.conj(), BILINEAR, T)
     return vals.real.reshape(x.shape[:-1] + (4,))
 
 
@@ -375,8 +362,8 @@ def r_density_residuals(
     """Reality, positivity, and continuity audits of the local densities."""
     x = np.asarray(x, dtype=float)
     T, Td = _field_tensor(family, x, spec, consts, derivatives=True)
-    vals = np.einsum("xrc,mrq,xqc->xm", T.conj(), _BILINEAR_STACK, T)
-    div = 2.0 * np.einsum("xmrc,mrq,xqc->x", Td.conj(), _BILINEAR_STACK, T).real
+    vals = np.einsum("xrc,mrq,xqc->xm", T.conj(), BILINEAR, T)
+    div = 2.0 * np.einsum("xmrc,mrq,xqc->x", Td.conj(), BILINEAR, T).real
     return {
         "imag_max": float(np.max(np.abs(vals.imag))),
         "r0_min": float(np.min(vals.real[..., 0])),
@@ -408,8 +395,8 @@ def current_reality_residual(
     g0 = GAMMA0.real
 
     def smeared(Tbra, Dbra, Tket, Dket):
-        first = np.einsum("mrq,rc,qc->m", _GAMMA_STACK, (g0 @ Tbra).conj(), Tket)
-        second = np.einsum("mqr,rc,qc->m", _GAMMA_STACK, Dbra.conj(), g0 @ Dket)
+        first = np.einsum("mrq,rc,qc->m", GAMMA, (g0 @ Tbra).conj(), Tket)
+        second = np.einsum("mqr,rc,qc->m", GAMMA, Dbra.conj(), g0 @ Dket)
         return pref * (first - second)
 
     X = smeared(TA, DA, TB, DB)
@@ -434,19 +421,7 @@ class ExampleReport:
     Q_rel_error: float
 
     def as_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "kappa_a": self.kappa_a,
-            "E": self.E,
-            "E_cl": self.E_cl,
-            "Q": self.Q,
-            "ratio": self.ratio,
-            "I_E": self.I_E,
-            "I_Ecl": self.I_Ecl,
-            "I_Q": self.I_Q,
-            "Q_closed": self.Q_closed,
-            "Q_rel_error": self.Q_rel_error,
-        }
+        return asdict(self)
 
 
 def _stable_reduced(fn, spec: QuadratureSpec, label: str) -> float:
@@ -456,10 +431,7 @@ def _stable_reduced(fn, spec: QuadratureSpec, label: str) -> float:
         r, w = radial_rule(sp.r_max, sp.n_radial)
         return float(np.sum(w * fn(r)))
 
-    v1, v2 = run(spec), run(spec.doubled())
-    if abs(v2 - v1) > _doubling_tolerance(spec, v2):
-        raise Diverged(f"{label}: integral moved by {abs(v2 - v1):.3e} under doubling")
-    return v1
+    return _doubling_guard(run, spec, label)
 
 
 def example_report(a: float, consts: PhysicalConstants, spec: QuadratureSpec) -> ExampleReport:

@@ -14,10 +14,8 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .fock import DIM, hamiltonian, mode_annihilator, mode_creator
-from .gamma import CONJUGATION, GAMMA0, GAMMA1, GAMMA2, GAMMA3, covariant_components
+from .gamma import CONJUGATION, GAMMA, GAMMA0, covariant_components
 from .spinors import u_columns, v_columns
-
-_GAMMA_STACK = np.stack([GAMMA0, GAMMA1, GAMMA2, GAMMA3])
 
 
 class NoSolutionError(RuntimeError):
@@ -74,12 +72,6 @@ def psi_adjoint_matrices(k: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarr
     return np.einsum("pji,pr->rij", p.conj(), GAMMA0.real)
 
 
-def psi_adjoint(r: int, k: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarray:
-    if r not in (1, 2, 3, 4):
-        raise ValueError(f"component index must be 1..4, got {r}")
-    return psi_adjoint_matrices(k, x, kappa)[r - 1]
-
-
 def _psi_derivatives(k, x, kappa):
     """d_mu psi as a (4, 4, 16, 16) array: mode phases give -/+ i k_mu."""
     k = np.asarray(k, dtype=float)
@@ -97,7 +89,7 @@ def dirac_residual(k: np.ndarray, x: np.ndarray, kappa: float) -> float:
     """Operator norm of i gamma^mu d_mu psi - kappa psi, worst component."""
     p = psi_matrices(k, x, kappa)
     dp = _psi_derivatives(k, x, kappa)
-    lhs = 1.0j * np.einsum("mrp,mpij->rij", _GAMMA_STACK, dp) - kappa * p
+    lhs = 1.0j * np.einsum("mrp,mpij->rij", GAMMA, dp) - kappa * p
     return float(max(np.linalg.norm(lhs[r], 2) for r in range(4)))
 
 
@@ -107,7 +99,7 @@ def adjoint_dirac_residual(k: np.ndarray, x: np.ndarray, kappa: float) -> float:
     dp = _psi_derivatives(k, x, kappa)
     # adjoint of d_mu psi(r'), then contract with gamma^0 to get d_mu psi_a
     dpa = np.einsum("mpji,pr->mrij", dp.conj(), GAMMA0.real)
-    lhs = -1.0j * np.einsum("mrij,mrp->pij", dpa, _GAMMA_STACK) - kappa * pa
+    lhs = -1.0j * np.einsum("mrij,mrp->pij", dpa, GAMMA) - kappa * pa
     return float(max(np.linalg.norm(lhs[r], 2) for r in range(4)))
 
 

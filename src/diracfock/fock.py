@@ -11,7 +11,6 @@ from functools import cache
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .constants import PhysicalConstants
 
@@ -64,6 +63,13 @@ def mode_annihilator(s: int) -> np.ndarray:
 def mode_creator(s: int) -> np.ndarray:
     """Adjoint of mode_annihilator(s)."""
     return mode_annihilator(s).conj().T
+
+
+# (mode, 16, 16) stacks of the four annihilators and creators, mode order 1..4
+ANNIHILATORS = np.stack([mode_annihilator(s) for s in range(1, N_MODES + 1)])
+CREATORS = np.stack([mode_creator(s) for s in range(1, N_MODES + 1)])
+ANNIHILATORS.setflags(write=False)
+CREATORS.setflags(write=False)
 
 
 def vacuum_state() -> np.ndarray:
@@ -128,6 +134,12 @@ def charge_operator(consts: PhysicalConstants) -> np.ndarray:
     )
 
 
+def _propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) for a Hermitian h, from its eigendecomposition."""
+    w, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1.0j * w * t)) @ vecs.conj().T
+
+
 def larmor_evolution_check(omega: float, t: float) -> dict[str, float]:
     """Residuals of the single-mode precession solution.
 
@@ -137,7 +149,7 @@ def larmor_evolution_check(omega: float, t: float) -> dict[str, float]:
     picture.  hbar cancels and is set to one here.
     """
     h = 0.5 * omega * (_ID2 - _SIGMA3)
-    u = expm(-1.0j * h * t)
+    u = _propagator(h, t)
     heis = lambda op: u.conj().T @ op @ u
     res_plus = np.abs(heis(_SIGMA_PLUS) - _SIGMA_PLUS * np.exp(-1.0j * omega * t)).max()
     res_minus = np.abs(heis(_SIGMA_MINUS) - _SIGMA_MINUS * np.exp(1.0j * omega * t)).max()

@@ -5,8 +5,6 @@ The charge-conjugation matrix is C = i gamma^2 gamma^0; it is real,
 antisymmetric and squares to -I, so C^-1 = C^T = C^dagger = -C.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 SIGMA = (
@@ -32,20 +30,10 @@ GAMMA3 = _block(_Z2, -SIGMA[2], SIGMA[2], _Z2)
 
 CONJUGATION = 1.0j * GAMMA2 @ GAMMA0
 
-
-@dataclass(frozen=True)
-class GammaSet:
-    """The four gamma matrices with the metric and conjugation matrix."""
-
-    gamma: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(
-        default_factory=lambda: (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
-    )
-    metric: np.ndarray = field(default_factory=lambda: METRIC.copy())
-    conjugation: np.ndarray = field(default_factory=lambda: CONJUGATION.copy())
-
-
-def standard_gamma_set() -> GammaSet:
-    return GammaSet()
+GAMMA = np.stack([GAMMA0, GAMMA1, GAMMA2, GAMMA3])  # (mu, 4, 4)
+BILINEAR = GAMMA0 @ GAMMA  # gamma^0 gamma^mu, the matrices of every current bilinear
+GAMMA.setflags(write=False)
+BILINEAR.setflags(write=False)
 
 
 def covariant_components(k0: float, k: np.ndarray) -> np.ndarray:
@@ -54,12 +42,11 @@ def covariant_components(k0: float, k: np.ndarray) -> np.ndarray:
     return np.array([k0, -k[0], -k[1], -k[2]])
 
 
-def feynman_slash(k_cov: np.ndarray, gammas: GammaSet | None = None) -> np.ndarray:
+def feynman_slash(k_cov: np.ndarray) -> np.ndarray:
     """Contract covariant components k_mu with gamma^mu.
 
     On the mass shell k_mu k^mu = kappa^2 the square of the result is
     kappa^2 times the identity.
     """
-    g = gammas.gamma if gammas is not None else (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
     k_cov = np.asarray(k_cov, dtype=np.complex128)
-    return sum(k_cov[mu] * g[mu] for mu in range(4))
+    return sum(k_cov[mu] * GAMMA[mu] for mu in range(4))

@@ -11,24 +11,9 @@ k0 = sqrt(kappa^2 + |k|^2).  They satisfy slash(k) u = kappa u and
 slash(k) v = -kappa v.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gamma import CONJUGATION, GAMMA0, GAMMA1, GAMMA2, GAMMA3
-
-_GAMMAS = (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
-
-
-@dataclass(frozen=True)
-class PolarizationSpinor:
-    """A length-4 complex spinor tagged with its mode and wave vector."""
-
-    components: np.ndarray
-    kind: str  # "u" for modes 1, 2 or "v" for modes 3, 4
-    s: int
-    k: np.ndarray
-    kappa: float
+from .gamma import BILINEAR, CONJUGATION, GAMMA, GAMMA0
 
 
 def rest_frame_basis() -> tuple[np.ndarray, np.ndarray]:
@@ -80,40 +65,6 @@ def v_columns(k: np.ndarray, kappa: float) -> np.ndarray:
     return out
 
 
-def spinor_columns(k: np.ndarray, kappa: float) -> np.ndarray:
-    """All four spinors as columns of a (..., 4, 4) array, mode order 1..4."""
-    return np.concatenate([u_columns(k, kappa), v_columns(k, kappa)], axis=-1)
-
-
-def u_spinor(s: int, k: np.ndarray, kappa: float) -> PolarizationSpinor:
-    """Particle spinor of mode s in {1, 2}."""
-    if s not in (1, 2):
-        raise ValueError(f"u modes are 1 and 2, got {s}")
-    k = np.asarray(k, dtype=float)
-    return PolarizationSpinor(u_columns(k, kappa)[..., s - 1], "u", s, k, kappa)
-
-
-def v_spinor(s: int, k: np.ndarray, kappa: float) -> PolarizationSpinor:
-    """Antiparticle spinor of mode s in {3, 4}."""
-    if s not in (3, 4):
-        raise ValueError(f"v modes are 3 and 4, got {s}")
-    k = np.asarray(k, dtype=float)
-    return PolarizationSpinor(v_columns(k, kappa)[..., s - 3], "v", s, k, kappa)
-
-
-def bilinear(a: PolarizationSpinor, mu: int, b: PolarizationSpinor) -> complex:
-    """<a | gamma^0 gamma^mu b> with the plain component inner product."""
-    if a.kappa != b.kappa:
-        raise ValueError("spinors built with different kappa")
-    if mu not in (0, 1, 2, 3):
-        raise ValueError(f"mu must be 0..3, got {mu}")
-    return complex(a.components.conj() @ GAMMA0 @ _GAMMAS[mu] @ b.components)
-
-
-_GAMMA_STACK = np.stack(_GAMMAS)  # (mu, 4, 4)
-_BILINEAR_STACK = np.einsum("ij,mjk->mik", GAMMA0, _GAMMA_STACK)  # gamma^0 gamma^mu
-
-
 def identity_suite_batch(ks: np.ndarray, kps: np.ndarray, kappa: float) -> dict[str, float]:
     """Worst-case residuals of the spinor identities over paired wave vectors.
 
@@ -133,7 +84,7 @@ def identity_suite_batch(ks: np.ndarray, kps: np.ndarray, kappa: float) -> dict[
     k0 = np.sqrt(kappa**2 + np.einsum("ni,ni->n", ks, ks))
     k_cov = np.concatenate([k0[:, None], -ks], axis=1)
     k_contra = np.concatenate([k0[:, None], ks], axis=1)
-    slash = np.einsum("nm,mij->nij", k_cov, _GAMMA_STACK)
+    slash = np.einsum("nm,mij->nij", k_cov, GAMMA)
     eye2 = np.eye(2)
 
     def amax(x):
@@ -141,7 +92,7 @@ def identity_suite_batch(ks: np.ndarray, kps: np.ndarray, kappa: float) -> dict[
 
     def bil(a, b):
         # (n, mu, s, t) array of <a_s | gamma^0 gamma^mu b_t>
-        return np.einsum("nis,mij,njt->nmst", a.conj(), _BILINEAR_STACK, b)
+        return np.einsum("nis,mij,njt->nmst", a.conj(), BILINEAR, b)
 
     res = {}
     res["eigen.u"] = amax(np.einsum("nij,njs->nis", slash, u) - kappa * u)

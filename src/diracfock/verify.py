@@ -10,13 +10,13 @@ second gamma matrix inside the anticommutation check only.  That is a
 self-test hook: a nonzero perturbation must make exactly that check fail.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import currents, fields, fock
 from .constants import PhysicalConstants, natural_units
-from .gamma import CONJUGATION, GAMMA0, GAMMA1, GAMMA2, GAMMA3, METRIC
+from .gamma import CONJUGATION, GAMMA, METRIC
 from .spinors import identity_suite_batch
 
 _TIGHT = 1e-13
@@ -35,13 +35,7 @@ class Check:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tag": self.tag,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -82,15 +76,16 @@ def _sample_wave_vectors(rng, n, kappa, lo=-3.0, hi=3.0):
 
 def _gamma_checks(perturb: float):
     tag = "gamma-algebra"
-    g = [GAMMA0, GAMMA1 + perturb * np.eye(4), GAMMA2, GAMMA3]
+    g = GAMMA.copy()
+    g[1] += perturb * np.eye(4)
     anti = max(
         np.max(np.abs(g[m] @ g[n] + g[n] @ g[m] - 2.0 * METRIC[m, n] * np.eye(4)))
         for m in range(4)
         for n in range(4)
     )
     herm = max(
-        np.max(np.abs(GAMMA0.conj().T - GAMMA0)),
-        *(np.max(np.abs(gi.conj().T + gi)) for gi in (GAMMA1, GAMMA2, GAMMA3)),
+        np.max(np.abs(GAMMA[0].conj().T - GAMMA[0])),
+        *(np.max(np.abs(gi.conj().T + gi)) for gi in GAMMA[1:]),
     )
     c = CONJUGATION
     cmat = max(
@@ -99,12 +94,12 @@ def _gamma_checks(perturb: float):
         np.max(np.abs(c @ c + np.eye(4))),
     )
     inter = max(
-        np.max(np.abs(c @ gm @ np.linalg.inv(c) + gm.T)) for gm in (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
+        np.max(np.abs(c @ gm @ np.linalg.inv(c) + gm.T)) for gm in GAMMA
     )
     trace = max(
         abs(np.trace(a @ b) - 4.0 * METRIC[m, n])
-        for m, a in enumerate((GAMMA0, GAMMA1, GAMMA2, GAMMA3))
-        for n, b in enumerate((GAMMA0, GAMMA1, GAMMA2, GAMMA3))
+        for m, a in enumerate(GAMMA)
+        for n, b in enumerate(GAMMA)
     )
     return [
         _check("gamma.anticommutation", tag, anti, _TIGHT),
@@ -117,8 +112,7 @@ def _gamma_checks(perturb: float):
 
 def _fock_checks(consts: PhysicalConstants):
     tag = "mode-algebra"
-    a = [fock.mode_annihilator(s) for s in (1, 2, 3, 4)]
-    ad = [fock.mode_creator(s) for s in (1, 2, 3, 4)]
+    a, ad = fock.ANNIHILATORS, fock.CREATORS
     eye = np.eye(fock.DIM)
     mixed = max(
         np.max(np.abs(a[s] @ ad[t] + ad[t] @ a[s] - (s == t) * eye))

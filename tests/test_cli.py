@@ -178,6 +178,24 @@ def test_sample_field_angular_guard_trips(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_nan_inputs_fail_numerically(tmp_path, capsys):
+    assert main(["example", "--a", "nan", "--json"]) == 1
+    cfg = _write(
+        tmp_path,
+        "nan.json",
+        {
+            "profile": "tabulated",
+            "k": [0.0, 1.0],
+            "rho": [float("nan"), 0.5],
+            "grid": {"t": [0.0, 0.0, 1], "x": [0.0, 1.0, 2]},
+        },
+    )
+    assert main(["sample-field", "--config", cfg, "--nodes", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("numerical failure") == 2
+
+
 def test_configuration_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -15,10 +15,8 @@ from diracfock.currents import (
     j_off_divergence,
     j_off_stack,
     j_off_symmetry_residual,
-    j_operator,
     r_current,
     r_current_stack,
-    r_operator,
 )
 from diracfock.fields import fock_charge_conjugation
 from diracfock.fock import basis_state, charge_operator, vacuum_state
@@ -97,18 +95,6 @@ def test_conjugation_odd_part_matches_expansion():
         odd = j_current_conjugated_stack(k, kp, x, KAPPA, chat)
         full = j_current_stack(k, kp, x, KAPPA)
         assert np.max(np.abs(odd - full)) < 1e-8
-
-
-def test_operator_wrappers_carry_their_arguments():
-    k = np.array([0.1, 0.2, 0.3])
-    kp = np.array([-0.4, 0.5, -0.6])
-    x = np.array([1.0, 0.0, 0.0, 0.0])
-    op = j_operator(2, k, kp, x, KAPPA)
-    assert op.mu == 2
-    assert np.array_equal(op.k, k)
-    assert np.max(np.abs(op.value - j_current(2, k, kp, x, KAPPA))) == 0.0
-    rop = r_operator(0, k, kp, x, KAPPA)
-    assert np.max(np.abs(rop.value - r_current(0, k, kp, x, KAPPA))) == 0.0
 
 
 def test_lorentz_index_validated():

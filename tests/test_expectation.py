@@ -10,6 +10,8 @@ from scipy.integrate import quad
 
 from diracfock.constants import PhysicalConstants, natural_units
 from diracfock.expectation import (
+    _converged,
+    _doubling_guard,
     classical_amplitude,
     classical_dirac_residual,
     classical_energy,
@@ -158,6 +160,22 @@ class TestScalars:
         fam = RhoStateFamily(occupied=1, rho=lambda r: np.full_like(r, 0.5))
         with pytest.raises(Diverged):
             total_charge(fam, SPEC, NAT)
+
+
+class TestGuardsFailClosed:
+    @pytest.mark.parametrize(
+        "run",
+        [lambda sp: np.nan, lambda sp: np.inf, lambda sp: 1.0 if sp == SPEC else np.inf],
+        ids=["nan", "inf", "inf-doubled"],
+    )
+    def test_doubling_guard_trips_on_non_finite(self, run):
+        with pytest.raises(Diverged):
+            _doubling_guard(run, SPEC, "non-finite run")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_refinement_guard_trips_on_non_finite(self, value):
+        with pytest.raises(QuadratureNotConverged):
+            _converged(lambda sp: np.full(4, value), SPEC, True, "non-finite run")
 
 
 class TestTwoPoint:

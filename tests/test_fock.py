@@ -1,8 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from diracfock import fock
 from diracfock.constants import PhysicalConstants, natural_units
 from diracfock.fock import (
     DIM,
@@ -23,6 +29,9 @@ MODES = (1, 2, 3, 4)
 
 def test_car_mixed():
     eye = np.eye(DIM)
+    for s in MODES:
+        assert np.array_equal(fock.ANNIHILATORS[s - 1], mode_annihilator(s))
+        assert np.array_equal(fock.CREATORS[s - 1], mode_creator(s))
     for s, t in itertools.product(MODES, MODES):
         anti = mode_annihilator(s) @ mode_creator(t) + mode_creator(t) @ mode_annihilator(s)
         assert np.max(np.abs(anti - (s == t) * eye)) == 0.0
@@ -108,6 +117,22 @@ def test_larmor_precession():
     for omega, t in [(1.0, 0.1), (0.7, 2.3), (3.0, 11.0)]:
         res = larmor_evolution_check(omega, t)
         assert max(res.values()) < 1e-12
+
+
+def test_propagator_matches_scipy_expm():
+    # scipy's expm built the Larmor propagator before; it stays as the oracle
+    for omega, t in [(1.0, 0.1), (0.7, 2.3), (3.0, 11.0), (0.25, -4.0)]:
+        h = 0.5 * omega * (np.eye(2) - np.diag([1.0, -1.0]))
+        assert np.abs(fock._propagator(h, t) - expm(-1.0j * h * t)).max() <= 1e-15
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, diracfock; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_mode_index_validation():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from diracfock.gamma import (
+    BILINEAR,
     CONJUGATION,
+    GAMMA,
     GAMMA0,
     GAMMA1,
     GAMMA2,
@@ -10,7 +12,6 @@ from diracfock.gamma import (
     METRIC,
     covariant_components,
     feynman_slash,
-    standard_gamma_set,
 )
 
 GAMMAS = (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
@@ -73,7 +74,8 @@ def test_slash_squares_to_invariant():
 
 
 def test_standard_set_consistent():
-    gs = standard_gamma_set()
-    for a, b in zip(gs.gamma, GAMMAS):
-        assert np.array_equal(a, b)
-    assert np.array_equal(gs.conjugation, CONJUGATION)
+    assert GAMMA.shape == (4, 4, 4)
+    for mu, g in enumerate(GAMMAS):
+        assert np.array_equal(GAMMA[mu], g)
+        assert np.array_equal(BILINEAR[mu], GAMMA0 @ g)
+    assert np.array_equal(CONJUGATION, 1.0j * GAMMA2 @ GAMMA0)

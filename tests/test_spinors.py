@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from diracfock.gamma import CONJUGATION, GAMMA0, covariant_components, feynman_slash
+from diracfock.gamma import CONJUGATION, GAMMA, GAMMA0, covariant_components, feynman_slash
 from diracfock.spinors import (
-    bilinear,
     identity_suite,
     identity_suite_batch,
     rest_frame_basis,
     u_columns,
-    u_spinor,
     v_columns,
-    v_spinor,
 )
 
 
@@ -70,14 +67,11 @@ def test_bilinear_reproduces_k_vector():
     for k in _random_ks(rng, 5, lo=-1.0, hi=1.0):
         k0 = np.sqrt(1.0 + k @ k)
         contra = np.array([k0, *k])
-        for s in (1, 2):
-            a = u_spinor(s, k, 1.0)
+        # columns 0, 1 of u are modes 1, 2; those of v are modes 3, 4
+        for a in (*u_columns(k, 1.0).T, *v_columns(k, 1.0).T):
             for mu in range(4):
-                assert bilinear(a, mu, a) == pytest.approx(contra[mu] / k0, abs=1e-13)
-        for s in (3, 4):
-            b = v_spinor(s, k, 1.0)
-            for mu in range(4):
-                assert bilinear(b, mu, b) == pytest.approx(contra[mu] / k0, abs=1e-13)
+                value = a.conj() @ GAMMA0 @ GAMMA[mu] @ a
+                assert value == pytest.approx(contra[mu] / k0, abs=1e-13)
 
 
 def test_suite_over_wide_magnitude_range():
