@@ -9,7 +9,7 @@ C = i gamma^2 gamma^0 and are confirmed numerically below.
 import numpy as np
 
 from diracfock.gamma import CONJUGATION, covariant_components, feynman_slash
-from diracfock.spinors import identity_suite, rest_frame_basis, u_columns, v_columns
+from diracfock.spinors import identity_suite_batch, rest_frame_basis, u_columns, v_columns
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
 kappa = 1.0
@@ -45,5 +45,5 @@ print("C conj(u2(k)) - v3(-k):", np.abs(CONJUGATION @ u[:, 1].conj() - vm[:, 0])
 print()
 print("== the full identity suite at one pair of wave vectors ==")
 kp = np.array([-0.5, 1.1, 0.2])
-for name, residual in identity_suite(k, kp, kappa).items():
+for name, residual in identity_suite_batch(k, kp, kappa).items():
     print(f"   {name:26s} {residual:.3e}")

@@ -25,7 +25,6 @@ from .fields import (
     AmbiguousSolutionError,
     NoSolutionError,
     fock_charge_conjugation,
-    psi,
     psi_adjoint_matrices,
     psi_matrices,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "fock_charge_conjugation",
     "gaussian_family",
     "natural_units",
-    "psi",
     "psi_adjoint_matrices",
     "psi_matrices",
     "quantum_energy",

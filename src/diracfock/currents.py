@@ -9,13 +9,17 @@ and a pair creation/annihilation part.
 Spatial dependence enters only through plane-wave phases, so divergences
 are evaluated analytically: each derivative pulls down the covariant phase
 exponent of its term.  Functions with a `_stack` suffix return all four
-Lorentz components at once as a (4, 16, 16) array.
+Lorentz components at once as a (..., 4, 16, 16) array.
+
+k, k' of shape (..., 3) and x of shape (..., 4) broadcast over their
+leading axes, as in fields; residuals give one value per sample, a plain
+float when no argument has leading axes.
 """
 
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fields import plane_phase, psi_adjoint_matrices, psi_matrices
+from .fields import _k0, _per_sample, plane_phase, psi_adjoint_matrices, psi_matrices
 from .fock import ANNIHILATORS, CREATORS, charge_operator
 # unused here, but perfbench/tracer.py wraps these two names at this call site
 from .fock import mode_annihilator, mode_creator  # noqa: F401
@@ -30,49 +34,53 @@ _CC = np.einsum("sij,tjl->stil", CREATORS[:2], CREATORS[2:])
 _AA = np.einsum("sij,tjl->stil", ANNIHILATORS[2:], ANNIHILATORS[:2])
 
 
-def _check_mu(mu: int):
-    if mu not in (0, 1, 2, 3):
-        raise ValueError(f"Lorentz index must be 0..3, got {mu}")
-
-
 def _cov(k: np.ndarray, kappa: float) -> np.ndarray:
     k = np.asarray(k, dtype=float)
-    k0 = np.sqrt(kappa**2 + k @ k)
-    return covariant_components(k0, k)
+    return covariant_components(_k0(k, kappa), k)
+
+
+def _contract(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """p_mu J^mu for a covariant (..., 4) vector and a (..., 4, 16, 16) stack."""
+    return np.einsum("...m,...mil->...il", p, stack)
+
+
+def _field_bilinear(a: np.ndarray, gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_{r q} a_r gamma^mu_{r q} b_q for each mu of gamma, shape (..., mu, 16, 16).
+
+    gamma meets b first: each of its rows has a single nonzero, so that
+    step only relabels and rescales the b components.
+    """
+    gb = np.einsum("mrq,...qjl->...mrjl", gamma, b)
+    return (a[..., None, :, :, :] @ gb).sum(axis=-3)
+
+
+def _spinor_bilinear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_s| gamma^0 gamma^mu |b_t> for spinor columns a, b, shape (..., mu, s, t)."""
+    return np.einsum("...rs,mrq,...qt->...mst", a.conj(), BILINEAR, b)
 
 
 def r_current_stack(k, kp, x, kappa: float) -> np.ndarray:
-    """All four components of the r-current, shape (4, 16, 16)."""
-    pa = psi_adjoint_matrices(k, x, kappa)
-    p = psi_matrices(kp, x, kappa)
-    return np.einsum("mrq,rij,qjl->mil", GAMMA, pa, p)
+    """sum_{r r'} psi_a(r, k) gamma^mu_{r r'} psi(r', k') at x, shape (..., 4, 16, 16)."""
+    return _field_bilinear(psi_adjoint_matrices(k, x, kappa), GAMMA, psi_matrices(kp, x, kappa))
 
 
-def r_current(mu: int, k, kp, x, kappa: float) -> np.ndarray:
-    """sum_{r r'} psi_a(r, k) gamma^mu_{r r'} psi(r', k') at the point x."""
-    _check_mu(mu)
-    return r_current_stack(k, kp, x, kappa)[mu]
+def _j_current(k, kp, x, kappa: float, gamma: np.ndarray) -> np.ndarray:
+    """The expanded electric current for the Lorentz components in gamma."""
+    first = _field_bilinear(psi_adjoint_matrices(k, x, kappa), gamma, psi_matrices(kp, x, kappa))
+    second = _field_bilinear(
+        psi_matrices(k, x, kappa), gamma.swapaxes(-1, -2), psi_adjoint_matrices(kp, x, kappa)
+    )
+    return 0.5 * (first - second)
 
 
 def j_current_stack(k, kp, x, kappa: float) -> np.ndarray:
-    """Electric current, expanded form, shape (4, 16, 16).
+    """Electric current, expanded form, shape (..., 4, 16, 16).
 
     One half of the adjoint-field ordering minus one half of the reversed
     ordering with transposed gamma indices.  Dimensionless: the charge and
     momentum-space prefactors are applied by the expectation layer.
     """
-    pa_k = psi_adjoint_matrices(k, x, kappa)
-    p_kp = psi_matrices(kp, x, kappa)
-    p_k = psi_matrices(k, x, kappa)
-    pa_kp = psi_adjoint_matrices(kp, x, kappa)
-    first = np.einsum("mrq,rij,qjl->mil", GAMMA, pa_k, p_kp)
-    second = np.einsum("mqr,rij,qjl->mil", GAMMA, p_k, pa_kp)
-    return 0.5 * (first - second)
-
-
-def j_current(mu: int, k, kp, x, kappa: float) -> np.ndarray:
-    _check_mu(mu)
-    return j_current_stack(k, kp, x, kappa)[mu]
+    return _j_current(k, kp, x, kappa, GAMMA)
 
 
 def j_current_conjugated_stack(k, kp, x, kappa: float, chat: np.ndarray) -> np.ndarray:
@@ -82,41 +90,31 @@ def j_current_conjugated_stack(k, kp, x, kappa: float, chat: np.ndarray) -> np.n
     result then agrees with j_current_stack as an exact matrix identity.
     """
     r = r_current_stack(k, kp, x, kappa)
-    return np.stack([0.5 * (r[m] - chat @ r[m] @ chat.conj().T) for m in range(4)])
+    return 0.5 * (r - chat @ r @ chat.conj().T)
 
 
 def _diag_half(k, kp, x, kappa: float) -> np.ndarray:
     """The (k, k') ordered half of the number-conserving current."""
-    uu = np.einsum(
-        "rs,mrq,qt->mst", u_columns(k, kappa).conj(), BILINEAR, u_columns(kp, kappa)
-    )
-    vv = np.einsum(
-        "rs,mrq,qt->mst", v_columns(kp, kappa).conj(), BILINEAR, v_columns(k, kappa)
-    )
+    uu = _spinor_bilinear(u_columns(k, kappa), u_columns(kp, kappa))
+    vv = _spinor_bilinear(v_columns(kp, kappa), v_columns(k, kappa))
     phase = np.conj(plane_phase(k, x, kappa)) * plane_phase(kp, x, kappa)
     # the antiparticle bilinear carries creator index t and annihilator s
-    return 0.5 * phase * (
-        np.einsum("mst,stil->mil", uu, _EE) - np.einsum("mst,tsil->mil", vv, _PP)
-    )
+    modes = np.tensordot(uu, _EE, axes=2) - np.tensordot(vv.swapaxes(-1, -2), _PP, axes=2)
+    return 0.5 * phase[..., None, None, None] * modes
 
 
 def j_diag_stack(k, kp, x, kappa: float) -> np.ndarray:
-    """Number-conserving part of the electric current, shape (4, 16, 16)."""
+    """Number-conserving part of the electric current, shape (..., 4, 16, 16)."""
     return _diag_half(k, kp, x, kappa) + _diag_half(kp, k, x, kappa)
 
 
 def _off_parts(k, kp, x, kappa: float):
     """Pair-creating and pair-annihilating stacks for the (k, k') order."""
-    uv = np.einsum(
-        "rs,mrq,qt->mst", u_columns(k, kappa).conj(), BILINEAR, v_columns(kp, kappa)
-    )
-    vu = np.einsum(
-        "rs,mrq,qt->mst", v_columns(k, kappa).conj(), BILINEAR, u_columns(kp, kappa)
-    )
-    e_k = plane_phase(k, x, kappa)
-    e_kp = plane_phase(kp, x, kappa)
-    creation = 0.5 * np.conj(e_k * e_kp) * np.einsum("mst,stil->mil", uv, _CC)
-    annihilation = 0.5 * e_k * e_kp * np.einsum("mst,stil->mil", vu, _AA)
+    uv = _spinor_bilinear(u_columns(k, kappa), v_columns(kp, kappa))
+    vu = _spinor_bilinear(v_columns(k, kappa), u_columns(kp, kappa))
+    e = (plane_phase(k, x, kappa) * plane_phase(kp, x, kappa))[..., None, None, None]
+    creation = 0.5 * np.conj(e) * np.tensordot(uv, _CC, axes=2)
+    annihilation = 0.5 * e * np.tensordot(vu, _AA, axes=2)
     return creation, annihilation
 
 
@@ -135,9 +133,7 @@ def j_diag_divergence(k, kp, x, kappa: float) -> np.ndarray:
     to roundoff.
     """
     p = _cov(k, kappa) - _cov(kp, kappa)
-    return -np.einsum("m,mil->il", p, _diag_half(k, kp, x, kappa)) + np.einsum(
-        "m,mil->il", p, _diag_half(kp, k, x, kappa)
-    )
+    return _contract(p, _diag_half(kp, k, x, kappa)) - _contract(p, _diag_half(k, kp, x, kappa))
 
 
 def j_off_divergence(k, kp, x, kappa: float) -> np.ndarray:
@@ -149,21 +145,19 @@ def j_off_divergence(k, kp, x, kappa: float) -> np.ndarray:
     s = _cov(k, kappa) + _cov(kp, kappa)
     c1, a1 = _off_parts(k, kp, x, kappa)
     c2, a2 = _off_parts(kp, k, x, kappa)
-    return -np.einsum("m,mil->il", s, c1 + c2) + np.einsum("m,mil->il", s, a1 + a2)
+    return _contract(s, a1 + a2) - _contract(s, c1 + c2)
 
 
-def j_diag_symmetry_residual(k, kp, x, kappa: float) -> float:
+def j_diag_symmetry_residual(k, kp, x, kappa: float):
     """Operator norm of (k - k')_mu contracted into the diagonal stack."""
-    stack = j_diag_stack(k, kp, x, kappa)
-    lhs = np.einsum("m,mil->il", _cov(k, kappa) - _cov(kp, kappa), stack)
-    return float(np.linalg.norm(lhs, 2))
+    lhs = _contract(_cov(k, kappa) - _cov(kp, kappa), j_diag_stack(k, kp, x, kappa))
+    return _per_sample(np.linalg.norm(lhs, 2, axis=(-2, -1)))
 
 
-def j_off_symmetry_residual(k, kp, x, kappa: float) -> float:
+def j_off_symmetry_residual(k, kp, x, kappa: float):
     """Operator norm of (k + k')_mu contracted into the pair stack."""
-    stack = j_off_stack(k, kp, x, kappa)
-    lhs = np.einsum("m,mil->il", _cov(k, kappa) + _cov(kp, kappa), stack)
-    return float(np.linalg.norm(lhs, 2))
+    lhs = _contract(_cov(k, kappa) + _cov(kp, kappa), j_off_stack(k, kp, x, kappa))
+    return _per_sample(np.linalg.norm(lhs, 2, axis=(-2, -1)))
 
 
 # sample points for the charge check, scaled by 1/kappa at call time
@@ -178,18 +172,17 @@ _CHARGE_POINTS = np.array(
 )
 
 
-def integrated_charge_check(k, kappa: float, consts: PhysicalConstants | None = None) -> float:
+def integrated_charge_check(k, kappa: float, consts: PhysicalConstants | None = None):
     """Worst deviation of diagonal J^0_{k,k} elements from the charge pattern.
 
     The x-independent part of J^0 at equal wave vectors is the signed mode
     number n1 + n2 - n3 - n4; the pair part never contributes on the
     diagonal.  Samples a few spacetime points and returns the largest
-    deviation over the 16 occupation basis states.
+    deviation over the 16 occupation basis states, one value per k.
     """
     consts = consts if consts is not None else PhysicalConstants()
     target = np.diag(charge_operator(consts)).real / consts.q
-    worst = 0.0
-    for x in _CHARGE_POINTS / kappa:
-        j0 = j_current(0, k, k, x, kappa)
-        worst = max(worst, float(np.max(np.abs(np.diag(j0) - target))))
-    return worst
+    k = np.asarray(k, dtype=float)[..., None, :]  # against every sample point
+    j0 = _j_current(k, k, _CHARGE_POINTS / kappa, kappa, GAMMA[:1])[..., 0, :, :]
+    deviation = np.abs(np.diagonal(j0, axis1=-2, axis2=-1) - target)
+    return _per_sample(deviation.max(axis=(-2, -1)))

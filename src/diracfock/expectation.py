@@ -167,6 +167,8 @@ def _overlap_spinor(family, xs, spec, consts, derivatives=False):
 
 def _converged(run, spec: QuadratureSpec, check: bool, label: str):
     v1 = run(spec)
+    if not np.all(np.isfinite(v1)):
+        raise QuadratureNotConverged(f"{label}: non-finite result")
     if check:
         v2 = run(spec.doubled())
         # "not <=" so that a NaN difference fails too
@@ -351,9 +353,12 @@ def r_density(
     with r_density_residuals.
     """
     x = np.asarray(x, dtype=float)
-    T = _field_tensor(family, x, spec, consts)
-    vals = np.einsum("xrc,mrq,xqc->xm", T.conj(), BILINEAR, T)
-    return vals.real.reshape(x.shape[:-1] + (4,))
+
+    def run(sp):
+        T = _field_tensor(family, x, sp, consts)
+        return np.einsum("xrc,mrq,xqc->xm", T.conj(), BILINEAR, T).real
+
+    return _converged(run, spec, False, "local densities").reshape(x.shape[:-1] + (4,))
 
 
 def r_density_residuals(

@@ -106,21 +106,21 @@ def total_number_operator() -> np.ndarray:
     return sum(number_operator(s) for s in range(1, N_MODES + 1))
 
 
-def dispersion(k: np.ndarray, consts: PhysicalConstants) -> tuple[float, float]:
-    """Return (k0, omega) for wave vector k.
+def dispersion(k: np.ndarray, consts: PhysicalConstants):
+    """Return (k0, omega) for wave vector(s) k of shape (..., 3).
 
     k0 = sqrt(kappa^2 + |k|^2) has units of inverse length and
     omega = c * k0 is the angular frequency of all four modes.
     """
     k = np.asarray(k, dtype=float)
-    k0 = float(np.sqrt(consts.kappa**2 + k @ k))
+    k0 = np.sqrt(consts.kappa**2 + np.einsum("...i,...i->...", k, k))
     return k0, consts.c * k0
 
 
 def hamiltonian(k: np.ndarray, consts: PhysicalConstants) -> np.ndarray:
-    """H = hbar omega(k) sum_s N_s, a positive semi-definite 16 x 16 matrix."""
+    """H = hbar omega(k) sum_s N_s, positive semi-definite, shape (..., 16, 16)."""
     _, omega = dispersion(k, consts)
-    return consts.hbar * omega * total_number_operator()
+    return consts.hbar * omega[..., None, None] * total_number_operator()
 
 
 def charge_operator(consts: PhysicalConstants) -> np.ndarray:

@@ -36,10 +36,10 @@ GAMMA.setflags(write=False)
 BILINEAR.setflags(write=False)
 
 
-def covariant_components(k0: float, k: np.ndarray) -> np.ndarray:
-    """Lower the index of (k0, k): returns (k0, -k_x, -k_y, -k_z)."""
+def covariant_components(k0, k: np.ndarray) -> np.ndarray:
+    """Lower the index of (k0, k): returns (k0, -k_x, -k_y, -k_z) on the last axis."""
     k = np.asarray(k, dtype=float)
-    return np.array([k0, -k[0], -k[1], -k[2]])
+    return np.concatenate([np.asarray(k0, dtype=float)[..., None], -k], axis=-1)
 
 
 def feynman_slash(k_cov: np.ndarray) -> np.ndarray:

@@ -68,8 +68,9 @@ def v_columns(k: np.ndarray, kappa: float) -> np.ndarray:
 def identity_suite_batch(ks: np.ndarray, kps: np.ndarray, kappa: float) -> dict[str, float]:
     """Worst-case residuals of the spinor identities over paired wave vectors.
 
-    ks and kps have shape (n, 3).  Each entry of the result is the maximum
-    absolute deviation of one identity over the whole batch.  The
+    ks and kps have shape (n, 3), or (3,) for a single pair.  Each entry of
+    the result is the maximum absolute deviation of one identity over the
+    whole batch.  The
     conjugation pair and the four cross-mode exchange relations carry the
     sign pattern that the C = i gamma^2 gamma^0 convention actually
     produces: C is antisymmetric, which forces opposite signs on the two
@@ -138,9 +139,3 @@ def identity_suite_batch(ks: np.ndarray, kps: np.ndarray, kappa: float) -> dict[
     res["exchange.trace_cancellation"] = amax(lhs - rhs)
     return res
 
-
-def identity_suite(k: np.ndarray, kp: np.ndarray, kappa: float) -> dict[str, float]:
-    """Residuals of every spinor identity for a single wave-vector pair."""
-    k = np.asarray(k, dtype=float)
-    kp = np.asarray(kp, dtype=float)
-    return identity_suite_batch(k[None, :], kp[None, :], kappa)

@@ -150,6 +150,10 @@ def _spinor_checks(rng, n, kappa):
     return [_check(f"spinor.{key}", "spinor-identity", r, _LOOSE) for key, r in suite.items()]
 
 
+def _amax(a) -> float:
+    return float(np.max(np.abs(a)))
+
+
 def _operator_checks(rng, n, consts: PhysicalConstants):
     kappa = consts.kappa
     ks = _sample_wave_vectors(rng, n, kappa, lo=-2.0, hi=2.0)
@@ -157,73 +161,34 @@ def _operator_checks(rng, n, consts: PhysicalConstants):
     xs = rng.normal(scale=1.5, size=(n, 4))
     ys = rng.normal(scale=1.5, size=(n, 4))
     field_tag, cur_tag = "field-operator", "current-operator"
-    worst = {
-        "dirac": 0.0,
-        "adjoint": 0.0,
-        "inverse": 0.0,
-        "heisenberg": 0.0,
-        "car": 0.0,
-        "swap": 0.0,
-        "split": 0.0,
-        "diag_sym": 0.0,
-        "off_sym": 0.0,
-        "div": 0.0,
-        "charge_comm": 0.0,
-        "charge_int": 0.0,
-    }
+    # every residual below holds all n samples; each check takes the worst
+    one, pair = (ks, xs, kappa), (ks, kps, xs, kappa)
+    inverse = [fields.inverse_relation_residual(s, *one) for s in (1, 2, 3, 4)]
+    heisenberg = [fields.heisenberg_residual(s, ks, xs, consts) for s in (1, 2, 3, 4)]
+    car = fields.mixed_car_residual(ks, kps, xs, ys, kappa)
+    r_kpk = currents.r_current_stack(kps, ks, xs, kappa)
+    swap = currents.r_current_stack(*pair).conj().swapaxes(-1, -2) - r_kpk
+    parts = currents.j_diag_stack(*pair) + currents.j_off_stack(*pair)
+    split = currents.j_current_stack(*pair) - parts
+    div = [currents.j_diag_divergence(*pair), currents.j_off_divergence(*pair)]
+    jstack = currents.j_current_stack(ks, ks, xs, kappa)
     qhat = fock.charge_operator(consts)
-    for k, kp, x, y in zip(ks, kps, xs, ys):
-        worst["dirac"] = max(worst["dirac"], fields.dirac_residual(k, x, kappa))
-        worst["adjoint"] = max(worst["adjoint"], fields.adjoint_dirac_residual(k, x, kappa))
-        worst["inverse"] = max(
-            worst["inverse"],
-            max(fields.inverse_relation_residual(s, k, x, kappa) for s in (1, 2, 3, 4)),
-        )
-        worst["heisenberg"] = max(
-            worst["heisenberg"],
-            max(fields.heisenberg_residual(s, k, x, consts) for s in (1, 2, 3, 4)),
-        )
-        worst["car"] = max(worst["car"], fields.mixed_car_residual(k, kp, x, y, kappa))
-        r_kkp = currents.r_current_stack(k, kp, x, kappa)
-        r_kpk = currents.r_current_stack(kp, k, x, kappa)
-        worst["swap"] = max(
-            worst["swap"], np.max(np.abs(r_kkp.conj().transpose(0, 2, 1) - r_kpk))
-        )
-        split = currents.j_current_stack(k, kp, x, kappa) - (
-            currents.j_diag_stack(k, kp, x, kappa) + currents.j_off_stack(k, kp, x, kappa)
-        )
-        worst["split"] = max(worst["split"], np.max(np.abs(split)))
-        worst["diag_sym"] = max(
-            worst["diag_sym"], currents.j_diag_symmetry_residual(k, kp, x, kappa)
-        )
-        worst["off_sym"] = max(
-            worst["off_sym"], currents.j_off_symmetry_residual(k, kp, x, kappa)
-        )
-        worst["div"] = max(
-            worst["div"],
-            np.max(np.abs(currents.j_diag_divergence(k, kp, x, kappa))),
-            np.max(np.abs(currents.j_off_divergence(k, kp, x, kappa))),
-        )
-        jstack = currents.j_current_stack(k, k, x, kappa)
-        worst["charge_comm"] = max(
-            worst["charge_comm"],
-            np.max(np.abs(np.einsum("mij,jl->mil", jstack, qhat) - np.einsum("ij,mjl->mil", qhat, jstack))),
-        )
-        worst["charge_int"] = max(worst["charge_int"], currents.integrated_charge_check(k, kappa, consts))
-    return [
-        _check("field.dirac_equation", field_tag, worst["dirac"], _LOOSE),
-        _check("field.adjoint_equation", field_tag, worst["adjoint"], _LOOSE),
-        _check("field.inverse_relations", field_tag, worst["inverse"], _LOOSE),
-        _check("field.heisenberg_evolution", field_tag, worst["heisenberg"], _LOOSE),
-        _check("field.anticommutators", field_tag, worst["car"], _LOOSE),
-        _check("current.hermiticity_swap", cur_tag, worst["swap"], _LOOSE),
-        _check("current.split", cur_tag, worst["split"], _LOOSE),
-        _check("current.diag_contraction", cur_tag, worst["diag_sym"], _LOOSE),
-        _check("current.off_contraction", cur_tag, worst["off_sym"], _LOOSE),
-        _check("current.divergence_free", cur_tag, worst["div"], _LOOSE),
-        _check("current.charge_commutator", cur_tag, worst["charge_comm"], _TIGHT),
-        _check("current.integrated_charge", cur_tag, worst["charge_int"], _LOOSE),
+    charge = currents.integrated_charge_check(ks, kappa, consts)
+    checks = [
+        ("field.dirac_equation", field_tag, fields.dirac_residual(*one), _LOOSE),
+        ("field.adjoint_equation", field_tag, fields.adjoint_dirac_residual(*one), _LOOSE),
+        ("field.inverse_relations", field_tag, inverse, _LOOSE),
+        ("field.heisenberg_evolution", field_tag, heisenberg, _LOOSE),
+        ("field.anticommutators", field_tag, car, _LOOSE),
+        ("current.hermiticity_swap", cur_tag, swap, _LOOSE),
+        ("current.split", cur_tag, split, _LOOSE),
+        ("current.diag_contraction", cur_tag, currents.j_diag_symmetry_residual(*pair), _LOOSE),
+        ("current.off_contraction", cur_tag, currents.j_off_symmetry_residual(*pair), _LOOSE),
+        ("current.divergence_free", cur_tag, div, _LOOSE),
+        ("current.charge_commutator", cur_tag, jstack @ qhat - qhat @ jstack, _TIGHT),
+        ("current.integrated_charge", cur_tag, charge, _LOOSE),
     ]
+    return [_check(name, tag, _amax(r), tol) for name, tag, r, tol in checks]
 
 
 def _conjugation_checks(rng, consts: PhysicalConstants):
@@ -234,23 +199,24 @@ def _conjugation_checks(rng, consts: PhysicalConstants):
     chat, residual = fields.fock_charge_conjugation(kappa, sample, heldout)
     unitary = np.max(np.abs(chat.conj().T @ chat - np.eye(fock.DIM)))
     x0 = np.zeros(4)
-    adjoint = 0.0
-    for k in heldout:
-        p = fields.psi_matrices(k, x0, kappa)
-        pa = fields.psi_adjoint_matrices(k, x0, kappa)
-        for r in range(4):
-            target = -np.einsum("p,pij->ij", CONJUGATION[r], p)
-            adjoint = max(adjoint, np.max(np.abs(chat @ pa[r] - target @ chat)))
+    p = fields.psi_matrices(heldout, x0, kappa)
+    pa = fields.psi_adjoint_matrices(heldout, x0, kappa)
+    target = -np.einsum("rp,...pij->...rij", CONJUGATION, p)
+    adjoint = _amax(chat @ pa - target @ chat)
     qhat = fock.charge_operator(consts)
     flip = np.max(np.abs(chat @ qhat @ chat.conj().T + qhat))
-    conj_split = 0.0
-    for _ in range(10):
-        k = _sample_wave_vectors(rng, 1, kappa, lo=-1.0, hi=1.0)[0]
-        kp = _sample_wave_vectors(rng, 1, kappa, lo=-1.0, hi=1.0)[0]
-        x = rng.normal(scale=1.5, size=4)
-        normal = currents.j_diag_stack(k, kp, x, kappa) + currents.j_off_stack(k, kp, x, kappa)
-        conj_form = currents.j_current_conjugated_stack(k, kp, x, kappa, chat)
-        conj_split = max(conj_split, np.max(np.abs(conj_form - normal)))
+    # ten (k, k', x) triples drawn one at a time, so a seed keeps its samples
+    draws = [
+        (
+            _sample_wave_vectors(rng, 1, kappa, lo=-1.0, hi=1.0)[0],
+            _sample_wave_vectors(rng, 1, kappa, lo=-1.0, hi=1.0)[0],
+            rng.normal(scale=1.5, size=4),
+        )
+        for _ in range(10)
+    ]
+    k, kp, x = (np.array(a) for a in zip(*draws))
+    normal = currents.j_diag_stack(k, kp, x, kappa) + currents.j_off_stack(k, kp, x, kappa)
+    conj_split = _amax(currents.j_current_conjugated_stack(k, kp, x, kappa, chat) - normal)
     return [
         _check("conjugation.solver_unitary", tag, unitary, _LOOSE),
         _check("conjugation.intertwining_heldout", tag, residual, _SOLVER_TOL),

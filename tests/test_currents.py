@@ -5,8 +5,8 @@ import pytest
 
 from diracfock.constants import natural_units
 from diracfock.currents import (
+    _CHARGE_POINTS,
     integrated_charge_check,
-    j_current,
     j_current_conjugated_stack,
     j_current_stack,
     j_diag_divergence,
@@ -15,7 +15,6 @@ from diracfock.currents import (
     j_off_divergence,
     j_off_stack,
     j_off_symmetry_residual,
-    r_current,
     r_current_stack,
 )
 from diracfock.fields import fock_charge_conjugation
@@ -71,7 +70,7 @@ def test_current_commutes_with_charge():
 def test_diagonal_charge_pattern():
     k = np.array([0.6, -0.2, 1.1])
     x = np.array([0.4, 0.9, -0.3, 0.5])
-    j0 = j_current(0, k, k, x, KAPPA)
+    j0 = j_current_stack(k, k, x, KAPPA)[0]
     vac = vacuum_state()
     assert vac.conj() @ j0 @ vac == pytest.approx(0.0, abs=1e-13)
     one = basis_state([1])
@@ -87,6 +86,18 @@ def test_integrated_charge_pattern_off_shell_points():
         assert integrated_charge_check(k, KAPPA) < 1e-12
 
 
+def test_integrated_charge_matches_full_current_per_point():
+    # J^0 alone at all points at once, against the full stack one point at a time
+    target = np.diag(charge_operator(natural_units())).real
+    rng = np.random.default_rng(37)
+    for k in rng.normal(size=(3, 3)):
+        worst = max(
+            np.max(np.abs(np.diag(j_current_stack(k, k, x, KAPPA)[0]) - target))
+            for x in _CHARGE_POINTS / KAPPA
+        )
+        assert integrated_charge_check(k, KAPPA) == pytest.approx(worst, abs=1e-15)
+
+
 def test_conjugation_odd_part_matches_expansion():
     sample = np.array([[0.3, -0.5, 0.8], [1.2, 0.1, -0.4], [-0.7, 0.9, 0.2]])
     chat, _ = fock_charge_conjugation(KAPPA, sample)
@@ -96,11 +107,3 @@ def test_conjugation_odd_part_matches_expansion():
         full = j_current_stack(k, kp, x, KAPPA)
         assert np.max(np.abs(odd - full)) < 1e-8
 
-
-def test_lorentz_index_validated():
-    k = np.zeros(3)
-    x = np.zeros(4)
-    with pytest.raises(ValueError):
-        j_current(4, k, k, x, KAPPA)
-    with pytest.raises(ValueError):
-        r_current(-1, k, k, x, KAPPA)

@@ -172,10 +172,28 @@ class TestGuardsFailClosed:
         with pytest.raises(Diverged):
             _doubling_guard(run, SPEC, "non-finite run")
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_refinement_guard_trips_on_non_finite(self, value):
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda sp: np.full(4, np.nan),
+            lambda sp: np.full(4, np.inf),
+            lambda sp: np.ones(4) if sp == SPEC else np.full(4, np.nan),
+        ],
+        ids=["nan", "inf", "nan-doubled"],
+    )
+    def test_refinement_guard_trips_on_non_finite(self, run):
         with pytest.raises(QuadratureNotConverged):
-            _converged(lambda sp: np.full(4, value), SPEC, True, "non-finite run")
+            _converged(run, SPEC, True, "non-finite run")
+
+    def test_unchecked_integrals_reject_nan_density(self):
+        # both skip the refinement check by default, so only the finiteness test stands
+        fam = tabulated_family([0.0, 1.0], [np.nan, 0.5])
+        spec = QuadratureSpec(n_radial=8, n_theta=4)
+        x = np.zeros(4)
+        with pytest.raises(QuadratureNotConverged):
+            two_point(fam, fam, x, x, spec, NAT)
+        with pytest.raises(QuadratureNotConverged):
+            r_density(fam, x, spec, NAT)
 
 
 class TestTwoPoint:

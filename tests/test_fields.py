@@ -15,7 +15,6 @@ from diracfock.fields import (
     phi_minus,
     phi_plus,
     plane_phase,
-    psi,
     psi_adjoint_matrices,
     psi_matrices,
 )
@@ -54,7 +53,6 @@ def test_psi_assembled_from_mode_parts():
         expect = sum(u[r, s - 1] * phi_plus(s, k, x, KAPPA) for s in (1, 2))
         expect = expect + sum(v[r, s - 3] * phi_minus(s, k, x, KAPPA) for s in (3, 4))
         assert np.max(np.abs(p[r] - expect)) < 1e-14
-        assert np.max(np.abs(p[r] - psi(r + 1, k, x, KAPPA))) == 0.0
 
 
 def test_mode_parts_are_phased_ladder_operators():
@@ -102,6 +100,25 @@ def test_anticommutators_across_wave_vectors():
     rng = np.random.default_rng(26)
     for k, kp, x, y in _random_tuples(rng, 20):
         assert mixed_car_residual(k, kp, x, y, KAPPA) < 1e-13
+
+
+def test_anticommutator_residual_matches_component_loop():
+    # the broadcast (r, r') pairs against an explicit loop over them
+    rng = np.random.default_rng(27)
+    for k, kp, x, y in _random_tuples(rng, 3):
+        p, pp = psi_matrices(k, x, KAPPA), psi_matrices(kp, y, KAPPA)
+        ek, ekp = plane_phase(k, x, KAPPA), plane_phase(kp, y, KAPPA)
+        uu = u_columns(k, KAPPA) @ u_columns(kp, KAPPA).conj().T
+        vv = v_columns(k, KAPPA) @ v_columns(kp, KAPPA).conj().T
+        scalar = ek * np.conj(ekp) * uu + np.conj(ek) * ekp * vv
+        worst = 0.0
+        for r in range(4):
+            for rp in range(4):
+                dag = pp[rp].conj().T
+                zero = p[r] @ pp[rp] + pp[rp] @ p[r]
+                anti = p[r] @ dag + dag @ p[r] - scalar[r, rp] * np.eye(DIM)
+                worst = max(worst, np.max(np.abs(zero)), np.max(np.abs(anti)))
+        assert mixed_car_residual(k, kp, x, y, KAPPA) == pytest.approx(worst, abs=1e-15)
 
 
 def test_anticommutator_not_diagonal_at_equal_arguments():

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from diracfock.gamma import CONJUGATION, GAMMA, GAMMA0, covariant_components, feynman_slash
-from diracfock.spinors import (
-    identity_suite,
-    identity_suite_batch,
-    rest_frame_basis,
-    u_columns,
-    v_columns,
-)
+from diracfock.spinors import identity_suite_batch, rest_frame_basis, u_columns, v_columns
 
 
 def _random_ks(rng, n, kappa=1.0, lo=-3.0, hi=3.0):
@@ -85,9 +79,10 @@ def test_suite_over_wide_magnitude_range():
 
 
 def test_suite_single_pair_matches_batch():
+    # a 1-D pair is read as a one-row batch
     k = np.array([0.3, -0.2, 0.9])
     kp = np.array([-1.1, 0.4, 0.2])
-    single = identity_suite(k, kp, 1.0)
+    single = identity_suite_batch(k, kp, 1.0)
     batch = identity_suite_batch(k[None], kp[None], 1.0)
     assert single.keys() == batch.keys()
     for name in single:

@@ -1,6 +1,18 @@
 """The check suite: determinism, grouping, and the fault-injection hook."""
 
-from diracfock.verify import Check, VerificationReport, run_suite
+import numpy as np
+import pytest
+
+from diracfock import currents, fields
+from diracfock.constants import natural_units
+from diracfock.fock import charge_operator
+from diracfock.verify import (
+    Check,
+    VerificationReport,
+    _operator_checks,
+    _sample_wave_vectors,
+    run_suite,
+)
 
 
 def test_small_suite_passes():
@@ -54,3 +66,42 @@ def test_check_record_round_trip():
     }
     rep = VerificationReport(checks=(c,))
     assert rep.as_dict()["summary"] == {"total": 1, "failed": 0, "all_passed": True}
+
+
+def test_operator_checks_match_a_per_sample_loop():
+    # the batched checks against the loop they replaced, one sample per call
+    consts = natural_units()
+    kappa, n = consts.kappa, 8
+    batched = {c.name: c.residual for c in _operator_checks(np.random.default_rng(5), n, consts)}
+    rng = np.random.default_rng(5)
+    ks = _sample_wave_vectors(rng, n, kappa, lo=-2.0, hi=2.0)
+    kps = _sample_wave_vectors(rng, n, kappa, lo=-2.0, hi=2.0)
+    xs = rng.normal(scale=1.5, size=(n, 4))
+    ys = rng.normal(scale=1.5, size=(n, 4))
+    qhat = charge_operator(consts)
+    worst = dict.fromkeys(batched, 0.0)
+
+    def keep(name, value):
+        worst[name] = max(worst[name], float(np.max(np.abs(value))))
+
+    for k, kp, x, y in zip(ks, kps, xs, ys):
+        keep("field.dirac_equation", fields.dirac_residual(k, x, kappa))
+        keep("field.adjoint_equation", fields.adjoint_dirac_residual(k, x, kappa))
+        for s in (1, 2, 3, 4):
+            keep("field.inverse_relations", fields.inverse_relation_residual(s, k, x, kappa))
+            keep("field.heisenberg_evolution", fields.heisenberg_residual(s, k, x, consts))
+        keep("field.anticommutators", fields.mixed_car_residual(k, kp, x, y, kappa))
+        forward = currents.r_current_stack(k, kp, x, kappa)
+        backward = currents.r_current_stack(kp, k, x, kappa)
+        keep("current.hermiticity_swap", forward.conj().transpose(0, 2, 1) - backward)
+        parts = currents.j_diag_stack(k, kp, x, kappa) + currents.j_off_stack(k, kp, x, kappa)
+        keep("current.split", currents.j_current_stack(k, kp, x, kappa) - parts)
+        keep("current.diag_contraction", currents.j_diag_symmetry_residual(k, kp, x, kappa))
+        keep("current.off_contraction", currents.j_off_symmetry_residual(k, kp, x, kappa))
+        keep("current.divergence_free", currents.j_diag_divergence(k, kp, x, kappa))
+        keep("current.divergence_free", currents.j_off_divergence(k, kp, x, kappa))
+        j = currents.j_current_stack(k, k, x, kappa)
+        keep("current.charge_commutator", j @ qhat - qhat @ j)
+        keep("current.integrated_charge", currents.integrated_charge_check(k, kappa, consts))
+    for name, residual in batched.items():
+        assert residual == pytest.approx(worst[name], abs=1e-15), name
