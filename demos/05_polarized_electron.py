@@ -40,11 +40,8 @@ family = sech2_family(1.0)
 consts = natural_units()
 zs = np.array([0.0, 0.5, 1.0, 1.5])
 points = np.array([[0.0, 0.0, 0.0, z] for z in zs])
-# the vacuum part of r^0 is not damped by the profile, so the sphere rule
-# must resolve bandwidth (cutoff) x (largest |x|) = 60: 48 polar nodes
-field_spec = QuadratureSpec(n_theta=48)
-phi = classical_spinor(family, points, field_spec, consts, check=False)
-dens = r_density(family, points, field_spec, consts)
+phi = classical_spinor(family, points, spec, consts, check=False)
+dens = r_density(family, points, spec, consts)
 print("   z      |phi_1|        |phi_2|    r^0 (minus the vacuum part is finite)")
 for z, ph, de in zip(zs, phi, dens):
     print(f"   {z:4.1f}  {np.abs(ph[0]):.6e}  {np.abs(ph[1]):.2e}  {de[0]:.6e}")

@@ -156,13 +156,7 @@ def cmd_sample_field(args) -> int:
         ell=float(config.get("ell", 1.0)),
         q=float(config.get("q", 1.0)),
     )
-    # one resolution knob: the angular rule scales with the radial count,
-    # since wide spatial grids need higher sphere bandwidth k|x|
-    spec = QuadratureSpec(
-        n_radial=args.nodes,
-        r_max=args.rmax,
-        n_theta=max(24, args.nodes * 24 // 200),
-    )
+    spec = QuadratureSpec(n_radial=args.nodes, r_max=args.rmax)
     points = _grid_points(config)
     phi = classical_spinor(family, points, spec, consts)
     dens = r_density(family, points, spec, consts)

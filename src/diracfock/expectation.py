@@ -5,10 +5,16 @@ the two-point correlation matrix, local densities, the smeared-current
 reality check, and the worked spin-up example.
 
 All double k-integrals factor through the 16-dimensional occupation index,
-so they cost one pass of 1D or product quadrature per side instead of a
-node-squared sum.  Derivatives of integrals are always analytic phase
-insertions, never finite differences; the field equations then hold at
-every node and the residual checks probe the algebra, not the step size.
+so they cost one pass of quadrature per side instead of a node-squared
+sum.  For a two-component family that pass is a radial rule alone: the
+state depends on |k| only and the spinors are affine in the direction of
+k, so the angular integral of every field term is the Rayleigh plane-wave
+expansion 4 pi (j0(k |x|), i j1(k |x|) xhat), evaluated in closed form.
+A general family gets the spherical product rule.  Derivatives of
+integrals are always analytic (phase insertions, or the derivatives of
+the Bessel terms), never finite differences; the field equations then
+hold at every node and the residual checks probe the algebra, not the
+step size.
 
 The antiparticle sector of the two-point matrix and of the densities does
 not decay with |k|, so those values grow with the radial cutoff; they are
@@ -69,31 +75,150 @@ def _product_chunks(family: StateFamily, spec: QuadratureSpec):
         yield kv, wq
 
 
-def _chunk_parts(family, kv, consts, dagger: bool):
-    """Per-node spinor columns, phases at x=0 data, and mode actions.
+def _mode_actions(z, dagger: bool = False):
+    """(Z1, Z2), each (n, 2, DIM): the operators paired with u and v, applied to z.
 
-    Returns (u, v, z, Z1, Z2, k0): z holds the state coefficients, Z1
-    pairs with the particle columns and Z2 with the antiparticle columns.
-    In the dagger variant the roles of creator and annihilator are
-    exchanged and the caller must conjugate the spinor columns.
+    Z1 applies the annihilators of modes 1, 2 (paired with the u columns),
+    Z2 the creators of modes 3, 4 (paired with v); the dagger variant
+    exchanges creators and annihilators.
     """
-    kmag = np.linalg.norm(kv, axis=-1)
-    k0 = np.sqrt(consts.kappa**2 + kmag**2)
-    u = u_columns(kv, consts.kappa)
-    v = v_columns(kv, consts.kappa)
-    z = family.coefficients(kv)
     if dagger:
-        Z1 = np.einsum("sij,mj->smi", CREATORS[:2], z)
-        Z2 = np.einsum("sij,mj->smi", ANNIHILATORS[2:], z)
+        first, second = CREATORS[:2], ANNIHILATORS[2:]
     else:
-        Z1 = np.einsum("sij,mj->smi", ANNIHILATORS[:2], z)
-        Z2 = np.einsum("sij,mj->smi", CREATORS[2:], z)
-    return u, v, z, Z1, Z2, k0
+        first, second = ANNIHILATORS[:2], CREATORS[2:]
+    return np.einsum("sij,nj->nsi", first, z), np.einsum("sij,nj->nsi", second, z)
 
 
-def _phases(k0, kv, xs):
-    """exp(-i k.x) for every (x, node) pair, shape (nx, m)."""
-    return np.exp(-1.0j * (np.outer(xs[:, 0], k0) - xs[:, 1:] @ kv.T))
+def _product_blocks(family, xs, spec, consts, weighted, derivatives):
+    """Blocks of the spherical product rule, for any family; see _blocks."""
+    for kv, wq in _product_chunks(family, spec):
+        kmag = np.linalg.norm(kv, axis=-1)
+        k0 = np.sqrt(consts.kappa**2 + kmag**2)
+        w = wq * _weight(kmag, consts) if weighted else wq
+        # exp(-i k.x) per (x, node); d/dx^mu brings down -i k_mu, k_mu = (k0, -k)
+        E = np.exp(-1.0j * (np.outer(xs[:, 0], k0) - xs[:, 1:] @ kv.T)) * w
+        dE = None
+        if derivatives:
+            k_cov = np.column_stack([k0, -kv])
+            dE = -1.0j * k_cov.T[None, :, :] * E[:, None, :]
+        u, v = u_columns(kv, consts.kappa), v_columns(kv, consts.kappa)
+        yield E, dE, u, v, family.coefficients(kv)
+
+
+# series below this argument, closed forms above; both sides agree to roundoff
+_BESSEL_SERIES_BELOW = 1.0
+_BESSEL_TERMS = 10
+
+
+def _series_coefficients(n: int) -> np.ndarray:
+    """Coefficients of j_n(z) / z^n as a polynomial in z^2, highest first.
+
+    The k-th is (-1/2)^k / (k! (2n + 2k + 1)!!), DLMF 10.53.1.
+    """
+    coef = [1.0]
+    for j in range(3, 2 * n + 2, 2):
+        coef[0] /= j
+    for k in range(1, _BESSEL_TERMS):
+        coef.append(coef[-1] * -0.5 / (k * (2 * n + 2 * k + 1)))
+    return np.array(coef[::-1])
+
+
+_SERIES = tuple(_series_coefficients(n) for n in range(3))
+
+
+def _spherical_bessel(z):
+    """(j0(z), j1(z) / z, j2(z)) for real z >= 0, elementwise.
+
+    j1 is returned divided by z, the form the derivative of j1(r |x|) xhat
+    needs and one that stays finite at z = 0.
+    """
+    z = np.asarray(z, dtype=float)
+    small = z < _BESSEL_SERIES_BELOW
+    zb = np.where(small, 1.0, z)
+    s, c = np.sin(zb), np.cos(zb)
+    j0 = s / zb
+    j1z = (j0 - c) / zb**2
+    j2 = 3.0 * j1z - j0
+    if np.any(small):
+        y = z[small] ** 2
+        j0[small], j1z[small] = np.polyval(_SERIES[0], y), np.polyval(_SERIES[1], y)
+        j2[small] = y * np.polyval(_SERIES[2], y)
+    return j0, j1z, j2
+
+
+def _sphere_weights(xs, r, k0, w, derivatives: bool):
+    """Weights matrix of the radial block and its d/dx^mu, see _radial_blocks.
+
+    Column (n, a) of E is w_n times the sphere integral of exp(-i k.x)
+    times (1, khat_1, khat_2, khat_3)_a at |k| = r_n.  With rho = |x| and
+    z = r rho this is, by the Rayleigh expansion (DLMF 10.60.7),
+    4 pi exp(-i k0 t) (j0(z), i j1(z) xhat); the x-derivatives follow from
+    j0' = -j1 and d/dz (j1(z) / z) = -j2(z) / z.
+    """
+    nx, n = len(xs), len(r)
+    x3 = xs[:, 1:]
+    rho = np.linalg.norm(x3, axis=-1)
+    xhat = np.divide(x3, rho[:, None], out=np.zeros_like(x3), where=rho[:, None] > 0)
+    zarg = np.outer(rho, r)
+    j0, j1z, j2 = _spherical_bessel(zarg)
+    p = (4.0 * np.pi * w) * np.exp(-1.0j * np.outer(xs[:, 0], k0))
+    pj1 = 1.0j * p * zarg * j1z
+    E = np.empty((nx, n, 4), dtype=np.complex128)
+    E[..., 0] = p * j0
+    E[..., 1:] = pj1[..., None] * xhat[:, None, :]
+    if not derivatives:
+        return E.reshape(nx, 4 * n), None
+    dE = np.empty((nx, 4, n, 4), dtype=np.complex128)
+    dE[:, 0] = -1.0j * k0[None, :, None] * E
+    # d_i j0(r rho) = -r j1 xhat_i;  d_i (j1(r rho) xhat_j) = r (delta_ij j1/z - xhat_i xhat_j j2)
+    dE[:, 1:, :, 0] = 1.0j * r * pj1[:, None, :] * xhat[:, :, None]
+    dE[:, 1:, :, 1:] = 1.0j * (p * r)[:, None, :, None] * (
+        np.eye(3)[None, :, None, :] * j1z[:, None, :, None]
+        - (xhat[:, :, None] * xhat[:, None, :])[:, :, None, :] * j2[:, None, :, None]
+    )
+    return E.reshape(nx, 4 * n), dE.reshape(nx, 4, 4 * n)
+
+
+# k = +r e_j and k = -r e_j, shape (2, 3, 3): sign, axis j, component
+_SIGNED_AXES = np.stack([np.eye(3), -np.eye(3)])
+
+
+def _radial_blocks(family, xs, spec, consts, weighted, derivatives):
+    """One block of the radial rule with the angular integral in closed form.
+
+    The two-component family depends on |k| only, and u, v are affine in
+    (k0 + kappa, k): at k = r n they are even(r) + sum_j n_j odd_j(r), with
+    both parts read off from the columns at k = +-r e_j.  So each radial
+    node carries four spinor parts (even, odd_1, odd_2, odd_3), paired with
+    the sphere integrals of the phase times (1, n) in _sphere_weights.
+    """
+    r, wr = radial_rule(_momentum_limit(family, spec), spec.n_radial, family.breakpoints)
+    k0 = np.sqrt(consts.kappa**2 + r**2)
+    w = wr * r**2 * (_weight(r, consts) if weighted else 1.0)
+    E, dE = _sphere_weights(xs, r, k0, w, derivatives)
+    parts = []
+    for columns in (u_columns, v_columns):
+        c = columns(r[:, None, None, None] * _SIGNED_AXES, consts.kappa)
+        even = 0.5 * (c[:, 0, :1] + c[:, 1, :1])
+        odd = 0.5 * (c[:, 0] - c[:, 1])
+        parts.append(np.concatenate([even, odd], axis=1))
+    yield E, dE, *parts, family.coefficients(np.outer(r, [0.0, 0.0, 1.0]))
+
+
+def _blocks(family, xs, spec, consts, weighted=True, derivatives=False):
+    """Yield (E, dE, u, v, z) blocks whose products sum to the k-integral.
+
+    z (n, DIM) holds the state coefficients at n nodes and u, v (n, ..., 4, 2)
+    the spinor columns there; the axes between n and the spinor index, if
+    any, are parts the angular integral keeps apart.  E (nx, m) holds the
+    weighted phase integrals exp(-i k.x) of the m = n * ... flattened rows
+    and dE (nx, 4, m) their d/dx^mu, or None without derivatives.  The
+    particle columns u pair with E and the antiparticle columns v with its
+    conjugate.  Two-component families take the radial rule with the
+    angular integral in closed form; general ones the product rule.
+    """
+    source = _radial_blocks if isinstance(family, RhoStateFamily) else _product_blocks
+    return source(family, xs, spec, consts, weighted, derivatives)
 
 
 def _field_tensor(
@@ -114,32 +239,23 @@ def _field_tensor(
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, 4)
     nx = len(xs)
-    T = np.zeros((nx, 4, DIM), dtype=np.complex128)
-    Td = np.zeros((nx, 4, 4, DIM), dtype=np.complex128) if derivatives else None
-    sign = -1.0 if not dagger else 1.0
-    for kv, wq in _product_chunks(family, spec):
-        u, v, _, Z1, Z2, k0 = _chunk_parts(family, kv, consts, dagger)
+    T = np.zeros((nx, 4 * DIM), dtype=np.complex128)
+    Td = np.zeros((nx, 4, 4 * DIM), dtype=np.complex128) if derivatives else None
+    # the adjoint components carry conjugate spinors and phases
+    pair = (lambda e: (e.conj(), e)) if dagger else (lambda e: (e, e.conj()))
+    for E, dE, u, v, z in _blocks(family, xs, spec, consts, weighted, derivatives):
+        Z1, Z2 = _mode_actions(z, dagger)
         if dagger:
             u, v = u.conj(), v.conj()
-        w = wq * _weight(np.linalg.norm(kv, axis=-1), consts) if weighted else wq
-        e = _phases(k0, kv, xs)
-        m = len(wq)
-        K1 = np.einsum("mrs,smc->mrc", u, Z1).reshape(m, 4 * DIM)
-        K2 = np.einsum("mrs,smc->mrc", v, Z2).reshape(m, 4 * DIM)
-        ew = e * w
-        if dagger:
-            ew, e_other = ew.conj(), ew
-        else:
-            e_other = ew.conj()
-        T += (ew @ K1).reshape(nx, 4, DIM)
-        T += (e_other @ K2).reshape(nx, 4, DIM)
+        K1 = np.einsum("n...rs,nsc->n...rc", u, Z1).reshape(-1, 4 * DIM)
+        K2 = np.einsum("n...rs,nsc->n...rc", v, Z2).reshape(-1, 4 * DIM)
+        e1, e2 = pair(E)
+        T += e1 @ K1 + e2 @ K2
         if derivatives:
-            kc = np.column_stack([k0, -kv[:, 0], -kv[:, 1], -kv[:, 2]])
-            for mu in range(4):
-                f = sign * 1.0j * kc[:, mu]
-                Td[:, mu] += ((ew * f) @ K1).reshape(nx, 4, DIM)
-                Td[:, mu] += ((e_other * (-f)) @ K2).reshape(nx, 4, DIM)
-    return (T, Td) if derivatives else T
+            d1, d2 = pair(dE)
+            Td += d1 @ K1 + d2 @ K2
+    T = T.reshape(nx, 4, DIM)
+    return (T, Td.reshape(nx, 4, 4, DIM)) if derivatives else T
 
 
 def _overlap_spinor(family, xs, spec, consts, derivatives=False):
@@ -148,20 +264,14 @@ def _overlap_spinor(family, xs, spec, consts, derivatives=False):
     nx = len(xs)
     phi = np.zeros((nx, 4), dtype=np.complex128)
     dphi = np.zeros((nx, 4, 4), dtype=np.complex128) if derivatives else None
-    for kv, wq in _product_chunks(family, spec):
-        u, v, z, Z1, Z2, k0 = _chunk_parts(family, kv, consts, dagger=False)
-        w = wq * _weight(np.linalg.norm(kv, axis=-1), consts)
-        e = _phases(k0, kv, xs)
+    for E, dE, u, v, z in _blocks(family, xs, spec, consts, derivatives=derivatives):
         zc = z.conj()
-        g1 = np.einsum("mrs,smc,mc->mr", u, Z1, zc)
-        g2 = np.einsum("mrs,smc,mc->mr", v, Z2, zc)
-        ew = e * w
-        phi += ew @ g1 + ew.conj() @ g2
+        y1, y2 = (np.einsum("nsc,nc->ns", Z, zc) for Z in _mode_actions(z))
+        g1 = np.einsum("n...rs,ns->n...r", u, y1).reshape(-1, 4)
+        g2 = np.einsum("n...rs,ns->n...r", v, y2).reshape(-1, 4)
+        phi += E @ g1 + E.conj() @ g2
         if derivatives:
-            kc = np.column_stack([k0, -kv[:, 0], -kv[:, 1], -kv[:, 2]])
-            for mu in range(4):
-                f = -1.0j * kc[:, mu]
-                dphi[:, mu] += (ew * f) @ g1 + (ew.conj() * (-f)) @ g2
+            dphi += dE @ g1 + dE.conj() @ g2
     return (phi, dphi) if derivatives else phi
 
 

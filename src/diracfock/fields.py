@@ -214,8 +214,9 @@ def fock_charge_conjugation(
 
     and stacking those rows filters the null space down to the unitary
     direction.  The joint homogeneous system (256 unknowns) is solved by
-    SVD; the unique null direction is scaled to a unitary and its phase
-    fixed by making the largest entry real positive.  Raises
+    a QR factorization and an SVD of its 256 x 256 triangular factor; the
+    unique null direction is scaled to a unitary and its phase fixed by
+    making the largest entry real positive.  Raises
     NoSolutionError when the null space is empty or carries no unitary,
     AmbiguousSolutionError when it has more than one dimension.  Returns
     the matrix together with the worst intertwining residual on the
@@ -238,8 +239,9 @@ def fock_charge_conjugation(
     system -= np.einsum("ij,...ab->...iajb", eye, b)
     system = system.reshape(-1, DIM * DIM)
 
-    # U is as large as the system and unused, so it is not kept alive
-    sing, vh = np.linalg.svd(system, full_matrices=False)[1:]
+    # system = Q R keeps the singular values and right vectors in the
+    # 256 x 256 factor R, so the tall system itself is never decomposed
+    sing, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))[1:]
     null_mask = sing <= null_rtol * sing[0]
     n_null = int(null_mask.sum())
     if n_null == 0:

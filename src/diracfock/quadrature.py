@@ -1,9 +1,12 @@
 """Gauss rules for momentum-space integrals.
 
 Radial integrals use Gauss-Legendre on [0, upper]; the caller folds in
-the 4 pi k^2 measure.  Integrands with angular structure get a spherical
-product rule: Gauss-Legendre in cos(theta) and a trapezoid in phi, which
-is spectrally accurate for the plane-wave phases that appear here.
+the 4 pi k^2 measure.  Field integrals of the two-component families take
+the radial rule alone, their angular integral being closed form (see
+expectation).  Integrands of general families, whose angular structure is
+arbitrary, get a spherical product rule: Gauss-Legendre in cos(theta) and
+a trapezoid in phi, which is spectrally accurate for the plane-wave
+phases that appear here.  n_theta sets only that product rule.
 
 The reference truncation 40 is in units of the profile argument; the
 built-in densities decay at least like exp(-2r), leaving a tail below

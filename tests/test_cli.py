@@ -160,8 +160,9 @@ def test_sample_field_writes_csv_file(tmp_path):
     assert raw.decode("utf-8").count("\n") == 4
 
 
-def test_sample_field_angular_guard_trips(tmp_path, capsys):
-    # a wide momentum ball sampled far out exceeds the base sphere bandwidth
+def test_sample_field_radial_guard_trips(tmp_path, capsys):
+    # a wide momentum ball sampled far out oscillates k |x| <= 90 radians
+    # along the radius, beyond what 20 radial nodes resolve
     cfg = _write(
         tmp_path,
         "wide.json",
@@ -172,10 +173,10 @@ def test_sample_field_angular_guard_trips(tmp_path, capsys):
             "grid": {"t": [0.0, 0.0, 1], "x": [3.0, 3.0, 1]},
         },
     )
-    code = main(["sample-field", "--config", cfg])
+    code = main(["sample-field", "--config", cfg, "--nodes", "20"])
     err = capsys.readouterr().err
     assert code == 1
-    assert "numerical failure" in err
+    assert "numerical failure" in err and "refinement moved" in err
 
 
 def test_nan_inputs_fail_numerically(tmp_path, capsys):

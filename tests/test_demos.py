@@ -1,4 +1,4 @@
-"""The operator-layer demos run to completion."""
+"""Every demo runs to completion."""
 
 import os
 import subprocess
@@ -8,12 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# 05 exercises the expectation layer only and takes far longer than the rest
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
 
 
-def test_operator_demos_present():
-    assert len(DEMOS) == 4
+def test_demos_present():
+    assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("demo", DEMOS)

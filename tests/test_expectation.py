@@ -7,11 +7,15 @@ no code with the engine's Gauss product rules.
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import spherical_jn
 
 from diracfock.constants import PhysicalConstants, natural_units
 from diracfock.expectation import (
     _converged,
     _doubling_guard,
+    _field_tensor,
+    _overlap_spinor,
+    _spherical_bessel,
     classical_amplitude,
     classical_dirac_residual,
     classical_energy,
@@ -92,6 +96,89 @@ class TestClassicalField:
         fam = RhoStateFamily(occupied=1, rho=lambda r: 1.0 / np.cosh(r) ** 2, k_cutoff=3.0)
         with pytest.raises(QuadratureNotConverged):
             classical_spinor(fam, np.zeros(4), SPEC, NAT)
+
+
+class TestRadialReduction:
+    """The closed-form angular path of two-component families against the product rule.
+
+    The oracle is a general family wrapping the same coefficients, which the
+    engine can only integrate with the spherical product rule.  The hard
+    cutoff gives both paths the same radial nodes, and at k |x| <= 6 * 1.6
+    the 32 polar nodes resolve every direction to roundoff.
+    """
+
+    spec = QuadratureSpec(n_radial=24, n_theta=32)
+    xs = np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0],
+            [0.3, 0.02, -0.01, 0.03],  # k |x| < 1 at every node: series branch only
+            [0.3, 0.5, -0.2, 0.4],
+            [-0.7, 1.1, 0.6, -0.9],
+        ]
+    )
+    calls = {
+        "spinor": lambda f, xs, sp: _overlap_spinor(f, xs, sp, NAT, derivatives=True),
+        "tensor": lambda f, xs, sp: _field_tensor(f, xs, sp, NAT, derivatives=True),
+        "tensor-unweighted": lambda f, xs, sp: _field_tensor(f, xs, sp, NAT, weighted=False),
+        "tensor-dagger": lambda f, xs, sp: _field_tensor(
+            f, xs, sp, NAT, weighted=False, derivatives=True, dagger=True
+        ),
+    }
+
+    @staticmethod
+    def _families(occupied):
+        radial = RhoStateFamily(
+            occupied,
+            rho=lambda r: 1.0 / np.cosh(r) ** 2,
+            chi=lambda r: np.full_like(r, 0.4),
+            xi=lambda r: np.full_like(r, -1.1),
+            k_cutoff=6.0,
+            hard_cutoff=True,
+        )
+        general = GeneralStateFamily(radial.coefficients, radial.k_cutoff, hard_cutoff=True)
+        return radial, general
+
+    @pytest.mark.parametrize("call", sorted(calls))
+    @pytest.mark.parametrize("occupied", [1, 2, 3, 4])
+    def test_matches_product_rule(self, occupied, call):
+        radial, general = self._families(occupied)
+        reduced = self.calls[call](radial, self.xs, self.spec)
+        product = self.calls[call](general, self.xs, self.spec)
+        # values, and with derivatives on also the d/dx^mu insertions
+        pairs = zip(reduced, product) if isinstance(reduced, tuple) else [(reduced, product)]
+        for a, b in pairs:
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_general_family_spinor_matches_radial_reduction(self):
+        # default spec and soft cutoff: the product rule against the exact angular path
+        radial = sech2_family(1.0)
+        general = GeneralStateFamily(radial.coefficients, radial.k_cutoff)
+        x = np.array([0.3, 0.5, -0.2, 0.4])
+        phi3d = classical_spinor(general, x, SPEC, NAT, check=False)
+        phi1d = classical_spinor(radial, x, SPEC, NAT, check=False)
+        assert np.max(np.abs(phi3d - phi1d)) < SPEC.abs_tol
+
+    def test_densities_beyond_the_default_sphere_bandwidth(self):
+        # k |x| reaches 20 * 1.97 = 39: the default 24 polar nodes alias by
+        # about 2%, 40 resolve it, and the radial path needs no angular nodes
+        radial = RhoStateFamily(
+            1, rho=lambda r: 1.0 / np.cosh(r) ** 2, k_cutoff=20.0, hard_cutoff=True
+        )
+        general = GeneralStateFamily(radial.coefficients, radial.k_cutoff, hard_cutoff=True)
+        x = np.array([0.2, 1.2, -1.2, 1.0])
+        spec = QuadratureSpec(n_radial=60)
+        exact = r_density(general, x, QuadratureSpec(n_radial=60, n_theta=40), NAT)
+        aliased = r_density(general, x, spec, NAT)
+        assert np.max(np.abs(aliased - exact)) > 1e-3 * np.max(np.abs(exact))
+        reduced = r_density(radial, x, spec, NAT)
+        assert np.max(np.abs(reduced - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("z", [0.0, 1e-8, 0.3, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.7, 9.5, 60.0])
+    def test_bessel_helpers_against_scipy(self, z):
+        j0, j1z, j2 = _spherical_bessel(np.array([z]))
+        assert j0[0] == pytest.approx(spherical_jn(0, z), rel=1e-14, abs=1e-17)
+        assert j1z[0] == pytest.approx(spherical_jn(1, z) / z if z else 1.0 / 3.0, rel=1e-14)
+        assert j2[0] == pytest.approx(spherical_jn(2, z), rel=1e-14, abs=1e-17)
 
 
 class TestScalars:

@@ -6,6 +6,7 @@ import pytest
 from diracfock.constants import PhysicalConstants, natural_units
 from diracfock.fields import (
     AmbiguousSolutionError,
+    NoSolutionError,
     adjoint_dirac_residual,
     dirac_residual,
     fock_charge_conjugation,
@@ -180,3 +181,8 @@ class TestFockConjugation:
     def test_loose_null_tolerance_is_ambiguous(self):
         with pytest.raises(AmbiguousSolutionError):
             fock_charge_conjugation(self.kappa, self.sample, null_rtol=1e3)
+
+    def test_tight_null_tolerance_has_no_solution(self):
+        # the numerical null direction sits near 1e-16, far above this tolerance
+        with pytest.raises(NoSolutionError):
+            fock_charge_conjugation(self.kappa, self.sample, null_rtol=1e-30)
