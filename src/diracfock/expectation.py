@@ -16,19 +16,36 @@ the Bessel terms), never finite differences; the field equations then
 hold at every node and the residual checks probe the algebra, not the
 step size.
 
+The mode operators act on the state coefficients as signed gathers
+(fock.ANNIHILATOR_INDEX and its siblings); the dense stacks
+fock.ANNIHILATORS and CREATORS are only their definition.  A block's
+phase matrices are built for one slice of points at a time, at most
+_CHUNK_NODES points x nodes per slice, so peak memory follows the
+output, not the number of points times nodes.
+
 The antiparticle sector of the two-point matrix and of the densities does
 not decay with |k|, so those values grow with the radial cutoff; they are
 reported at the configured truncation and their refinement check is off
-by default.  Scalar integrals (energies, charge) are damped by the
-density profile and always pass a cutoff-doubling stability test.
+by default.  A general family's densities still get an angular check:
+the same radial rule with n_theta doubled must agree.  Scalar integrals
+(energies, charge) are damped by the density profile and always pass a
+cutoff-doubling stability test.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fock import ANNIHILATORS, CREATORS, DIM, charge_operator
+from .fock import (
+    ANNIHILATOR_INDEX,
+    ANNIHILATOR_SIGN,
+    CREATOR_INDEX,
+    CREATOR_SIGN,
+    DIM,
+    charge_operator,
+)
 from .gamma import BILINEAR, GAMMA, GAMMA0
 from .quadrature import (
     REFERENCE_R_MAX,
@@ -39,8 +56,9 @@ from .quadrature import (
     radial_rule,
 )
 from .spinors import u_columns, v_columns
-from .states import GeneralStateFamily, RhoStateFamily, StateFamily
+from .states import RhoStateFamily, StateFamily
 
+# nodes per product-rule chunk, and points x nodes per slice of a block's phase matrices
 _CHUNK_NODES = 60_000
 
 
@@ -75,34 +93,53 @@ def _product_chunks(family: StateFamily, spec: QuadratureSpec):
         yield kv, wq
 
 
+# (index, sign) gathers of the operators paired with (u, u, v, v): the
+# annihilators of modes 1, 2 and the creators of modes 3, 4, or with
+# dagger the creators of modes 1, 2 and the annihilators of modes 3, 4
+_FIELD_ACTIONS = {
+    False: (
+        np.concatenate([ANNIHILATOR_INDEX[:2], CREATOR_INDEX[2:]]),
+        np.concatenate([ANNIHILATOR_SIGN[:2], CREATOR_SIGN[2:]]),
+    ),
+    True: (
+        np.concatenate([CREATOR_INDEX[:2], ANNIHILATOR_INDEX[2:]]),
+        np.concatenate([CREATOR_SIGN[:2], ANNIHILATOR_SIGN[2:]]),
+    ),
+}
+
+
 def _mode_actions(z, dagger: bool = False):
     """(Z1, Z2), each (n, 2, DIM): the operators paired with u and v, applied to z.
 
     Z1 applies the annihilators of modes 1, 2 (paired with the u columns),
     Z2 the creators of modes 3, 4 (paired with v); the dagger variant
-    exchanges creators and annihilators.
+    exchanges creators and annihilators.  Each is a signed gather of the
+    entries of z (see fock).
     """
-    if dagger:
-        first, second = CREATORS[:2], ANNIHILATORS[2:]
-    else:
-        first, second = ANNIHILATORS[:2], CREATORS[2:]
-    return np.einsum("sij,nj->nsi", first, z), np.einsum("sij,nj->nsi", second, z)
+    index, sign = _FIELD_ACTIONS[dagger]
+    Z = np.take(z, index, axis=1)
+    Z *= sign
+    return Z[:, :2], Z[:, 2:]
 
 
-def _product_blocks(family, xs, spec, consts, weighted, derivatives):
+def _plane_weights(kv, k0, w, derivatives, xs):
+    """Weights matrix of a product-rule block and its d/dx^mu, see _blocks."""
+    # exp(-i k.x) per (x, node); d/dx^mu brings down -i k_mu, k_mu = (k0, -k)
+    E = np.exp(-1.0j * (np.outer(xs[:, 0], k0) - xs[:, 1:] @ kv.T)) * w
+    if not derivatives:
+        return E, None
+    k_cov = np.column_stack([k0, -kv])
+    return E, -1.0j * k_cov.T[None, :, :] * E[:, None, :]
+
+
+def _product_blocks(family, spec, consts, weighted, derivatives):
     """Blocks of the spherical product rule, for any family; see _blocks."""
     for kv, wq in _product_chunks(family, spec):
         kmag = np.linalg.norm(kv, axis=-1)
         k0 = np.sqrt(consts.kappa**2 + kmag**2)
         w = wq * _weight(kmag, consts) if weighted else wq
-        # exp(-i k.x) per (x, node); d/dx^mu brings down -i k_mu, k_mu = (k0, -k)
-        E = np.exp(-1.0j * (np.outer(xs[:, 0], k0) - xs[:, 1:] @ kv.T)) * w
-        dE = None
-        if derivatives:
-            k_cov = np.column_stack([k0, -kv])
-            dE = -1.0j * k_cov.T[None, :, :] * E[:, None, :]
         u, v = u_columns(kv, consts.kappa), v_columns(kv, consts.kappa)
-        yield E, dE, u, v, family.coefficients(kv)
+        yield partial(_plane_weights, kv, k0, w, derivatives), u, v, family.coefficients(kv)
 
 
 # series below this argument, closed forms above; both sides agree to roundoff
@@ -146,7 +183,7 @@ def _spherical_bessel(z):
     return j0, j1z, j2
 
 
-def _sphere_weights(xs, r, k0, w, derivatives: bool):
+def _sphere_weights(r, k0, w, derivatives: bool, xs):
     """Weights matrix of the radial block and its d/dx^mu, see _radial_blocks.
 
     Column (n, a) of E is w_n times the sphere integral of exp(-i k.x)
@@ -183,7 +220,7 @@ def _sphere_weights(xs, r, k0, w, derivatives: bool):
 _SIGNED_AXES = np.stack([np.eye(3), -np.eye(3)])
 
 
-def _radial_blocks(family, xs, spec, consts, weighted, derivatives):
+def _radial_blocks(family, spec, consts, weighted, derivatives):
     """One block of the radial rule with the angular integral in closed form.
 
     The two-component family depends on |k| only, and u, v are affine in
@@ -195,30 +232,42 @@ def _radial_blocks(family, xs, spec, consts, weighted, derivatives):
     r, wr = radial_rule(_momentum_limit(family, spec), spec.n_radial, family.breakpoints)
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * r**2 * (_weight(r, consts) if weighted else 1.0)
-    E, dE = _sphere_weights(xs, r, k0, w, derivatives)
     parts = []
     for columns in (u_columns, v_columns):
         c = columns(r[:, None, None, None] * _SIGNED_AXES, consts.kappa)
         even = 0.5 * (c[:, 0, :1] + c[:, 1, :1])
         odd = 0.5 * (c[:, 0] - c[:, 1])
         parts.append(np.concatenate([even, odd], axis=1))
-    yield E, dE, *parts, family.coefficients(np.outer(r, [0.0, 0.0, 1.0]))
+    phases = partial(_sphere_weights, r, k0, w, derivatives)
+    yield phases, *parts, family.coefficients(np.outer(r, [0.0, 0.0, 1.0]))
 
 
-def _blocks(family, xs, spec, consts, weighted=True, derivatives=False):
-    """Yield (E, dE, u, v, z) blocks whose products sum to the k-integral.
+def _blocks(family, spec, consts, weighted=True, derivatives=False):
+    """Yield (phases, u, v, z) blocks whose products sum to the k-integral.
 
     z (n, DIM) holds the state coefficients at n nodes and u, v (n, ..., 4, 2)
     the spinor columns there; the axes between n and the spinor index, if
-    any, are parts the angular integral keeps apart.  E (nx, m) holds the
-    weighted phase integrals exp(-i k.x) of the m = n * ... flattened rows
-    and dE (nx, 4, m) their d/dx^mu, or None without derivatives.  The
-    particle columns u pair with E and the antiparticle columns v with its
+    any, are parts the angular integral keeps apart.  phases(xs) returns
+    (E, dE) for points xs (nx, 4): E (nx, m) holds the weighted phase
+    integrals exp(-i k.x) of the m = n * ... flattened rows and dE
+    (nx, 4, m) their d/dx^mu, or None without derivatives.  The particle
+    columns u pair with E and the antiparticle columns v with its
     conjugate.  Two-component families take the radial rule with the
     angular integral in closed form; general ones the product rule.
     """
     source = _radial_blocks if isinstance(family, RhoStateFamily) else _product_blocks
-    return source(family, xs, spec, consts, weighted, derivatives)
+    return source(family, spec, consts, weighted, derivatives)
+
+
+def _point_slices(nx: int, n: int):
+    """Slices of the nx points holding at most _CHUNK_NODES // n points each (at least one).
+
+    A block of n nodes then builds phase matrices of at most _CHUNK_NODES
+    points x nodes per slice (times its angular parts and derivatives),
+    whatever the number of points.
+    """
+    per = max(1, _CHUNK_NODES // n)
+    return [slice(i, i + per) for i in range(0, nx, per)]
 
 
 def _field_tensor(
@@ -243,17 +292,19 @@ def _field_tensor(
     Td = np.zeros((nx, 4, 4 * DIM), dtype=np.complex128) if derivatives else None
     # the adjoint components carry conjugate spinors and phases
     pair = (lambda e: (e.conj(), e)) if dagger else (lambda e: (e, e.conj()))
-    for E, dE, u, v, z in _blocks(family, xs, spec, consts, weighted, derivatives):
+    for phases, u, v, z in _blocks(family, spec, consts, weighted, derivatives):
         Z1, Z2 = _mode_actions(z, dagger)
         if dagger:
             u, v = u.conj(), v.conj()
         K1 = np.einsum("n...rs,nsc->n...rc", u, Z1).reshape(-1, 4 * DIM)
         K2 = np.einsum("n...rs,nsc->n...rc", v, Z2).reshape(-1, 4 * DIM)
-        e1, e2 = pair(E)
-        T += e1 @ K1 + e2 @ K2
-        if derivatives:
-            d1, d2 = pair(dE)
-            Td += d1 @ K1 + d2 @ K2
+        for sl in _point_slices(nx, len(z)):
+            E, dE = phases(xs[sl])
+            e1, e2 = pair(E)
+            T[sl] += e1 @ K1 + e2 @ K2
+            if derivatives:
+                d1, d2 = pair(dE)
+                Td[sl] += d1 @ K1 + d2 @ K2
     T = T.reshape(nx, 4, DIM)
     return (T, Td.reshape(nx, 4, 4, DIM)) if derivatives else T
 
@@ -264,26 +315,49 @@ def _overlap_spinor(family, xs, spec, consts, derivatives=False):
     nx = len(xs)
     phi = np.zeros((nx, 4), dtype=np.complex128)
     dphi = np.zeros((nx, 4, 4), dtype=np.complex128) if derivatives else None
-    for E, dE, u, v, z in _blocks(family, xs, spec, consts, derivatives=derivatives):
+    for phases, u, v, z in _blocks(family, spec, consts, derivatives=derivatives):
         zc = z.conj()
         y1, y2 = (np.einsum("nsc,nc->ns", Z, zc) for Z in _mode_actions(z))
         g1 = np.einsum("n...rs,ns->n...r", u, y1).reshape(-1, 4)
         g2 = np.einsum("n...rs,ns->n...r", v, y2).reshape(-1, 4)
-        phi += E @ g1 + E.conj() @ g2
-        if derivatives:
-            dphi += dE @ g1 + dE.conj() @ g2
+        for sl in _point_slices(nx, len(z)):
+            E, dE = phases(xs[sl])
+            phi[sl] += E @ g1 + E.conj() @ g2
+            if derivatives:
+                dphi[sl] += dE @ g1 + dE.conj() @ g2
     return (phi, dphi) if derivatives else phi
+
+
+def _disagreement(v1, v2, tol: float):
+    """None when v2 is finite and within tol of v1 at every entry.
+
+    Otherwise "by D (base B, doubled R, tolerance T)" for an error message:
+    D the largest |v2 - v1|, B and R the two values where it falls.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN difference, and fails below
+        d = np.abs(np.asarray(v2) - np.asarray(v1))
+    at = np.unravel_index(np.argmax(d), d.shape)  # argmax picks the first NaN, if any
+    # a NaN difference fails the <=; an infinite v2 would make a relative tol infinite
+    if np.all(np.isfinite(v2)) and d[at] <= tol:
+        return None
+    base, doubled = np.asarray(v1)[at], np.asarray(v2)[at]
+    return f"by {d[at]:.3e} (base {base:.6g}, doubled {doubled:.6g}, tolerance {tol:.3e})"
+
+
+def _relative_tolerance(spec: QuadratureSpec, v) -> float:
+    """max(abs_tol, 1e-11 max |v|): the tolerance of integrals that scale with their size."""
+    # node sums on large integrals scatter by roughly n eps |v| between
+    # refinement levels; 1e-11 relative sits well above that noise and far
+    # below the factor-two movement of a genuinely cutoff-sensitive integral
+    return max(spec.abs_tol, 1e-11 * float(np.max(np.abs(v))))
 
 
 def _converged(run, spec: QuadratureSpec, check: bool, label: str):
     v1 = run(spec)
     if not np.all(np.isfinite(v1)):
         raise QuadratureNotConverged(f"{label}: non-finite result")
-    if check:
-        v2 = run(spec.doubled())
-        # "not <=" so that a NaN difference fails too
-        if not np.max(np.abs(np.asarray(v1) - np.asarray(v2))) <= spec.abs_tol:
-            raise QuadratureNotConverged(f"{label}: refinement moved the result")
+    if check and (gap := _disagreement(v1, run(spec.doubled()), spec.abs_tol)):
+        raise QuadratureNotConverged(f"{label}: refinement moved the result {gap}")
     return v1
 
 
@@ -332,15 +406,13 @@ def classical_dirac_residual(
 
 
 def _doubling_guard(run, spec: QuadratureSpec, label: str) -> float:
-    """run(spec), provided run(spec.doubled()) agrees with it; raises Diverged."""
+    """run(spec), provided run(spec.doubled()) agrees with it; raises Diverged.
+
+    The tolerance is max(abs_tol, 1e-11 |run(spec.doubled())|).
+    """
     v1, v2 = run(spec), run(spec.doubled())
-    # node sums on large integrals scatter by roughly n eps |v| between
-    # refinement levels; 1e-11 relative sits well above that noise and far
-    # below the factor-two movement of a genuinely cutoff-sensitive integral
-    tol = max(spec.abs_tol, 1e-11 * abs(v2))
-    # "not <=" fails on NaN; an infinite v2 would make tol infinite, so it fails apart
-    if not (np.isfinite(v2) and abs(v2 - v1) <= tol):
-        raise Diverged(f"{label}: integral moved by {abs(v2 - v1):.3e} under doubling")
+    if gap := _disagreement(v1, v2, _relative_tolerance(spec, v2)):
+        raise Diverged(f"{label}: integral moved {gap} under doubling")
     return v1
 
 
@@ -460,7 +532,10 @@ def r_density(
 
     The zeroth component is a sum of squared magnitudes and is nonnegative
     by construction; imaginary parts vanish identically and can be audited
-    with r_density_residuals.
+    with r_density_residuals.  The antiparticle sector grows with the
+    radial cutoff, so there is no refinement check; a general family's
+    sphere rule is checked on its own, by rerunning the same radial rule
+    with n_theta doubled, and raises QuadratureNotConverged when it aliases.
     """
     x = np.asarray(x, dtype=float)
 
@@ -468,7 +543,14 @@ def r_density(
         T = _field_tensor(family, x, sp, consts)
         return np.einsum("xrc,mrq,xqc->xm", T.conj(), BILINEAR, T).real
 
-    return _converged(run, spec, False, "local densities").reshape(x.shape[:-1] + (4,))
+    v = _converged(run, spec, False, "local densities")
+    if not isinstance(family, RhoStateFamily):
+        finer = run(replace(spec, n_theta=2 * spec.n_theta))
+        if gap := _disagreement(v, finer, _relative_tolerance(spec, finer)):
+            raise QuadratureNotConverged(
+                f"local densities: angular refinement moved the result {gap}"
+            )
+    return v.reshape(x.shape[:-1] + (4,))
 
 
 def r_density_residuals(

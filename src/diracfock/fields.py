@@ -9,6 +9,11 @@ v spinors:
 
 All derivatives are analytic: each factor contributes -i k_mu or +i k_mu.
 
+The mode operators are signed permutations (see fock), and the supports
+of a_1, a_2, a_3^dagger and a_4^dagger are disjoint, so psi is assembled
+by scattering u e and v conj(e) onto their 32 fixed nonzero entries; the
+dense stacks fock.ANNIHILATORS and CREATORS are only the definition.
+
 Every operator function here and in currents takes wave vectors k of
 shape (..., 3) and spacetime points x of shape (..., 4) whose leading
 axes broadcast, as spinors.u_columns does.  Operator stacks come back as
@@ -19,7 +24,16 @@ one value per sample, a plain float when no argument has leading axes.
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fock import ANNIHILATORS, CREATORS, DIM, hamiltonian, mode_annihilator, mode_creator
+from .fock import (
+    ANNIHILATOR_INDEX,
+    ANNIHILATOR_SIGN,
+    CREATOR_INDEX,
+    CREATOR_SIGN,
+    DIM,
+    hamiltonian,
+    mode_annihilator,
+    mode_creator,
+)
 from .gamma import CONJUGATION, GAMMA, GAMMA0, covariant_components
 from .spinors import u_columns, v_columns
 
@@ -64,21 +78,36 @@ def phi_minus(s: int, k: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarray:
     return np.conj(plane_phase(k, x, kappa))[..., None, None] * mode_creator(s)
 
 
-def _psi_halves(k, x, kappa):
-    """The u-mode and v-mode halves of psi, each (..., 4, 16, 16)."""
+def _support(index, sign):
+    """(rows, cols, signs), each (mode, 8): the nonzero entries of a signed gather table."""
+    rows = np.array([np.flatnonzero(row) for row in sign])
+    return rows, np.take_along_axis(index, rows, -1), np.take_along_axis(sign, rows, -1)
+
+
+# entries of the operators in phi_plus of modes (1, 2) and phi_minus of modes (3, 4)
+_PLUS_SUPPORT = _support(ANNIHILATOR_INDEX[:2], ANNIHILATOR_SIGN[:2])
+_MINUS_SUPPORT = _support(CREATOR_INDEX[2:], CREATOR_SIGN[2:])
+
+
+def _scattered_psi(k, x, kappa, plus_sign: float = 1.0):
+    """plus_sign times the u-mode half of psi plus its v-mode half, (..., 4, 16, 16).
+
+    The halves have disjoint supports, so every entry is one u e or
+    v conj(e) term times the sign of the operator entry it lands on.
+    """
     k = np.asarray(k, dtype=float)
-    e = plane_phase(k, x, kappa)[..., None, None, None]
-    # phi_plus of modes (1, 2) and phi_minus of modes (3, 4)
-    P, M = e * ANNIHILATORS[:2], np.conj(e) * CREATORS[2:]
-    plus = np.einsum("...rs,...sij->...rij", u_columns(k, kappa), P)
-    minus = np.einsum("...rs,...sij->...rij", v_columns(k, kappa), M)
-    return plus, minus
+    e = plane_phase(k, x, kappa)[..., None, None]
+    u, v = plus_sign * u_columns(k, kappa) * e, v_columns(k, kappa) * np.conj(e)
+    out = np.zeros(u.shape[:-1] + (DIM, DIM), dtype=np.complex128)
+    # component r of mode s lands on the entries of that mode's operator
+    for c, (rows, cols, signs) in ((u, _PLUS_SUPPORT), (v, _MINUS_SUPPORT)):
+        out[..., rows, cols] = c[..., None] * signs
+    return out
 
 
 def psi_matrices(k: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarray:
     """All four Dirac field components as a (..., 4, 16, 16) array."""
-    plus, minus = _psi_halves(k, x, kappa)
-    return plus + minus
+    return _scattered_psi(k, x, kappa)
 
 
 def psi_adjoint_matrices(k: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarray:
@@ -90,9 +119,9 @@ def psi_adjoint_matrices(k: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarr
 def _psi_derivatives(k, x, kappa):
     """d_mu psi as a (..., 4, 4, 16, 16) array: mode phases give -/+ i k_mu."""
     k = np.asarray(k, dtype=float)
-    plus, minus = _psi_halves(k, x, kappa)
     k_cov = covariant_components(_k0(k, kappa), k)
-    return 1.0j * k_cov[..., :, None, None, None] * (minus - plus)[..., None, :, :, :]
+    minus_less_plus = _scattered_psi(k, x, kappa, -1.0)
+    return 1.0j * k_cov[..., :, None, None, None] * minus_less_plus[..., None, :, :, :]
 
 
 def dirac_residual(k: np.ndarray, x: np.ndarray, kappa: float):

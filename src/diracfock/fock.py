@@ -5,6 +5,13 @@ Each wave vector carries four anticommuting modes: two particle modes
 by the Jordan-Wigner construction from Pauli matrices, with mode 1 the
 innermost tensor factor and a sigma_3 string on all modes of lower index.
 The vacuum is the state with every mode in the sigma_3 = +1 level.
+
+Each ladder operator has exactly eight nonzero entries, all +1 or -1, and
+at most one per row: it is a signed permutation.  The dense stacks
+ANNIHILATORS and CREATORS are the definition; the same operators as index
+and sign tables (ANNIHILATOR_INDEX, ...), derived from those stacks, are
+the form the engine applies to state vectors and scatters into field
+operators.
 """
 
 from functools import cache
@@ -72,6 +79,24 @@ ANNIHILATORS.setflags(write=False)
 CREATORS.setflags(write=False)
 
 
+def _signed_permutation(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with (stack[s] @ z)[i] = sign[s, i] * z[index[s, i]].
+
+    Valid for operators with at most one nonzero entry per row, each +1
+    or -1; a zero row gets sign 0.
+    """
+    index = np.argmax(np.abs(stack), axis=-1)
+    sign = np.take_along_axis(stack.real, index[..., None], axis=-1)[..., 0]
+    index.setflags(write=False)
+    sign.setflags(write=False)
+    return index, sign
+
+
+# the two stacks as signed gathers, (mode, 16) each
+ANNIHILATOR_INDEX, ANNIHILATOR_SIGN = _signed_permutation(ANNIHILATORS)
+CREATOR_INDEX, CREATOR_SIGN = _signed_permutation(CREATORS)
+
+
 def vacuum_state() -> np.ndarray:
     """The state annihilated by every mode, all four levels at sigma_3 = +1."""
     vac = np.zeros(DIM, dtype=np.complex128)
@@ -90,7 +115,7 @@ def basis_state(occupied: Iterable[int]) -> np.ndarray:
         _check_mode(s)
     state = vacuum_state()
     for s in occupied:
-        state = mode_creator(s) @ state
+        state = CREATOR_SIGN[s - 1] * state[CREATOR_INDEX[s - 1]]
     return state
 
 

@@ -4,6 +4,8 @@ The oracle integrals are evaluated with scipy.integrate.quad, which shares
 no code with the engine's Gauss product rules.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,6 +13,7 @@ from scipy.special import spherical_jn
 
 from diracfock.constants import PhysicalConstants, natural_units
 from diracfock.expectation import (
+    _CHUNK_NODES,
     _converged,
     _doubling_guard,
     _field_tensor,
@@ -160,7 +163,8 @@ class TestRadialReduction:
 
     def test_densities_beyond_the_default_sphere_bandwidth(self):
         # k |x| reaches 20 * 1.97 = 39: the default 24 polar nodes alias by
-        # about 2%, 40 resolve it, and the radial path needs no angular nodes
+        # about 2%, so the angular guard trips; 40 resolve it (and 80 agree),
+        # and the radial path needs no angular nodes
         radial = RhoStateFamily(
             1, rho=lambda r: 1.0 / np.cosh(r) ** 2, k_cutoff=20.0, hard_cutoff=True
         )
@@ -168,8 +172,8 @@ class TestRadialReduction:
         x = np.array([0.2, 1.2, -1.2, 1.0])
         spec = QuadratureSpec(n_radial=60)
         exact = r_density(general, x, QuadratureSpec(n_radial=60, n_theta=40), NAT)
-        aliased = r_density(general, x, spec, NAT)
-        assert np.max(np.abs(aliased - exact)) > 1e-3 * np.max(np.abs(exact))
+        with pytest.raises(QuadratureNotConverged, match="angular refinement moved"):
+            r_density(general, x, spec, NAT)
         reduced = r_density(radial, x, spec, NAT)
         assert np.max(np.abs(reduced - exact)) <= 1e-12 * np.max(np.abs(exact))
 
@@ -272,6 +276,25 @@ class TestGuardsFailClosed:
         with pytest.raises(QuadratureNotConverged):
             _converged(run, SPEC, True, "non-finite run")
 
+    def test_doubling_guard_message_carries_its_numbers(self):
+        run = lambda sp: 1.0 if sp == SPEC else 1.5
+        message = (
+            r"total: integral moved by 5\.000e-01 "
+            r"\(base 1, doubled 1\.5, tolerance 1\.000e-09\) under doubling"
+        )
+        with pytest.raises(Diverged, match=message):
+            _doubling_guard(run, SPEC, "total")
+
+    def test_refinement_guard_message_carries_its_numbers(self):
+        # an array result names its largest change and the two values there
+        run = lambda sp: np.array([1.0, 2.0, 3.0]) if sp == SPEC else np.array([1.0, 2.25, 3.1])
+        message = (
+            r"spinor: refinement moved the result by 2\.500e-01 "
+            r"\(base 2, doubled 2\.25, tolerance 1\.000e-09\)"
+        )
+        with pytest.raises(QuadratureNotConverged, match=message):
+            _converged(run, SPEC, True, "spinor")
+
     def test_unchecked_integrals_reject_nan_density(self):
         # both skip the refinement check by default, so only the finiteness test stands
         fam = tabulated_family([0.0, 1.0], [np.nan, 0.5])
@@ -281,6 +304,41 @@ class TestGuardsFailClosed:
             two_point(fam, fam, x, x, spec, NAT)
         with pytest.raises(QuadratureNotConverged):
             r_density(fam, x, spec, NAT)
+
+
+class TestBoundedMemory:
+    """Peak memory follows the output, not the number of points times nodes.
+
+    The field integrals build their phase matrices one slice of points at a
+    time, at most _CHUNK_NODES points x nodes per slice, four angular parts
+    each on the radial path.  Whole-grid phase matrices at these 20,000
+    points and 16 radial nodes would take 20 MB on their own.
+    """
+
+    xs = np.random.default_rng(5).uniform(-2.0, 2.0, size=(20_000, 4))
+    spec = QuadratureSpec(n_radial=16)
+    slice_mb = _CHUNK_NODES * 4 * 16 / 2**20  # one slice's complex phase matrix, 3.7 MB
+
+    @staticmethod
+    def _peak_mb(fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_spinor_peak(self):
+        fam = sech2_family(1.0)
+        peak = self._peak_mb(lambda: classical_spinor(fam, self.xs, self.spec, NAT, check=False))
+        assert peak < 6 * self.slice_mb
+
+    def test_density_peak(self):
+        # the field tensor (4 x 16 complex entries per point) and its conjugate grow with the output
+        tensor_mb = len(self.xs) * 64 * 16 / 2**20
+        fam = sech2_family(1.0)
+        peak = self._peak_mb(lambda: r_density(fam, self.xs, self.spec, NAT))
+        assert peak < 2 * tensor_mb + 6 * self.slice_mb
 
 
 class TestTwoPoint:
