@@ -6,8 +6,9 @@ Three subcommands:
     example       energies, charge, and ratio of the spin-up profile
     sample-field  classical field and densities over a spacetime grid
 
-Exit codes: 0 on success, 1 on a numerical failure (a failed check or a
-quadrature that refuses to converge), 2 on usage or configuration errors.
+Exit codes: 0 on success, 1 on a numerical failure (a failed check, a
+quadrature that refuses to converge, or a floating-point overflow), 2 on
+usage or configuration errors, non-finite inputs included.
 JSON output always uses sorted keys, so identical inputs give identical
 bytes.  CSV output is comma-separated UTF-8 with LF line endings.
 """
@@ -199,6 +200,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (Diverged, QuadratureNotConverged) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        print(f"numerical failure: overflow: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

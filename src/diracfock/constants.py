@@ -4,6 +4,7 @@ All quantities are kept explicit so that natural units (everything 1.0)
 and dimensionful runs use the same code paths.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -29,6 +30,8 @@ class PhysicalConstants:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def rest_energy(self) -> float:

@@ -21,6 +21,9 @@ axes broadcast, as spinors.u_columns does.  Operator stacks come back as
 one value per sample, a plain float when no argument has leading axes.
 """
 
+from functools import cache
+from typing import NamedTuple
+
 import numpy as np
 
 from .constants import PhysicalConstants
@@ -221,6 +224,91 @@ def _intertwining_residual(chat: np.ndarray, ks: np.ndarray, kappa: float) -> fl
     return float(np.max(np.linalg.norm(chat @ a - b @ chat, 2, axis=(-2, -1))))
 
 
+class _Block(NamedTuple):
+    """One decoupled block of the conjugation system C_hat A = B C_hat.
+
+    cols  unknowns, as indices into vec(C_hat) (column-major: j * 16 + b is C_hat[b, j])
+    rows  equations, relation * 256 + i * 16 + a, the (a, i) entry of one relation
+    src   for each nonzero, its index into the stacked values of A and -B, (2, 2, 16, 16)
+    pos   for each nonzero, its index into the flattened (rows, cols) block
+    """
+
+    cols: np.ndarray
+    rows: np.ndarray
+    src: np.ndarray
+    pos: np.ndarray
+
+
+@cache
+def _conjugation_blocks() -> tuple[_Block, ...]:
+    """The blocks of the conjugation system, derived from the field supports.
+
+    Equation (a, i) of one relation, (C_hat A - B C_hat)[a, i] = 0, holds
+    C_hat[a, j] for each nonzero A[j, i] and C_hat[b, i] for each nonzero
+    B[a, b].  A and B are psi and psi_a stacks, whose supports are the
+    entries of _PLUS_SUPPORT and _MINUS_SUPPORT and their transposes for
+    every k and kappa, so the unknowns linked through shared equations
+    fall into the same connected blocks at every solve.  Field operators
+    have no diagonal entries, so no equation meets one unknown twice.
+    Derived on the first solve, not at import.
+    """
+    n = DIM * DIM
+    out_idx = np.concatenate([_PLUS_SUPPORT[0].ravel(), _MINUS_SUPPORT[0].ravel()])
+    in_idx = np.concatenate([_PLUS_SUPPORT[1].ravel(), _MINUS_SUPPORT[1].ravel()])
+    psi, adjoint = (out_idx, in_idx), (in_idx, out_idx)
+    free = np.arange(DIM)[:, None]
+    src, eqs, unknowns = [], [], []
+    for rel, ((j, i), (a, b)) in enumerate([(psi, adjoint), (adjoint, psi)]):
+        # A[j, i] puts C_hat[a, j] into equation (a, i), for every a
+        src.append(np.broadcast_to(rel * n + j * DIM + i, (DIM, j.size)))
+        eqs.append(rel * n + i * DIM + free)
+        unknowns.append(j * DIM + free)
+        # B[a, b] puts C_hat[b, i] into equation (a, i), for every i
+        src.append(np.broadcast_to(2 * n + rel * n + a * DIM + b, (DIM, a.size)))
+        eqs.append(rel * n + free * DIM + a)
+        unknowns.append(free * DIM + b)
+    src, eqs, unknowns = (np.concatenate([t.ravel() for t in ts]) for ts in (src, eqs, unknowns))
+
+    # connected components of the graph joining each equation to its
+    # unknowns: nodes 0..n-1 are unknowns, n.. are equations
+    label = np.arange(3 * n)
+    while True:
+        old = label.copy()
+        np.minimum.at(label, n + eqs, label[unknowns])
+        np.minimum.at(label, unknowns, label[n + eqs])
+        label = label[label]
+        if np.array_equal(label, old):
+            break
+
+    # each block is labelled by its lowest unknown (np.unique would import
+    # numpy.ma, about 15 ms on a first call)
+    blocks = []
+    for root in np.flatnonzero(label[:n] == np.arange(n)):
+        cols = np.flatnonzero(label[:n] == root)
+        mine = label[unknowns] == root
+        rows = np.flatnonzero(np.bincount(eqs[mine], minlength=2 * n))
+        pos = np.searchsorted(rows, eqs[mine]) * cols.size + np.searchsorted(cols, unknowns[mine])
+        block = _Block(cols, rows, src[mine], pos)
+        for table in block:
+            table.setflags(write=False)
+        blocks.append(block)
+    return tuple(blocks)
+
+
+def _block_systems(a: np.ndarray, b: np.ndarray):
+    """Each block's part of the system, (samples * 4 * rows, cols), in block order.
+
+    a and b are the (..., 4, 2, 16, 16) stacks of _conjugation_relations;
+    the entries are gathered from their nonzeros, so the full system is
+    never built.
+    """
+    values = np.concatenate([a.reshape(-1, 2 * DIM * DIM), -b.reshape(-1, 2 * DIM * DIM)], axis=-1)
+    for block in _conjugation_blocks():
+        sub = np.zeros((len(values), block.rows.size * block.cols.size), dtype=np.complex128)
+        sub[:, block.pos] = values[:, block.src]
+        yield sub.reshape(-1, block.cols.size)
+
+
 def fock_charge_conjugation(
     kappa: float,
     sample_ks: np.ndarray,
@@ -242,15 +330,31 @@ def fock_charge_conjugation(
         C_hat psi_a_r = -(sum_p C_{r p} psi_p) C_hat,
 
     and stacking those rows filters the null space down to the unitary
-    direction.  The joint homogeneous system (256 unknowns) is solved by
-    a QR factorization and an SVD of its 256 x 256 triangular factor; the
-    unique null direction is scaled to a unitary and its phase fixed by
-    making the largest entry real positive.  Raises
+    direction.
+
+    The joint homogeneous system has 256 unknowns, but each equation
+    holds at most six of them, and which ones is fixed by the supports of
+    the field operators, not by k or kappa.  The unknowns therefore split
+    into decoupled blocks (sizes C(8, j), j = 0..8), derived from
+    _PLUS_SUPPORT and _MINUS_SUPPORT once, on the first call.  Each block
+    is gathered from the nonzeros of the relations and solved by a QR
+    factorization and an SVD of its small triangular factor.  The
+    singular values of the whole system are the union of the blocks'
+    values; a direction is null when its value is at most null_rtol times
+    the largest over all blocks.  The unique null direction is scaled to
+    a unitary and its phase fixed so that the vacuum entry C_hat[0, 0] is
+    real positive: C_hat maps the vacuum to itself with phase +1.  (C_hat
+    is a signed permutation, so a rule such as "make the largest entry
+    real positive" would tie between 16 entries of modulus 1.)
+
+    Raises ValueError when kappa or any wave vector is not finite,
     NoSolutionError when the null space is empty or carries no unitary,
     AmbiguousSolutionError when it has more than one dimension.  Returns
     the matrix together with the worst intertwining residual on the
     validation wave vectors (held out from the solve).
     """
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     sample_ks = np.atleast_2d(np.asarray(sample_ks, dtype=float))
     if len(sample_ks) < 2:
         raise ValueError("need at least two sample wave vectors")
@@ -260,35 +364,39 @@ def fock_charge_conjugation(
         else:
             validation_ks = kappa * np.array([[0.437, -0.912, 0.655]])
     validation_ks = np.atleast_2d(np.asarray(validation_ks, dtype=float))
+    for name, ks in (("sample", sample_ks), ("validation", validation_ks)):
+        if not np.isfinite(ks).all():
+            raise ValueError(f"{name} wave vectors must be finite")
 
-    a, b = _conjugation_relations(sample_ks, kappa)
-    eye = np.eye(DIM)
-    # vec(C A) - vec(B C) with column-major vec is (kron(A^T, 1) - kron(1, B)) vec(C)
-    system = np.einsum("...ji,ab->...iajb", a, eye)
-    system -= np.einsum("ij,...ab->...iajb", eye, b)
-    system = system.reshape(-1, DIM * DIM)
-
-    # system = Q R keeps the singular values and right vectors in the
-    # 256 x 256 factor R, so the tall system itself is never decomposed
-    sing, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))[1:]
-    null_mask = sing <= null_rtol * sing[0]
-    n_null = int(null_mask.sum())
+    sings, vhs = [], []
+    for sub in _block_systems(*_conjugation_relations(sample_ks, kappa)):
+        # sub = Q R keeps the singular values and right vectors in R, which
+        # is square (every block has more equations than unknowns), so the
+        # tall block itself is never decomposed
+        sing, vh = np.linalg.svd(np.linalg.qr(sub, mode="r"))[1:]
+        sings.append(sing)
+        vhs.append(vh)
+    largest = max(sing[0] for sing in sings)
+    null = [sing <= null_rtol * largest for sing in sings]
+    n_null = sum(int(mask.sum()) for mask in null)
     if n_null == 0:
         raise NoSolutionError(
-            f"no null direction: smallest singular value {sing[-1]:.3e} "
-            f"(largest {sing[0]:.3e})"
+            f"no null direction: smallest singular value {min(sing[-1] for sing in sings):.3e} "
+            f"(largest {largest:.3e})"
         )
     if n_null > 1:
         raise AmbiguousSolutionError(f"null space has dimension {n_null}")
 
-    chat = vh[-1].reshape(DIM, DIM).T  # undo column-major vec
+    which = next(n for n, mask in enumerate(null) if mask.any())
+    vec = np.zeros(DIM * DIM, dtype=np.complex128)
+    vec[_conjugation_blocks()[which].cols] = vhs[which][-1]
+    chat = vec.reshape(DIM, DIM).T  # undo column-major vec
     gram = chat.conj().T @ chat
     scale = np.sqrt(gram.trace().real / DIM)
     chat = chat / scale
-    if np.abs(chat.conj().T @ chat - eye).max() > 1e-10:
+    if np.abs(chat.conj().T @ chat - np.eye(DIM)).max() > 1e-10:
         raise NoSolutionError("null direction is not proportional to a unitary")
-    top = np.argmax(np.abs(chat))
-    chat = chat * np.exp(-1.0j * np.angle(chat.flat[top]))
+    chat = chat * np.exp(-1.0j * np.angle(chat[0, 0]))
 
     residual = _intertwining_residual(chat, validation_ks, kappa)
     return chat, residual

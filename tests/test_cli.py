@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report formats, the CSV contract."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,16 @@ def test_verify_rejects_bad_kappa(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_verify_rejects_infinite_kappa_by_name(capsys):
+    # no solve runs, so no RuntimeWarning or LAPACK error comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--kappa", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: kappa must be finite" in captured.err
+
+
 def test_example_json(capsys):
     code = main(["example", "--json"])
     out = capsys.readouterr().out
@@ -89,6 +100,21 @@ def test_example_human_output(capsys):
 def test_example_rejects_nonpositive_scale(capsys):
     assert main(["example", "--a", "-1"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_example_rejects_infinite_length(capsys):
+    assert main(["example", "--ell", "inf", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: ell must be finite" in captured.err
+
+
+def test_example_overflow_fails_numerically(capsys):
+    # ell**3 overflows a double; main reports it instead of raising
+    assert main(["example", "--ell", "1e200", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: overflow" in captured.err
 
 
 def test_sample_field_vacuum_zeroes_field_columns(tmp_path, capsys):

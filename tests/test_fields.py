@@ -1,5 +1,7 @@
 """Field operators at a wave vector: Dirac equation, anticommutators, conjugation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from diracfock.constants import PhysicalConstants, natural_units
 from diracfock.fields import (
     AmbiguousSolutionError,
     NoSolutionError,
+    _block_systems,
+    _conjugation_blocks,
+    _conjugation_relations,
     adjoint_dirac_residual,
     dirac_residual,
     fock_charge_conjugation,
@@ -22,6 +27,7 @@ from diracfock.fields import (
 from diracfock.fock import DIM, charge_operator, mode_annihilator, mode_creator
 from diracfock.gamma import CONJUGATION, GAMMA0
 from diracfock.spinors import u_columns, v_columns
+from diracfock.verify import _sample_wave_vectors
 
 KAPPA = 1.0
 
@@ -186,3 +192,97 @@ class TestFockConjugation:
         # the numerical null direction sits near 1e-16, far above this tolerance
         with pytest.raises(NoSolutionError):
             fock_charge_conjugation(self.kappa, self.sample, null_rtol=1e-30)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.7])
+    def test_vacuum_maps_to_itself_with_phase_one(self, kappa):
+        # C_hat is a signed permutation, so a largest-entry phase rule ties
+        # between 16 entries and its sign follows roundoff; the wave vectors
+        # are drawn as the verify suite draws its conjugation samples
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            sample = _sample_wave_vectors(rng, 3, kappa, lo=-0.5, hi=0.5)
+            heldout = _sample_wave_vectors(rng, 5, kappa, lo=-1.0, hi=1.0)
+            chat, _ = fock_charge_conjugation(kappa, sample, heldout)
+            assert abs(chat[0, 0] - 1.0) < 1e-12, seed
+
+    def test_no_factorization_sees_the_whole_system(self, monkeypatch):
+        # the blocks have at most 70 unknowns; a full 256-column solve
+        # would show up here before it shows up in a timing
+        seen = []
+        for name in ("qr", "svd"):
+            original = getattr(np.linalg, name)
+
+            def recording(m, *args, _original=original, **kwargs):
+                seen.append(np.shape(m))
+                return _original(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        fock_charge_conjugation(self.kappa, self.sample)
+        assert seen
+        assert max(shape[-1] for shape in seen) <= 70
+
+    @pytest.mark.parametrize(
+        "kappa, sample, validation",
+        [
+            (np.inf, sample, None),
+            (np.nan, sample, None),
+            (1.0, sample + [0.0, np.nan, 0.0], None),
+            (1.0, sample, [[0.2, np.inf, 0.3]]),
+        ],
+    )
+    def test_rejects_non_finite_inputs(self, kappa, sample, validation):
+        with pytest.raises(ValueError, match="finite"):
+            fock_charge_conjugation(kappa, sample, validation)
+
+
+def _full_system(kappa, sample_ks):
+    """The dense intertwining system, (samples * 4 * 2 * 256, 256), on column-major vec(C_hat)."""
+    a, b = _conjugation_relations(np.asarray(sample_ks, dtype=float), kappa)
+    eye = np.eye(DIM)
+    # vec(C A) - vec(B C) = (kron(A^T, 1) - kron(1, B)) vec(C)
+    system = np.einsum("...ji,ab->...iajb", a, eye)
+    system -= np.einsum("ij,...ab->...iajb", eye, b)
+    return system.reshape(-1, DIM * DIM)
+
+
+def _full_system_solve(kappa, sample_ks):
+    """Oracle: C_hat from one QR and SVD of the whole system, vacuum entry real positive."""
+    vh = np.linalg.svd(np.linalg.qr(_full_system(kappa, sample_ks), mode="r"))[2]
+    chat = vh[-1].reshape(DIM, DIM).T
+    chat = chat / np.sqrt(np.trace(chat.conj().T @ chat).real / DIM)
+    return chat * np.exp(-1.0j * np.angle(chat[0, 0]))
+
+
+class TestConjugationBlocks:
+    def test_blocks_cover_every_unknown_once(self):
+        cols = np.concatenate([block.cols for block in _conjugation_blocks()])
+        assert np.array_equal(np.sort(cols), np.arange(DIM * DIM))
+        rows = np.concatenate([block.rows for block in _conjugation_blocks()])
+        assert len(rows) == len(np.unique(rows))
+
+    def test_block_sizes_are_binomial(self):
+        sizes = sorted(block.cols.size for block in _conjugation_blocks())
+        assert sizes == [math.comb(8, j) for j in (0, 8, 1, 7, 2, 6, 3, 5, 4)]
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.7])
+    def test_system_vanishes_outside_the_blocks(self, kappa):
+        ks = kappa * np.random.default_rng(31).normal(size=(3, 3))
+        system = _full_system(kappa, ks).reshape(-1, 2 * DIM * DIM, DIM * DIM)
+        inside = np.zeros(system.shape[1:], dtype=bool)
+        for block, sub in zip(_conjugation_blocks(), _block_systems(*_conjugation_relations(ks, kappa))):
+            inside[np.ix_(block.rows, block.cols)] = True
+            dense = system[:, block.rows][:, :, block.cols]
+            assert np.array_equal(sub, dense.reshape(-1, block.cols.size))
+        assert np.count_nonzero(system[:, ~inside]) == 0
+        assert np.count_nonzero(system[:, inside]) > 0
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.7])
+    def test_block_solve_matches_full_system_oracle(self, kappa):
+        rng = np.random.default_rng(int(10 * kappa))
+        for _ in range(4):
+            ks = kappa * rng.normal(size=(2, 3))
+            chat, _ = fock_charge_conjugation(kappa, ks)
+            full = _full_system_solve(kappa, ks)
+            # each solve sits a few ulp from the exact signed permutation,
+            # so the comparison is relative, in the Frobenius norm
+            assert np.linalg.norm(chat - full) <= 1e-15 * np.linalg.norm(full)
