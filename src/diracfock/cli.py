@@ -7,8 +7,10 @@ Three subcommands:
     sample-field  classical field and densities over a spacetime grid
 
 Exit codes: 0 on success, 1 on a numerical failure (a failed check, a
-quadrature that refuses to converge, or a floating-point overflow), 2 on
-usage or configuration errors, non-finite inputs included.
+quadrature that refuses to converge, a floating-point overflow, or a
+non-finite value in a report), 2 on usage or configuration errors,
+non-finite inputs included: config files may not hold NaN, Infinity or a
+number beyond the double range.
 JSON output always uses sorted keys, so identical inputs give identical
 bytes.  CSV output is comma-separated UTF-8 with LF line endings.
 """
@@ -16,6 +18,7 @@ bytes.  CSV output is comma-separated UTF-8 with LF line endings.
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -65,9 +68,20 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _reject_constant(name):
+    raise ValueError(f"config holds the non-finite number {name}")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"config number {text} is beyond the double range")
+    return value
+
+
 def _load_json(path):
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
     return data
@@ -89,6 +103,8 @@ def cmd_verify(args) -> int:
     perturb = args.perturb if args.perturb is not None else float(config.get("perturb", 0.0))
     if kappa <= 0:
         raise ValueError("kappa must be positive")
+    if not math.isfinite(perturb):
+        raise ValueError(f"perturb must be finite, got {perturb}")
     consts = PhysicalConstants(kappa=kappa)
     report = run_suite(
         seed=seed,
@@ -114,6 +130,11 @@ def cmd_example(args) -> int:
     spec = QuadratureSpec(n_radial=args.nodes, r_max=args.rmax)
     rep = example_report(args.a, consts, spec)
     payload = rep.as_dict()
+    for name, value in payload.items():
+        # finite inputs can still overflow in the products formed from them
+        if not math.isfinite(value):
+            print(f"numerical failure: report field {name} is {value}", file=sys.stderr)
+            return EXIT_NUMERICAL
     if args.json or args.out:
         _emit_json(payload, args.out, args.json)
     if not args.json:
@@ -132,6 +153,8 @@ def _axis(spec, name):
     if not (isinstance(spec, (list, tuple)) and len(spec) == 3):
         raise ValueError(f"grid axis {name} must be [start, stop, count]")
     start, stop, count = float(spec[0]), float(spec[1]), int(spec[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid axis {name} needs finite ends, got [{start}, {stop}]")
     if count < 1:
         raise ValueError(f"grid axis {name} needs a positive count")
     return np.linspace(start, stop, count)
@@ -143,8 +166,9 @@ def _grid_points(config) -> np.ndarray:
         raise ValueError("grid must be an object")
     ts = _axis(grid.get("t", [0.0, 1.0, 5]), "t")
     xs = _axis(grid.get("x", [0.0, 1.0, 5]), "x")
-    y = float(grid.get("y", 0.0))
-    z = float(grid.get("z", 0.0))
+    y, z = (float(grid.get(name, 0.0)) for name in ("y", "z"))
+    if not (math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"grid y and z must be finite, got {y}, {z}")
     points = [(t, x, y, z) for t in ts for x in xs]
     return np.array(points, dtype=float)
 

@@ -11,6 +11,10 @@ are evaluated analytically: each derivative pulls down the covariant phase
 exponent of its term.  Functions with a `_stack` suffix return all four
 Lorentz components at once as a (..., 4, 16, 16) array.
 
+Gamma matrices act as gathers along the component axis, with the (index,
+phase) tables of gamma; the field bilinears then reduce to one matrix
+product per sample.
+
 k, k' of shape (..., 3) and x of shape (..., 4) broadcast over their
 leading axes, as in fields; residuals give one value per sample, a plain
 float when no argument has leading axes.
@@ -20,11 +24,18 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .fields import _k0, _per_sample, plane_phase, psi_adjoint_matrices, psi_matrices
-from .fock import ANNIHILATORS, CREATORS, charge_operator
+from .fock import ANNIHILATORS, CREATORS, DIM, charge_operator
 # unused here, but perfbench/tracer.py wraps these two names at this call site
 from .fock import mode_annihilator, mode_creator  # noqa: F401
-from .gamma import BILINEAR, GAMMA, covariant_components
-from .spinors import u_columns, v_columns
+from .gamma import (
+    GAMMA0_SIGN,
+    GAMMA_INDEX,
+    GAMMA_PHASE,
+    GAMMA_T_INDEX,
+    GAMMA_T_PHASE,
+    covariant_components,
+)
+from .spinors import spinor_bilinear, u_columns, v_columns
 
 # mode-pair product tables: EE = adag_s a_t over modes 1-2, PP the same over
 # modes 3-4, CC / AA create and annihilate one particle-antiparticle pair
@@ -44,33 +55,44 @@ def _contract(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.einsum("...m,...mil->...il", p, stack)
 
 
-def _field_bilinear(a: np.ndarray, gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_{r q} a_r gamma^mu_{r q} b_q for each mu of gamma, shape (..., mu, 16, 16).
+def _gather_rows(index: np.ndarray, phase: np.ndarray):
+    """(rows, phases) that lay out gamma^mu b as a (64, mu * 16) matrix.
 
-    gamma meets b first: each of its rows has a single nonzero, so that
-    step only relabels and rescales the b components.
+    Row (r, j, mu) of the gather is row index[mu, r] * 16 + j of b, with
+    b's components stacked by rows, times phase[mu, r].
     """
-    gb = np.einsum("mrq,...qjl->...mrjl", gamma, b)
-    return (a[..., None, :, :, :] @ gb).sum(axis=-3)
+    rows = index.T[:, None, :] * DIM + np.arange(DIM)[:, None]
+    phases = np.broadcast_to(phase.T[:, None, :], rows.shape).reshape(-1, 1)
+    return rows.ravel(), phases
 
 
-def _spinor_bilinear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_s| gamma^0 gamma^mu |b_t> for spinor columns a, b, shape (..., mu, s, t)."""
-    return np.einsum("...rs,mrq,...qt->...mst", a.conj(), BILINEAR, b)
+# gamma^mu and its transpose, for the two orderings of the current
+_GAMMA_ROWS = _gather_rows(GAMMA_INDEX, GAMMA_PHASE)
+_GAMMA_T_ROWS = _gather_rows(GAMMA_T_INDEX, GAMMA_T_PHASE)
+
+
+def _field_bilinear(a: np.ndarray, gather, b: np.ndarray) -> np.ndarray:
+    """sum_{r q} a_r gamma^mu_{r q} b_q for all four mu, shape (..., mu, 16, 16).
+
+    gamma meets b first, as the gather of _gather_rows, which lays out
+    (gamma^mu b)_r with rows (r, j) and columns (mu, l).  Against the
+    components of a side by side, (16, 64), the sum over r and the matrix
+    products are then one (16 x 64) @ (64 x mu * 16) product per sample.
+    """
+    rows, phases = gather
+    n = 4 * DIM
+    gb = np.take(b.reshape(b.shape[:-3] + (n, DIM)), rows, axis=-2)
+    gb *= phases  # in place: a second temporary of this size costs more than the product
+    side = a.swapaxes(-3, -2).reshape(a.shape[:-3] + (DIM, n))
+    out = side @ gb.reshape(gb.shape[:-2] + (n, n))
+    return out.reshape(out.shape[:-1] + (4, DIM)).swapaxes(-3, -2)
 
 
 def r_current_stack(k, kp, x, kappa: float) -> np.ndarray:
     """sum_{r r'} psi_a(r, k) gamma^mu_{r r'} psi(r', k') at x, shape (..., 4, 16, 16)."""
-    return _field_bilinear(psi_adjoint_matrices(k, x, kappa), GAMMA, psi_matrices(kp, x, kappa))
-
-
-def _j_current(k, kp, x, kappa: float, gamma: np.ndarray) -> np.ndarray:
-    """The expanded electric current for the Lorentz components in gamma."""
-    first = _field_bilinear(psi_adjoint_matrices(k, x, kappa), gamma, psi_matrices(kp, x, kappa))
-    second = _field_bilinear(
-        psi_matrices(k, x, kappa), gamma.swapaxes(-1, -2), psi_adjoint_matrices(kp, x, kappa)
+    return _field_bilinear(
+        psi_adjoint_matrices(k, x, kappa), _GAMMA_ROWS, psi_matrices(kp, x, kappa)
     )
-    return 0.5 * (first - second)
 
 
 def j_current_stack(k, kp, x, kappa: float) -> np.ndarray:
@@ -80,7 +102,13 @@ def j_current_stack(k, kp, x, kappa: float) -> np.ndarray:
     ordering with transposed gamma indices.  Dimensionless: the charge and
     momentum-space prefactors are applied by the expectation layer.
     """
-    return _j_current(k, kp, x, kappa, GAMMA)
+    first = _field_bilinear(
+        psi_adjoint_matrices(k, x, kappa), _GAMMA_ROWS, psi_matrices(kp, x, kappa)
+    )
+    second = _field_bilinear(
+        psi_matrices(k, x, kappa), _GAMMA_T_ROWS, psi_adjoint_matrices(kp, x, kappa)
+    )
+    return 0.5 * (first - second)
 
 
 def j_current_conjugated_stack(k, kp, x, kappa: float, chat: np.ndarray) -> np.ndarray:
@@ -95,8 +123,8 @@ def j_current_conjugated_stack(k, kp, x, kappa: float, chat: np.ndarray) -> np.n
 
 def _diag_half(k, kp, x, kappa: float) -> np.ndarray:
     """The (k, k') ordered half of the number-conserving current."""
-    uu = _spinor_bilinear(u_columns(k, kappa), u_columns(kp, kappa))
-    vv = _spinor_bilinear(v_columns(kp, kappa), v_columns(k, kappa))
+    uu = spinor_bilinear(u_columns(k, kappa), u_columns(kp, kappa))
+    vv = spinor_bilinear(v_columns(kp, kappa), v_columns(k, kappa))
     phase = np.conj(plane_phase(k, x, kappa)) * plane_phase(kp, x, kappa)
     # the antiparticle bilinear carries creator index t and annihilator s
     modes = np.tensordot(uu, _EE, axes=2) - np.tensordot(vv.swapaxes(-1, -2), _PP, axes=2)
@@ -110,8 +138,8 @@ def j_diag_stack(k, kp, x, kappa: float) -> np.ndarray:
 
 def _off_parts(k, kp, x, kappa: float):
     """Pair-creating and pair-annihilating stacks for the (k, k') order."""
-    uv = _spinor_bilinear(u_columns(k, kappa), v_columns(kp, kappa))
-    vu = _spinor_bilinear(v_columns(k, kappa), u_columns(kp, kappa))
+    uv = spinor_bilinear(u_columns(k, kappa), v_columns(kp, kappa))
+    vu = spinor_bilinear(v_columns(k, kappa), u_columns(kp, kappa))
     e = (plane_phase(k, x, kappa) * plane_phase(kp, x, kappa))[..., None, None, None]
     creation = 0.5 * np.conj(e) * np.tensordot(uv, _CC, axes=2)
     annihilation = 0.5 * e * np.tensordot(vu, _AA, axes=2)
@@ -183,6 +211,19 @@ def integrated_charge_check(k, kappa: float, consts: PhysicalConstants | None = 
     consts = consts if consts is not None else PhysicalConstants()
     target = np.diag(charge_operator(consts)).real / consts.q
     k = np.asarray(k, dtype=float)[..., None, :]  # against every sample point
-    j0 = _j_current(k, k, _CHARGE_POINTS / kappa, kappa, GAMMA[:1])[..., 0, :, :]
-    deviation = np.abs(np.diagonal(j0, axis1=-2, axis2=-1) - target)
+    deviation = np.abs(_j0_diagonal(k, _CHARGE_POINTS / kappa, kappa) - target)
     return _per_sample(deviation.max(axis=(-2, -1)))
+
+
+def _j0_diagonal(k, x, kappa: float) -> np.ndarray:
+    """The diagonal of J^0_{k,k} at x, shape (..., 16), without forming J^0.
+
+    gamma^0 is diagonal, and diag(A B)_i = sum_j A_ij B_ji, so each
+    ordering of the current needs only elementwise products.
+    """
+    adjoint, field = psi_adjoint_matrices(k, x, kappa), psi_matrices(k, x, kappa)
+
+    def ordered(a, b):
+        return (GAMMA0_SIGN[:, None] * np.einsum("...rij,...rji->...ri", a, b)).sum(axis=-2)
+
+    return 0.5 * (ordered(adjoint, field) - ordered(field, adjoint))

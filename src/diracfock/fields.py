@@ -13,6 +13,8 @@ The mode operators are signed permutations (see fock), and the supports
 of a_1, a_2, a_3^dagger and a_4^dagger are disjoint, so psi is assembled
 by scattering u e and v conj(e) onto their 32 fixed nonzero entries; the
 dense stacks fock.ANNIHILATORS and CREATORS are only the definition.
+Gamma matrices act on the component axis as gathers with the (index,
+phase) tables of gamma; no dense 4 x 4 table is multiplied here.
 
 Every operator function here and in currents takes wave vectors k of
 shape (..., 3) and spacetime points x of shape (..., 4) whose leading
@@ -37,7 +39,16 @@ from .fock import (
     mode_annihilator,
     mode_creator,
 )
-from .gamma import CONJUGATION, GAMMA, GAMMA0, covariant_components
+from .gamma import (
+    CONJUGATION_INDEX,
+    CONJUGATION_PHASE,
+    GAMMA0_SIGN,
+    GAMMA_INDEX,
+    GAMMA_PHASE,
+    GAMMA_T_INDEX,
+    GAMMA_T_PHASE,
+    covariant_components,
+)
 from .spinors import u_columns, v_columns
 
 
@@ -115,8 +126,22 @@ def psi_matrices(k: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarray:
 
 def psi_adjoint_matrices(k: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarray:
     """The adjoint field psi_a(r) = sum_r' psi(r')^dagger gamma^0_{r' r}."""
-    p = psi_matrices(k, x, kappa)
-    return np.einsum("...pji,pr->...rij", p.conj(), GAMMA0.real)
+    return _adjoint(psi_matrices(k, x, kappa))
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    """gamma^0_{r r} stack[r]^dagger for each component r of a (..., 4, 16, 16) stack."""
+    return GAMMA0_SIGN[:, None, None] * stack.conj().swapaxes(-1, -2)
+
+
+def _gamma_sum(index: np.ndarray, phase: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_mu (gamma^mu stack_mu)_r = sum_mu phase[mu, r] stack[mu, index[mu, r]].
+
+    stack is (..., mu, 4, 16, 16); each gamma^mu acts on the component
+    axis as the gather (index, phase) of gamma.
+    """
+    terms = phase[:, :, None, None] * stack[..., np.arange(4)[:, None], index, :, :]
+    return terms.sum(axis=-4)
 
 
 def _psi_derivatives(k, x, kappa):
@@ -131,7 +156,7 @@ def dirac_residual(k: np.ndarray, x: np.ndarray, kappa: float):
     """Operator norm of i gamma^mu d_mu psi - kappa psi, worst component."""
     p = psi_matrices(k, x, kappa)
     dp = _psi_derivatives(k, x, kappa)
-    lhs = 1.0j * np.einsum("mrp,...mpij->...rij", GAMMA, dp) - kappa * p
+    lhs = 1.0j * _gamma_sum(GAMMA_INDEX, GAMMA_PHASE, dp) - kappa * p
     return _worst_norm(lhs)
 
 
@@ -139,9 +164,9 @@ def adjoint_dirac_residual(k: np.ndarray, x: np.ndarray, kappa: float):
     """Operator norm of -i d_mu psi_a gamma^mu - kappa psi_a, worst component."""
     pa = psi_adjoint_matrices(k, x, kappa)
     dp = _psi_derivatives(k, x, kappa)
-    # adjoint of d_mu psi(r'), then contract with gamma^0 to get d_mu psi_a
-    dpa = np.einsum("...mpji,pr->...mrij", dp.conj(), GAMMA0.real)
-    lhs = -1.0j * np.einsum("...mrij,mrp->...pij", dpa, GAMMA) - kappa * pa
+    # d_mu psi_a, contracted with gamma^mu from the right: a column gather
+    dpa = _adjoint(dp)
+    lhs = -1.0j * _gamma_sum(GAMMA_T_INDEX, GAMMA_T_PHASE, dpa) - kappa * pa
     return _worst_norm(lhs)
 
 
@@ -191,18 +216,41 @@ def mixed_car_residual(k, kp, x, y, kappa: float):
     """
     k = np.asarray(k, dtype=float)
     kp = np.asarray(kp, dtype=float)
-    # index pairs (r, r') on axes (-4, -3)
-    p = psi_matrices(k, x, kappa)[..., :, None, :, :]
-    pp = psi_matrices(kp, y, kappa)[..., None, :, :, :]
-    zero = np.abs(p @ pp + pp @ p).max(axis=(-4, -3, -2, -1))
+    p = psi_matrices(k, x, kappa)
+    pp = psi_matrices(kp, y, kappa)
+    zero = np.abs(_anticommutators(p, pp)).max(axis=(-4, -3, -2, -1))
     ek = plane_phase(k, x, kappa)[..., None, None]
     ekp = plane_phase(kp, y, kappa)[..., None, None]
     uu = u_columns(k, kappa) @ u_columns(kp, kappa).conj().swapaxes(-1, -2)
     vv = v_columns(k, kappa) @ v_columns(kp, kappa).conj().swapaxes(-1, -2)
     scalar = ek * np.conj(ekp) * uu + np.conj(ek) * ekp * vv
-    dag = pp.conj().swapaxes(-1, -2)
-    anti = p @ dag + dag @ p - scalar[..., None, None] * np.eye(DIM)
+    # the scalar of pair (r, r') on the diagonal of block (r, r')
+    identity = scalar[..., :, None, :, None] * np.eye(DIM)[:, None, :]
+    anti = _anticommutators(p, pp.conj().swapaxes(-1, -2)) - identity
     return _per_sample(np.maximum(zero, np.abs(anti).max(axis=(-4, -3, -2, -1))))
+
+
+def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_r @ b_r' for every component pair, laid out (..., r, 16, r', 16).
+
+    One (64 x 16) @ (16 x 64) product per sample: the components of a
+    stacked by rows against those of b side by side.
+    """
+    rows = a.reshape(a.shape[:-3] + (4 * DIM, DIM))
+    cols = b.swapaxes(-3, -2).reshape(b.shape[:-3] + (DIM, 4 * DIM))
+    prods = rows @ cols
+    return prods.reshape(prods.shape[:-2] + (4, DIM, 4, DIM))
+
+
+def _anticommutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """{a_r, b_r'} for every component pair, laid out (..., r, 16, r', 16)."""
+    # b_r' a_r comes back as (r', i, r, l)
+    return _pair_products(a, b) + _pair_products(b, a).swapaxes(-4, -2)
+
+
+def conjugation_mix(stack: np.ndarray) -> np.ndarray:
+    """sum_p C_{r p} stack[p] over the component axis of a (..., 4, 16, 16) stack, as a gather."""
+    return CONJUGATION_PHASE[:, None, None] * stack[..., CONJUGATION_INDEX, :, :]
 
 
 def _conjugation_relations(ks: np.ndarray, kappa: float):
@@ -214,8 +262,8 @@ def _conjugation_relations(ks: np.ndarray, kappa: float):
     x0 = np.zeros(4)
     p = psi_matrices(ks, x0, kappa)
     pa = psi_adjoint_matrices(ks, x0, kappa)
-    mix = lambda stack: np.einsum("rp,...pij->...rij", CONJUGATION, stack)
-    return np.stack([p, pa], axis=-3), np.stack([mix(pa), -mix(p)], axis=-3)
+    mixed = [conjugation_mix(pa), -conjugation_mix(p)]
+    return np.stack([p, pa], axis=-3), np.stack(mixed, axis=-3)
 
 
 def _intertwining_residual(chat: np.ndarray, ks: np.ndarray, kappa: float) -> float:

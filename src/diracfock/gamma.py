@@ -3,6 +3,11 @@
 gamma^0 = diag(I, -I), gamma^alpha = [[0, -sigma_alpha], [sigma_alpha, 0]].
 The charge-conjugation matrix is C = i gamma^2 gamma^0; it is real,
 antisymmetric and squares to -I, so C^-1 = C^T = C^dagger = -C.
+
+Every table here has exactly one nonzero per row, each +1, -1, +i or -i:
+a phased permutation.  The dense stacks are the definition; the (index,
+phase) tables derived from them at import (GAMMA_INDEX, ...) are the form
+the operator layer applies, as a gather along the spinor axis.
 """
 
 import numpy as np
@@ -36,6 +41,28 @@ GAMMA.setflags(write=False)
 BILINEAR.setflags(write=False)
 
 
+def _phased_permutation(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, phase) with (stack @ z)[..., i, :] = phase[..., i] * z[index[..., i], :].
+
+    Valid for matrices with exactly one nonzero entry per row.
+    """
+    index = np.argmax(np.abs(stack), axis=-1)
+    phase = np.take_along_axis(stack, index[..., None], axis=-1)[..., 0]
+    index.setflags(write=False)
+    phase.setflags(write=False)
+    return index, phase
+
+
+# gathers along the spinor axis, (mu, 4) for the stacks and (4,) for C
+GAMMA_INDEX, GAMMA_PHASE = _phased_permutation(GAMMA)
+GAMMA_T_INDEX, GAMMA_T_PHASE = _phased_permutation(GAMMA.swapaxes(-1, -2))
+BILINEAR_INDEX, BILINEAR_PHASE = _phased_permutation(BILINEAR)
+CONJUGATION_INDEX, CONJUGATION_PHASE = _phased_permutation(CONJUGATION)
+# gamma^0 is diagonal
+GAMMA0_SIGN = np.diag(GAMMA0).real.copy()
+GAMMA0_SIGN.setflags(write=False)
+
+
 def covariant_components(k0, k: np.ndarray) -> np.ndarray:
     """Lower the index of (k0, k): returns (k0, -k_x, -k_y, -k_z) on the last axis."""
     k = np.asarray(k, dtype=float)
@@ -43,10 +70,14 @@ def covariant_components(k0, k: np.ndarray) -> np.ndarray:
 
 
 def feynman_slash(k_cov: np.ndarray) -> np.ndarray:
-    """Contract covariant components k_mu with gamma^mu.
+    """Contract covariant components k_mu (last axis) with gamma^mu, shape (..., 4, 4).
 
-    On the mass shell k_mu k^mu = kappa^2 the square of the result is
-    kappa^2 times the identity.
+    Each gamma^mu adds k_mu times its phase to one entry per row.  On the
+    mass shell k_mu k^mu = kappa^2 the square of the result is kappa^2
+    times the identity.
     """
-    k_cov = np.asarray(k_cov, dtype=np.complex128)
-    return sum(k_cov[mu] * GAMMA[mu] for mu in range(4))
+    k_cov = np.asarray(k_cov)
+    out = np.zeros(k_cov.shape[:-1] + (4, 4), dtype=np.complex128)
+    for mu in range(4):
+        out[..., np.arange(4), GAMMA_INDEX[mu]] += k_cov[..., mu, None] * GAMMA_PHASE[mu]
+    return out

@@ -41,6 +41,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.n_radial < 2 or self.n_theta < 2:
             raise ValueError("need at least two nodes per direction")
+        if not (np.isfinite(self.r_max) and np.isfinite(self.abs_tol)):
+            raise ValueError(f"r_max and abs_tol must be finite, got {self.r_max}, {self.abs_tol}")
         if self.r_max <= 0 or self.abs_tol <= 0:
             raise ValueError("r_max and abs_tol must be positive")
 

@@ -27,6 +27,14 @@ def _zero(r: np.ndarray) -> np.ndarray:
     return np.zeros_like(np.asarray(r, dtype=float))
 
 
+def _check_positive(value: float, name: str):
+    """A family's scale or cutoff must be finite and positive."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class RhoStateFamily:
     """Two-component family with radial density rho and phases chi, xi."""
@@ -103,14 +111,12 @@ def vacuum_family() -> RhoStateFamily:
 
 def sech2_family(a: float, occupied: int = 1, chi=_zero, xi=_zero) -> RhoStateFamily:
     """rho(k) = 1/cosh^2(a|k|), the worked spin-up example for occupied=1."""
-    if a <= 0:
-        raise ValueError("scale a must be positive")
+    _check_positive(a, "scale a")
     return RhoStateFamily(occupied, lambda r: 1.0 / np.cosh(a * r) ** 2, chi, xi, _TAIL / a)
 
 
 def gaussian_family(a: float, occupied: int = 1, chi=_zero, xi=_zero) -> RhoStateFamily:
-    if a <= 0:
-        raise ValueError("scale a must be positive")
+    _check_positive(a, "scale a")
     # exp(-(a k)^2) reaches the sech-like tail level at a k = sqrt(2 * _TAIL)
     return RhoStateFamily(
         occupied, lambda r: np.exp(-((a * r) ** 2)), chi, xi, np.sqrt(2.0 * _TAIL) / a
@@ -119,8 +125,7 @@ def gaussian_family(a: float, occupied: int = 1, chi=_zero, xi=_zero) -> RhoStat
 
 def step_family(k_max: float, occupied: int = 1, chi=_zero, xi=_zero) -> RhoStateFamily:
     """Fully occupied ball: rho = 1 up to k_max, then 0."""
-    if k_max <= 0:
-        raise ValueError("k_max must be positive")
+    _check_positive(k_max, "k_max")
     return RhoStateFamily(
         occupied,
         lambda r: np.where(np.asarray(r) <= k_max, 1.0, 0.0),
@@ -137,6 +142,8 @@ def tabulated_family(kpoints, values, occupied: int = 1, chi=_zero, xi=_zero) ->
     values = np.asarray(values, dtype=float)
     if kpoints.ndim != 1 or kpoints.shape != values.shape or len(kpoints) < 2:
         raise ValueError("need matching 1d arrays with at least two samples")
+    if not np.isfinite(kpoints).all():
+        raise ValueError("sample points must be finite")
     if np.any(np.diff(kpoints) <= 0):
         raise ValueError("sample points must increase")
     if np.any(values < 0) or np.any(values > 1):
@@ -176,6 +183,8 @@ def family_from_config(config: dict) -> RhoStateFamily:
     occupied = int(config.get("occupied", 1))
     chi0 = float(config.get("chi", 0.0))
     xi0 = float(config.get("xi", 0.0))
+    if not (np.isfinite(chi0) and np.isfinite(xi0)):
+        raise ValueError(f"phases chi and xi must be finite, got {chi0}, {xi0}")
 
     def chi(r):
         return np.full_like(np.asarray(r, dtype=float), chi0)

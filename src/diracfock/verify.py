@@ -201,7 +201,7 @@ def _conjugation_checks(rng, consts: PhysicalConstants):
     x0 = np.zeros(4)
     p = fields.psi_matrices(heldout, x0, kappa)
     pa = fields.psi_adjoint_matrices(heldout, x0, kappa)
-    target = -np.einsum("rp,...pij->...rij", CONJUGATION, p)
+    target = -fields.conjugation_mix(p)
     adjoint = _amax(chat @ pa - target @ chat)
     qhat = fock.charge_operator(consts)
     flip = np.max(np.abs(chat @ qhat @ chat.conj().T + qhat))

@@ -205,22 +205,74 @@ def test_sample_field_radial_guard_trips(tmp_path, capsys):
     assert "numerical failure" in err and "refinement moved" in err
 
 
-def test_nan_inputs_fail_numerically(tmp_path, capsys):
+def test_nan_inputs_fail_numerically(capsys):
+    # a NaN scale reaches the quadrature guard; NaN in a config file is a
+    # configuration error instead (test_config_rejects_non_finite_numbers)
     assert main(["example", "--a", "nan", "--json"]) == 1
-    cfg = _write(
-        tmp_path,
-        "nan.json",
-        {
-            "profile": "tabulated",
-            "k": [0.0, 1.0],
-            "rho": [float("nan"), 0.5],
-            "grid": {"t": [0.0, 0.0, 1], "x": [0.0, 1.0, 2]},
-        },
-    )
-    assert main(["sample-field", "--config", cfg, "--nodes", "20"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("numerical failure") == 2
+    assert captured.err.count("numerical failure") == 1
+
+
+def test_example_rejects_non_finite_report(capsys):
+    # ell and ell**3 are finite, but the closed-form charge overflows
+    assert main(["example", "--ell", "2e102", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: report field Q_closed is inf" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("NaN", "config holds the non-finite number NaN"),
+        ("Infinity", "config holds the non-finite number Infinity"),
+        ("-Infinity", "config holds the non-finite number -Infinity"),
+        ("1e400", "config number 1e400 is beyond the double range"),
+    ],
+)
+def test_config_rejects_non_finite_numbers(tmp_path, capsys, text, message):
+    # the tabulated density once reached the quadrature guard and exited 1
+    sample = tmp_path / "sample.json"
+    sample.write_text(
+        '{"profile": "tabulated", "k": [0.0, 1.0], "rho": [%s, 0.5]}' % text, encoding="utf-8"
+    )
+    assert main(["sample-field", "--config", str(sample), "--nodes", "20"]) == 2
+    verify = tmp_path / "verify.json"
+    verify.write_text('{"kappa": %s}' % text, encoding="utf-8")
+    assert main(["verify", "--config", str(verify)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(f"configuration error: {message}") == 2
+
+
+def test_nan_grid_axis_is_a_configuration_error(tmp_path, capsys):
+    # a NaN grid axis once exited 1, as a non-finite result
+    cfg = tmp_path / "grid.json"
+    cfg.write_text('{"profile": "sech2", "grid": {"t": [0.0, NaN, 2]}}', encoding="utf-8")
+    assert main(["sample-field", "--config", str(cfg), "--nodes", "20"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"x": [0.0, "inf", 2]}, "grid axis x needs finite ends"),
+        ({"t": ["nan", 1.0, 2]}, "grid axis t needs finite ends"),
+        ({"y": "-inf"}, "grid y and z must be finite"),
+    ],
+)
+def test_grid_values_must_be_finite(tmp_path, capsys, grid, message):
+    cfg = _write(tmp_path, "grid.json", {"profile": "sech2", "grid": grid})
+    assert main(["sample-field", "--config", cfg, "--nodes", "20"]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def test_non_finite_options_are_configuration_errors(tmp_path, capsys):
+    assert main(["example", "--rmax", "nan"]) == 2
+    assert "r_max and abs_tol must be finite" in capsys.readouterr().err
+    assert main(["verify", "--perturb", "inf"]) == 2
+    assert "perturb must be finite" in capsys.readouterr().err
 
 
 def test_configuration_errors(tmp_path, capsys):

@@ -94,3 +94,11 @@ def test_spec_validation():
         QuadratureSpec(r_max=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=-1e-9)
+
+
+@pytest.mark.parametrize("field", ["r_max", "abs_tol"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_spec_rejects_non_finite_values(field, value):
+    # nan <= 0 is False, so a positivity test alone lets NaN through
+    with pytest.raises(ValueError, match=f"must be finite, got .*{value}"):
+        QuadratureSpec(**{field: value})

@@ -130,3 +130,24 @@ def test_config_errors():
         family_from_config({"profile": "tabulated", "k": [0.0, 1.0]})
     with pytest.raises(ValueError, match="mapping"):
         family_from_config("sech2")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "factory",
+    [
+        sech2_family,
+        gaussian_family,
+        step_family,
+        lambda v: tabulated_family([0.0, v], [0.5, 0.0]),
+    ],
+    ids=["sech2", "gaussian", "step", "tabulated"],
+)
+def test_factories_reject_non_finite_parameters(factory, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        factory(value)
+
+
+def test_config_rejects_non_finite_phases():
+    with pytest.raises(ValueError, match="chi and xi must be finite"):
+        family_from_config({"profile": "sech2", "xi": "nan"})
