@@ -79,9 +79,20 @@ def _finite_float(text):
     return value
 
 
+def _finite_int(text):
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"config number {text} is beyond the double range") from None
+    return value
+
+
 def _load_json(path):
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+        data = json.load(
+            fh, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_finite_int
+        )
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
     return data
@@ -124,6 +135,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_example(args) -> int:
+    if not math.isfinite(args.a):
+        raise ValueError(f"scale a must be finite, got {args.a}")
     if args.a <= 0 or args.kappa <= 0 or args.ell <= 0:
         raise ValueError("a, kappa, and ell must be positive")
     consts = PhysicalConstants(kappa=args.kappa, ell=args.ell)

@@ -10,7 +10,8 @@ sum.  For a two-component family that pass is a radial rule alone: the
 state depends on |k| only and the spinors are affine in the direction of
 k, so the angular integral of every field term is the Rayleigh plane-wave
 expansion 4 pi (j0(k |x|), i j1(k |x|) xhat), evaluated in closed form.
-A general family gets the spherical product rule.  Derivatives of
+A general family gets the spherical product rule, one sphere of
+2 n_theta^2 directions per radial node at a time.  Derivatives of
 integrals are always analytic (phase insertions, or the derivatives of
 the Bessel terms), never finite differences; the field equations then
 hold at every node and the residual checks probe the algebra, not the
@@ -18,10 +19,13 @@ step size.
 
 The mode operators act on the state coefficients as signed gathers
 (fock.ANNIHILATOR_INDEX and its siblings); the dense stacks
-fock.ANNIHILATORS and CREATORS are only their definition.  A block's
-phase matrices are built for one slice of points at a time, at most
-_CHUNK_NODES points x nodes per slice, so peak memory follows the
-output, not the number of points times nodes.
+fock.ANNIHILATORS and CREATORS are only their definition.  The classical
+spinor needs only the sandwiches <z| a_s |z>, formed from the 32 nonzero
+entries of the annihilators as one pair-product matrix product.  A
+block's phase matrices are built for one slice of points at a time, at
+most _CHUNK_NODES points x nodes per slice (all that _CHUNK_NODES
+sizes), so peak memory follows the output, not the number of points
+times nodes.
 
 The antiparticle sector of the two-point matrix and of the densities does
 not decay with |k|, so those values grow with the radial cutoff; they are
@@ -58,7 +62,7 @@ from .quadrature import (
 from .spinors import u_columns, v_columns
 from .states import RhoStateFamily, StateFamily
 
-# nodes per product-rule chunk, and points x nodes per slice of a block's phase matrices
+# points x nodes per slice of a block's phase matrices
 _CHUNK_NODES = 60_000
 
 
@@ -76,21 +80,17 @@ def _weight(kmag: np.ndarray, consts: PhysicalConstants) -> np.ndarray:
 
 
 def _product_chunks(family: StateFamily, spec: QuadratureSpec):
-    """Yield (kvecs, weights) blocks of the spherical product rule.
+    """Yield (kvecs, weights) blocks of the spherical product rule, one per radial node.
 
-    Weights carry the k^2 measure and the angular weights; the radial
-    blocks come in a fixed order so accumulation is deterministic.
+    Each block is one sphere of 2 n_theta^2 directions, so its intermediates
+    stay small; weights carry the k^2 measure and the angular weights, and
+    the spheres come in a fixed order so accumulation is deterministic.
     """
     upper = _momentum_limit(family, spec)
     r, wr = radial_rule(upper, spec.n_radial, family.breakpoints)
     dirs, wo = angular_rule(spec.n_theta)
-    per = max(1, _CHUNK_NODES // len(wo))
-    for i in range(0, len(r), per):
-        rs = r[i : i + per]
-        ws = wr[i : i + per] * rs**2
-        kv = (rs[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-        wq = (ws[:, None] * wo[None, :]).reshape(-1)
-        yield kv, wq
+    for rn, wn in zip(r, wr * r**2):
+        yield rn * dirs, wn * wo
 
 
 # (index, sign) gathers of the operators paired with (u, u, v, v): the
@@ -106,6 +106,15 @@ _FIELD_ACTIONS = {
         np.concatenate([CREATOR_SIGN[:2], ANNIHILATOR_SIGN[2:]]),
     ),
 }
+
+
+# the 32 nonzeros of the four annihilators as read-only (row, column, sign)
+# pairs: <z| a_s |z> = sum_j conj(z[ROWS[j]]) z[COLS[j]] SIGNS[j, s]
+_PAIR_MODE, _PAIR_ROWS = np.nonzero(ANNIHILATOR_SIGN)
+_PAIR_COLS = ANNIHILATOR_INDEX[_PAIR_MODE, _PAIR_ROWS]
+_PAIR_SIGNS = ANNIHILATOR_SIGN[_PAIR_MODE, _PAIR_ROWS, None] * (_PAIR_MODE[:, None] == range(4))
+for _table in (_PAIR_ROWS, _PAIR_COLS, _PAIR_SIGNS):
+    _table.setflags(write=False)
 
 
 def _mode_actions(z, dagger: bool = False):
@@ -316,8 +325,9 @@ def _overlap_spinor(family, xs, spec, consts, derivatives=False):
     phi = np.zeros((nx, 4), dtype=np.complex128)
     dphi = np.zeros((nx, 4, 4), dtype=np.complex128) if derivatives else None
     for phases, u, v, z in _blocks(family, spec, consts, derivatives=derivatives):
-        zc = z.conj()
-        y1, y2 = (np.einsum("nsc,nc->ns", Z, zc) for Z in _mode_actions(z))
+        # <z| a_s |z> for s = 1..4; the creators of modes 3, 4 give its conjugate
+        y = (z[:, _PAIR_ROWS].conj() * z[:, _PAIR_COLS]) @ _PAIR_SIGNS
+        y1, y2 = y[:, :2], y[:, 2:].conj()
         g1 = np.einsum("n...rs,ns->n...r", u, y1).reshape(-1, 4)
         g2 = np.einsum("n...rs,ns->n...r", v, y2).reshape(-1, 4)
         for sl in _point_slices(nx, len(z)):
@@ -467,7 +477,7 @@ def total_charge(family: StateFamily, spec: QuadratureSpec, consts: PhysicalCons
         acc = 0.0
         for kv, wq in _product_chunks(family, sp):
             z = family.coefficients(kv)
-            acc += float(np.sum(wq * (np.abs(z) ** 2 @ qdiag)))
+            acc += float(np.sum(wq * ((z.real**2 + z.imag**2) @ qdiag)))
         return acc
 
     return consts.ell**3 * _doubling_guard(run, spec, "total charge")
@@ -638,6 +648,8 @@ def example_report(a: float, consts: PhysicalConstants, spec: QuadratureSpec) ->
     over r = a|k| with weight r^2 sqrt((kappa a)^2 + r^2); the charge
     reduces to the closed form q pi^3 l^3 / (3 a^3).
     """
+    if not np.isfinite(a):
+        raise ValueError(f"scale a must be finite, got {a}")
     if a <= 0:
         raise ValueError("scale a must be positive")
     ka = consts.kappa * a

@@ -6,7 +6,9 @@ the radial rule alone, their angular integral being closed form (see
 expectation).  Integrands of general families, whose angular structure is
 arbitrary, get a spherical product rule: Gauss-Legendre in cos(theta) and
 a trapezoid in phi, which is spectrally accurate for the plane-wave
-phases that appear here.  n_theta sets only that product rule.
+phases that appear here.  n_theta sets only that product rule, which
+expectation integrates one sphere (one radial node) at a time; its
+_CHUNK_NODES bounds only the slices of points.
 
 The reference truncation 40 is in units of the profile argument; the
 built-in densities decay at least like exp(-2r), leaving a tail below

@@ -93,10 +93,12 @@ class GeneralStateFamily:
 
     def coefficients(self, kvecs: np.ndarray) -> np.ndarray:
         kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))
-        out = np.asarray(self.z(kvecs), dtype=np.complex128)
+        out = np.ascontiguousarray(self.z(kvecs), dtype=np.complex128)
         if out.shape != (len(kvecs), DIM):
             raise ValueError(f"coefficient map must return shape (n, {DIM})")
-        norms = np.sum(np.abs(out) ** 2, axis=-1)
+        # |z|^2 summed over the real and imaginary parts, without hypot or temporaries
+        parts = out.view(np.float64)
+        norms = np.einsum("nc,nc->n", parts, parts)
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValueError("state family is not normalized at sampled wave vectors")
         return out
@@ -146,6 +148,8 @@ def tabulated_family(kpoints, values, occupied: int = 1, chi=_zero, xi=_zero) ->
         raise ValueError("sample points must be finite")
     if np.any(np.diff(kpoints) <= 0):
         raise ValueError("sample points must increase")
+    if not np.isfinite(values).all():
+        raise ValueError("density samples must be finite")
     if np.any(values < 0) or np.any(values > 1):
         raise ValueError("density samples must lie in [0, 1]")
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diracfock.cli import main
+from diracfock.cli import _load_json, main
 from diracfock.constants import PhysicalConstants
 from diracfock.expectation import classical_spinor
 from diracfock.quadrature import QuadratureSpec
@@ -205,13 +205,13 @@ def test_sample_field_radial_guard_trips(tmp_path, capsys):
     assert "numerical failure" in err and "refinement moved" in err
 
 
-def test_nan_inputs_fail_numerically(capsys):
-    # a NaN scale reaches the quadrature guard; NaN in a config file is a
-    # configuration error instead (test_config_rejects_non_finite_numbers)
-    assert main(["example", "--a", "nan", "--json"]) == 1
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_scale_is_a_configuration_error(capsys, value):
+    # a NaN scale once reached the quadrature guards and exited 1
+    assert main(["example", "--a", value, "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("numerical failure") == 1
+    assert captured.err.count(f"configuration error: scale a must be finite, got {value}") == 1
 
 
 def test_example_rejects_non_finite_report(capsys):
@@ -244,6 +244,29 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, text, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count(f"configuration error: {message}") == 2
+
+
+def test_config_integer_beyond_double_range(tmp_path, capsys):
+    # such an integer once reached float() in cmd_verify and exited 1 as an overflow
+    number = "1" + "0" * 400
+    cfg = tmp_path / "verify.json"
+    cfg.write_text('{"kappa": %s}' % number, encoding="utf-8")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"configuration error: config number {number} is beyond the double range" in captured.err
+
+
+def test_config_integers_still_load(tmp_path, capsys):
+    cfg = _write(tmp_path, "v.json", dict(FAST_VERIFY, seed=3))
+    config = _load_json(cfg)
+    assert config["seed"] == 3 and type(config["seed"]) is int
+    # the config's seed selects the same samples as the flag
+    assert main(["verify", "--config", cfg, "--json"]) == 0
+    from_config = capsys.readouterr().out
+    flag = _write(tmp_path, "flag.json", FAST_VERIFY)
+    assert main(["verify", "--config", flag, "--seed", "3", "--json"]) == 0
+    assert capsys.readouterr().out == from_config
 
 
 def test_nan_grid_axis_is_a_configuration_error(tmp_path, capsys):

@@ -296,8 +296,9 @@ class TestGuardsFailClosed:
             _converged(run, SPEC, True, "spinor")
 
     def test_unchecked_integrals_reject_nan_density(self):
-        # both skip the refinement check by default, so only the finiteness test stands
-        fam = tabulated_family([0.0, 1.0], [np.nan, 0.5])
+        # both skip the refinement check by default, so only the finiteness test
+        # stands; tabulated_family rejects NaN samples, so rho returns NaN here
+        fam = RhoStateFamily(1, rho=lambda r: np.full_like(r, np.nan), k_cutoff=1.0)
         spec = QuadratureSpec(n_radial=8, n_theta=4)
         x = np.zeros(4)
         with pytest.raises(QuadratureNotConverged):
@@ -312,7 +313,8 @@ class TestBoundedMemory:
     The field integrals build their phase matrices one slice of points at a
     time, at most _CHUNK_NODES points x nodes per slice, four angular parts
     each on the radial path.  Whole-grid phase matrices at these 20,000
-    points and 16 radial nodes would take 20 MB on their own.
+    points and 16 radial nodes would take 20 MB on their own.  The product
+    rule of a general family runs one sphere of 2 n_theta^2 nodes at a time.
     """
 
     xs = np.random.default_rng(5).uniform(-2.0, 2.0, size=(20_000, 4))
@@ -332,6 +334,15 @@ class TestBoundedMemory:
         fam = sech2_family(1.0)
         peak = self._peak_mb(lambda: classical_spinor(fam, self.xs, self.spec, NAT, check=False))
         assert peak < 6 * self.slice_mb
+
+    def test_general_spinor_peak(self):
+        # one default sphere is 1152 nodes, its 32 sandwich pairs 0.6 MB; the
+        # 230,400 nodes of the whole rule would take 112 MB for those pairs alone
+        radial = sech2_family(1.0)
+        fam = GeneralStateFamily(radial.coefficients, radial.k_cutoff)
+        x = np.array([0.3, 0.5, -0.2, 0.4])
+        peak = self._peak_mb(lambda: classical_spinor(fam, x, SPEC, NAT, check=False))
+        assert peak < 8.0
 
     def test_density_peak(self):
         # the field tensor (4 x 16 complex entries per point) and its conjugate grow with the output

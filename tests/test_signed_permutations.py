@@ -2,7 +2,10 @@
 
 The engine never multiplies the dense stacks fock.ANNIHILATORS and
 fock.CREATORS; these tests keep the dense application as the oracle for
-every place that applies the gather tables instead.
+every place that applies the gather tables instead.  They also keep the
+earlier layout of the spherical product rule, many spheres per block with
+the spinor sandwich contracted from the full gather stack, as the oracle
+of the one-sphere blocks and the pair-product sandwich.
 """
 
 import itertools
@@ -13,7 +16,7 @@ import pytest
 from diracfock import expectation, fields, fock
 from diracfock.constants import natural_units
 from diracfock.fock import ANNIHILATORS, CREATORS, DIM, mode_annihilator, mode_creator
-from diracfock.quadrature import QuadratureSpec
+from diracfock.quadrature import QuadratureSpec, angular_rule, radial_rule
 from diracfock.spinors import u_columns, v_columns
 from diracfock.states import GeneralStateFamily, RhoStateFamily
 
@@ -37,6 +40,16 @@ def _dense_mode_actions(z, dagger=False):
     else:
         first, second = ANNIHILATORS[:2], CREATORS[2:]
     return np.einsum("sij,nj->nsi", first, z), np.einsum("sij,nj->nsi", second, z)
+
+
+def _dense_pair_tables():
+    """All 256 (row, column) pairs, signed by the dense annihilators.
+
+    Put in place of expectation._PAIR_ROWS, _PAIR_COLS and _PAIR_SIGNS, they
+    form the sandwich sum_ij conj(z_i) a_s[i, j] z_j over every entry.
+    """
+    rows, cols = np.divmod(np.arange(DIM * DIM), DIM)
+    return rows, cols, ANNIHILATORS[:, rows, cols].real.T
 
 
 def _dense_psi_halves(k, x, kappa):
@@ -117,6 +130,8 @@ def test_integrals_match_dense_application(family, call, monkeypatch):
     spec = QuadratureSpec(n_radial=12, n_theta=6)
     fast = CALLS[call](FAMILIES[family], xs, spec)
     monkeypatch.setattr(expectation, "_mode_actions", _dense_mode_actions)
+    for name, table in zip(("_PAIR_ROWS", "_PAIR_COLS", "_PAIR_SIGNS"), _dense_pair_tables()):
+        monkeypatch.setattr(expectation, name, table)
     dense = CALLS[call](FAMILIES[family], xs, spec)
     for a, b in zip(fast, dense):
         assert np.max(np.abs(a - b)) <= 1e-15 * max(1.0, np.max(np.abs(b)))
@@ -133,3 +148,115 @@ def test_scattered_psi_matches_dense_halves(batched):
         assert got.shape == shape + (4, DIM, DIM)
         assert np.max(np.abs(got - want)) <= 1e-15
     assert np.max(np.abs(fields.psi_matrices(k, x, 1.3) - (plus + minus))) <= 1e-15
+
+
+# -- the product rule one sphere per block, against the earlier chunked layout --
+
+
+def _chunked_product_rule(family, spec):
+    """The product rule in blocks of whole spheres holding up to 60,000 nodes together."""
+    upper = expectation._momentum_limit(family, spec)
+    r, wr = radial_rule(upper, spec.n_radial, family.breakpoints)
+    dirs, wo = angular_rule(spec.n_theta)
+    per = max(1, 60_000 // len(wo))
+    for i in range(0, len(r), per):
+        rs = r[i : i + per]
+        ws = wr[i : i + per] * rs**2
+        kv = (rs[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
+        yield kv, (ws[:, None] * wo[None, :]).reshape(-1)
+
+
+def _gathered_sandwich(z):
+    """<z| a_s |z> for modes 1, 2 and <z| a_s^dagger |z> for modes 3, 4, from the gather stack."""
+    zc = z.conj()
+    return tuple(np.einsum("nsc,nc->ns", Z, zc) for Z in expectation._mode_actions(z))
+
+
+def _chunked_overlap_spinor(family, xs, spec, consts, derivatives=False):
+    """expectation._overlap_spinor of a general family, in the chunked layout."""
+    phi = np.zeros((len(xs), 4), dtype=np.complex128)
+    dphi = np.zeros((len(xs), 4, 4), dtype=np.complex128)
+    for kv, wq in _chunked_product_rule(family, spec):
+        kmag = np.linalg.norm(kv, axis=-1)
+        k0 = np.sqrt(consts.kappa**2 + kmag**2)
+        w = wq * expectation._weight(kmag, consts)
+        y1, y2 = _gathered_sandwich(family.coefficients(kv))
+        g1 = np.einsum("nrs,ns->nr", u_columns(kv, consts.kappa), y1)
+        g2 = np.einsum("nrs,ns->nr", v_columns(kv, consts.kappa), y2)
+        E, dE = expectation._plane_weights(kv, k0, w, derivatives, xs)
+        phi += E @ g1 + E.conj() @ g2
+        if derivatives:
+            dphi += dE @ g1 + dE.conj() @ g2
+    return (phi, dphi) if derivatives else phi
+
+
+def _phased_general_family():
+    # all sixteen coefficients nonzero, random magnitudes and k-dependent random phases
+    rng = np.random.default_rng(6)
+    amp = rng.uniform(0.2, 1.0, DIM)
+    amp /= np.linalg.norm(amp)
+    phases, offsets = rng.normal(size=(3, DIM)), rng.uniform(0.0, 2.0 * np.pi, DIM)
+    return GeneralStateFamily(
+        lambda kv: amp * np.exp(1.0j * (kv @ phases + offsets)), k_cutoff=2.0, hard_cutoff=True
+    )
+
+
+PHASED = _phased_general_family()
+# 1152 directions per sphere: the chunked layout packs 52 spheres per block, so two blocks
+PRODUCT_SPEC = QuadratureSpec(n_radial=60, n_theta=24)
+XS = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 0.5, -0.2, 0.4], [-0.7, 1.1, 0.6, -0.9]])
+
+
+def _relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("derivatives", [False, True])
+def test_overlap_spinor_matches_chunked_layout(derivatives):
+    got = expectation._overlap_spinor(PHASED, XS, PRODUCT_SPEC, NAT, derivatives=derivatives)
+    want = _chunked_overlap_spinor(PHASED, XS, PRODUCT_SPEC, NAT, derivatives=derivatives)
+    for a, b in zip(got, want) if derivatives else [(got, want)]:
+        assert _relative_gap(a, b) <= 1e-14
+
+
+@pytest.mark.parametrize("dagger", [False, True])
+def test_field_tensor_matches_chunked_layout(dagger, monkeypatch):
+    def tensor():
+        return expectation._field_tensor(
+            PHASED, XS, PRODUCT_SPEC, NAT, weighted=not dagger, derivatives=True, dagger=dagger
+        )
+
+    got = tensor()
+    monkeypatch.setattr(expectation, "_product_chunks", _chunked_product_rule)
+    want = tensor()
+    for a, b in zip(got, want):
+        assert _relative_gap(a, b) <= 1e-14
+
+
+def test_general_total_charge_matches_chunked_layout():
+    qdiag = np.diag(fock.charge_operator(NAT)).real
+    want = sum(
+        float(np.sum(wq * (np.abs(PHASED.coefficients(kv)) ** 2 @ qdiag)))
+        for kv, wq in _chunked_product_rule(PHASED, PRODUCT_SPEC)
+    )
+    got = expectation.total_charge(PHASED, PRODUCT_SPEC, NAT)
+    assert abs(want) > 1.0  # random magnitudes: the charge does not cancel
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_pair_tables_rebuild_the_dense_sandwich():
+    rows, cols, signs = expectation._PAIR_ROWS, expectation._PAIR_COLS, expectation._PAIR_SIGNS
+    assert not any(t.flags.writeable for t in (rows, cols, signs))
+    assert signs.shape == (32, 4)
+    # one +-1 per pair, eight pairs per annihilator
+    assert np.array_equal(np.abs(signs).sum(axis=1), np.ones(32))
+    assert np.array_equal(np.abs(signs).sum(axis=0), np.full(4, 8.0))
+    z = _random_z(40, 7)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    got = (z[:, rows].conj() * z[:, cols]) @ signs
+    want = np.einsum("nc,scd,nd->ns", z.conj(), ANNIHILATORS, z)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    # and the sandwich the engine forms from them, against the gather stack
+    y1, y2 = _gathered_sandwich(z)
+    assert np.max(np.abs(got[:, :2] - y1)) <= 1e-15
+    assert np.max(np.abs(got[:, 2:].conj() - y2)) <= 1e-15

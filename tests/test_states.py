@@ -82,6 +82,10 @@ def test_tabulated_interpolates_and_records_breakpoints():
         tabulated_family([0.0, 0.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         tabulated_family([0.0, 1.0], [0.5, 1.5])
+    # NaN passes both bounds of [0, 1], so it is rejected on its own
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="density samples must be finite"):
+            tabulated_family([0.0, 1.0], [bad, 0.5])
 
 
 def test_general_family_validates_shape_and_norm():
