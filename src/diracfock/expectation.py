@@ -6,32 +6,38 @@ reality check, and the worked spin-up example.
 
 All double k-integrals factor through the 16-dimensional occupation index,
 so they cost one pass of quadrature per side instead of a node-squared
-sum.  For a two-component family that pass is a radial rule alone: the
-state depends on |k| only and the spinors are affine in the direction of
-k, so the angular integral of every field term is the Rayleigh plane-wave
-expansion 4 pi (j0(k |x|), i j1(k |x|) xhat), evaluated in closed form.
-A general family gets the spherical product rule, one sphere of
-2 n_theta^2 directions per radial node at a time.  Derivatives of
-integrals are always analytic (phase insertions, or the derivatives of
-the Bessel terms), never finite differences; the field equations then
-hold at every node and the residual checks probe the algebra, not the
-step size.
+sum.  Every field integral is a sum over spheres |k| = r.  On a sphere
+the spinors are affine in the direction: u(r khat) = even(r) +
+sum_j khat_j odd_j(r), both parts read off from six spinor evaluations
+per radius (_spinor_parts).  So each sphere contributes its spinor parts
+contracted with the direction moments (1, khat) of the weighted phases
+times the state side (_contraction).  For a two-component family the
+state is constant on each sphere, and the moments are the Rayleigh
+plane-wave expansion 4 pi (j0(k |x|), i j1(k |x|) xhat), in closed form:
+a radial rule alone.  A general family gets the spherical product rule,
+one sphere of 2 n_theta^2 directions per radial node at a time; there
+the moments meet the state first, node by node, and the spinor parts
+come last, so no spinor is formed at any node.  Derivatives of integrals
+are always analytic (phase insertions, or the derivatives of the Bessel
+terms), never finite differences; the field equations then hold at
+every node and the residual checks probe the algebra, not the step size.
 
 The mode operators act on the state coefficients as signed gathers
 (fock.ANNIHILATOR_INDEX and its siblings); the dense stacks
 fock.ANNIHILATORS and CREATORS are only their definition.  The classical
 spinor needs only the sandwiches <z| a_s |z>, formed from the 32 nonzero
 entries of the annihilators as one pair-product matrix product.  A
-block's phase matrices are built for one slice of points at a time, at
-most _CHUNK_NODES points x nodes per slice (all that _CHUNK_NODES
-sizes), so peak memory follows the output, not the number of points
-times nodes.
+block's moments are built for one slice of points at a time, at most
+_CHUNK_NODES points x nodes per slice (times the four moments and the
+derivatives; all that _CHUNK_NODES sizes), so peak memory follows the
+output, not the number of points times nodes.
 
 The antiparticle sector of the two-point matrix and of the densities does
 not decay with |k|, so those values grow with the radial cutoff; they are
 reported at the configured truncation and their refinement check is off
-by default.  A general family's densities still get an angular check:
-the same radial rule with n_theta doubled must agree.  Scalar integrals
+by default.  A general family's field integrals still get an angular
+check (_angular_guard): the same radial rule with n_theta doubled must
+agree.  Scalar integrals
 (energies, charge) are damped by the density profile and always pass a
 cutoff-doubling stability test.
 """
@@ -79,18 +85,16 @@ def _weight(kmag: np.ndarray, consts: PhysicalConstants) -> np.ndarray:
     return consts.ell**2.5 * np.sqrt(consts.c / ((2.0 * np.pi) ** 3 * 2.0 * omega))
 
 
-def _product_chunks(family: StateFamily, spec: QuadratureSpec):
-    """Yield (kvecs, weights) blocks of the spherical product rule, one per radial node.
+def _sphere_rule(family: StateFamily, spec: QuadratureSpec):
+    """The spherical product rule as (r, wr, dirs, wo), integrated one sphere at a time.
 
-    Each block is one sphere of 2 n_theta^2 directions, so its intermediates
-    stay small; weights carry the k^2 measure and the angular weights, and
-    the spheres come in a fixed order so accumulation is deterministic.
+    Sphere n has the nodes r[n] * dirs (2 n_theta^2 of them) and the weights
+    wr[n] * wo; wr carries the k^2 measure, wo the angular weights.  The
+    spheres are taken in a fixed order, so accumulation is deterministic.
     """
-    upper = _momentum_limit(family, spec)
-    r, wr = radial_rule(upper, spec.n_radial, family.breakpoints)
+    r, wr = radial_rule(_momentum_limit(family, spec), spec.n_radial, family.breakpoints)
     dirs, wo = angular_rule(spec.n_theta)
-    for rn, wn in zip(r, wr * r**2):
-        yield rn * dirs, wn * wo
+    return r, wr * r**2, dirs, wo
 
 
 # (index, sign) gathers of the operators paired with (u, u, v, v): the
@@ -131,24 +135,34 @@ def _mode_actions(z, dagger: bool = False):
     return Z[:, :2], Z[:, 2:]
 
 
-def _plane_weights(kv, k0, w, derivatives, xs):
-    """Weights matrix of a product-rule block and its d/dx^mu, see _blocks."""
-    # exp(-i k.x) per (x, node); d/dx^mu brings down -i k_mu, k_mu = (k0, -k)
-    E = np.exp(-1.0j * (np.outer(xs[:, 0], k0) - xs[:, 1:] @ kv.T)) * w
+def _plane_moments(kv, k0, w, moments, derivatives, xs):
+    """Direction moments of one product-rule sphere and their d/dx^mu, see _blocks.
+
+    W[x, 0, a, m] = w_m exp(-i k_m.x) (1, khat_m)_a at the nodes k_m of the
+    sphere; d/dx^mu brings down -i k_mu, with k_mu = (k0, -k) and k0 one
+    value per sphere.
+    """
+    E = np.exp(-1.0j * (xs[:, :1] * k0 - xs[:, 1:] @ kv.T)) * w
+    W = E[:, None, None, :] * moments
     if not derivatives:
-        return E, None
-    k_cov = np.column_stack([k0, -kv])
-    return E, -1.0j * k_cov.T[None, :, :] * E[:, None, :]
+        return W, None
+    k_cov = np.vstack([np.full(len(kv), k0), -kv.T])
+    return W, (-1.0j * E)[:, None, None, None, :] * (k_cov[:, None, None, :] * moments)
 
 
 def _product_blocks(family, spec, consts, weighted, derivatives):
-    """Blocks of the spherical product rule, for any family; see _blocks."""
-    for kv, wq in _product_chunks(family, spec):
-        kmag = np.linalg.norm(kv, axis=-1)
-        k0 = np.sqrt(consts.kappa**2 + kmag**2)
-        w = wq * _weight(kmag, consts) if weighted else wq
-        u, v = u_columns(kv, consts.kappa), v_columns(kv, consts.kappa)
-        yield partial(_plane_weights, kv, k0, w, derivatives), u, v, family.coefficients(kv)
+    """Blocks of the spherical product rule, one sphere each, for any family; see _blocks.
+
+    k0, the mode measure and the spinor parts take one value per sphere.
+    """
+    r, wr, dirs, wo = _sphere_rule(family, spec)
+    k0 = np.sqrt(consts.kappa**2 + r**2)
+    w = wr * (_weight(r, consts) if weighted else 1.0)
+    moments = np.vstack([np.ones(len(dirs)), dirs.T])
+    for rn, k0n, wn, un, vn in zip(r, k0, w, *_spinor_parts(r, consts.kappa)):
+        kv = rn * dirs
+        phases = partial(_plane_moments, kv, k0n, wn * wo, moments, derivatives)
+        yield phases, un[None], vn[None], family.coefficients(kv)
 
 
 # series below this argument, closed forms above; both sides agree to roundoff
@@ -193,9 +207,9 @@ def _spherical_bessel(z):
 
 
 def _sphere_weights(r, k0, w, derivatives: bool, xs):
-    """Weights matrix of the radial block and its d/dx^mu, see _radial_blocks.
+    """Direction moments of the radial block and their d/dx^mu, see _blocks.
 
-    Column (n, a) of E is w_n times the sphere integral of exp(-i k.x)
+    E[x, n, a, 0] is w_n times the sphere integral of exp(-i k.x)
     times (1, khat_1, khat_2, khat_3)_a at |k| = r_n.  With rho = |x| and
     z = r rho this is, by the Rayleigh expansion (DLMF 10.60.7),
     4 pi exp(-i k0 t) (j0(z), i j1(z) xhat); the x-derivatives follow from
@@ -213,7 +227,7 @@ def _sphere_weights(r, k0, w, derivatives: bool, xs):
     E[..., 0] = p * j0
     E[..., 1:] = pj1[..., None] * xhat[:, None, :]
     if not derivatives:
-        return E.reshape(nx, 4 * n), None
+        return E[..., None], None
     dE = np.empty((nx, 4, n, 4), dtype=np.complex128)
     dE[:, 0] = -1.0j * k0[None, :, None] * E
     # d_i j0(r rho) = -r j1 xhat_i;  d_i (j1(r rho) xhat_j) = r (delta_ij j1/z - xhat_i xhat_j j2)
@@ -222,50 +236,98 @@ def _sphere_weights(r, k0, w, derivatives: bool, xs):
         np.eye(3)[None, :, None, :] * j1z[:, None, :, None]
         - (xhat[:, :, None] * xhat[:, None, :])[:, :, None, :] * j2[:, None, :, None]
     )
-    return E.reshape(nx, 4 * n), dE.reshape(nx, 4, 4 * n)
+    return E[..., None], dE[..., None]
 
 
 # k = +r e_j and k = -r e_j, shape (2, 3, 3): sign, axis j, component
 _SIGNED_AXES = np.stack([np.eye(3), -np.eye(3)])
 
 
+def _spinor_parts(r, kappa: float):
+    """(u, v) on the spheres |k| = r as direction parts, each (n, 4, 4, 2).
+
+    u and v are affine in (k0 + kappa, k), so at k = r khat they are
+    even(r) + sum_j khat_j odd_j(r), with both parts read off from the
+    columns at k = +-r e_j: six spinor evaluations per radius.  Part a
+    (even, odd_1, odd_2, odd_3) pairs with the direction moment (1, khat)_a.
+    """
+    parts = []
+    for columns in (u_columns, v_columns):
+        c = columns(r[:, None, None, None] * _SIGNED_AXES, kappa)
+        even = 0.5 * (c[:, 0, :1] + c[:, 1, :1])
+        odd = 0.5 * (c[:, 0] - c[:, 1])
+        parts.append(np.concatenate([even, odd], axis=1))
+    return parts
+
+
 def _radial_blocks(family, spec, consts, weighted, derivatives):
     """One block of the radial rule with the angular integral in closed form.
 
-    The two-component family depends on |k| only, and u, v are affine in
-    (k0 + kappa, k): at k = r n they are even(r) + sum_j n_j odd_j(r), with
-    both parts read off from the columns at k = +-r e_j.  So each radial
-    node carries four spinor parts (even, odd_1, odd_2, odd_3), paired with
-    the sphere integrals of the phase times (1, n) in _sphere_weights.
+    The two-component family depends on |k| only, so each radial node is a
+    sphere with one state vector, and its moments are the sphere integrals
+    of the phase times (1, khat) in _sphere_weights.
     """
     r, wr = radial_rule(_momentum_limit(family, spec), spec.n_radial, family.breakpoints)
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * r**2 * (_weight(r, consts) if weighted else 1.0)
-    parts = []
-    for columns in (u_columns, v_columns):
-        c = columns(r[:, None, None, None] * _SIGNED_AXES, consts.kappa)
-        even = 0.5 * (c[:, 0, :1] + c[:, 1, :1])
-        odd = 0.5 * (c[:, 0] - c[:, 1])
-        parts.append(np.concatenate([even, odd], axis=1))
     phases = partial(_sphere_weights, r, k0, w, derivatives)
-    yield phases, *parts, family.coefficients(np.outer(r, [0.0, 0.0, 1.0]))
+    yield phases, *_spinor_parts(r, consts.kappa), family.coefficients(np.outer(r, [0.0, 0.0, 1.0]))
 
 
 def _blocks(family, spec, consts, weighted=True, derivatives=False):
-    """Yield (phases, u, v, z) blocks whose products sum to the k-integral.
+    """Yield (phases, u, v, z) blocks whose contractions sum to the k-integral.
 
-    z (n, DIM) holds the state coefficients at n nodes and u, v (n, ..., 4, 2)
-    the spinor columns there; the axes between n and the spinor index, if
-    any, are parts the angular integral keeps apart.  phases(xs) returns
-    (E, dE) for points xs (nx, 4): E (nx, m) holds the weighted phase
-    integrals exp(-i k.x) of the m = n * ... flattened rows and dE
-    (nx, 4, m) their d/dx^mu, or None without derivatives.  The particle
-    columns u pair with E and the antiparticle columns v with its
-    conjugate.  Two-component families take the radial rule with the
-    angular integral in closed form; general ones the product rule.
+    A block covers i spheres of m nodes each.  z (i * m, DIM) holds the state
+    coefficients at the nodes, sphere-major, and u, v (i, 4, 4, 2) the spinor
+    parts of each sphere (see _spinor_parts).  phases(xs) returns (W, dW)
+    for points xs (nx, 4): W (nx, i, 4, m) holds the direction moments
+    w exp(-i k.x) (1, khat)_a of the weighted phases and dW (nx, 4, i, 4, m)
+    their d/dx^mu, or None without derivatives.  The particle parts u pair
+    with W and the antiparticle parts v with its conjugate, see _contraction.
+    Two-component families take the radial rule, one sphere per node
+    (m = 1) with the moments in closed form; general ones the product rule,
+    one block per sphere (i = 1).
     """
     source = _radial_blocks if isinstance(family, RhoStateFamily) else _product_blocks
     return source(family, spec, consts, weighted, derivatives)
+
+
+def _contraction(u, v, Z1, Z2):
+    """The k-integral of a block as a function of its moments W, see _blocks.
+
+    apply(W)[..., r * c] sums over the block's spheres i, parts a, spin s and
+    nodes m of one sphere
+
+        u[i, a, r, s] W[..., i, a, m] Z1[i m, s, c]
+        + v[i, a, r, s] conj(W[..., i, a, m]) Z2[i m, s, c],
+
+    with Z1, Z2 the state side paired with the particle and antiparticle
+    parts, one row per node (c = 1 when they have no trailing axis).  On the
+    radial path (m = 1) the spinor parts meet the state first, once per
+    block, and the moments take one matrix product.  On a sphere of the
+    product rule (i = 1) the moments meet the state first, in one product
+    for all four modes since conj(W) Z2 = conj(W conj(Z2)), and the spinor
+    parts come last: no spinor is formed at any node.
+    """
+    ni, nodes = len(u), len(Z1)
+    if nodes == ni:  # one node per sphere; otherwise one sphere, ni == 1
+        K1 = np.einsum("iars,is...->iar...", u, Z1).reshape(4 * ni, -1)
+        K2 = np.einsum("iars,is...->iar...", v, Z2).reshape(4 * ni, -1)
+
+        def apply(W):
+            W = W.reshape(*W.shape[:-3], 4 * ni)
+            return W @ K1 + W.conj() @ K2
+
+        return apply
+    S = np.concatenate([Z1, Z2.conj()], axis=1).reshape(nodes, -1)
+
+    def apply(W):
+        A = (W.reshape(-1, nodes) @ S).reshape(-1, 4, 4, S.shape[1] // 4)
+        T = np.einsum("ars,xasc->xrc", u[0], A[:, :, :2])
+        T += np.einsum("ars,xasc->xrc", v[0], A[:, :, 2:].conj())
+        return T.reshape(*W.shape[:-3], -1)
+
+    return apply
 
 
 def _point_slices(nx: int, n: int):
@@ -299,21 +361,16 @@ def _field_tensor(
     nx = len(xs)
     T = np.zeros((nx, 4 * DIM), dtype=np.complex128)
     Td = np.zeros((nx, 4, 4 * DIM), dtype=np.complex128) if derivatives else None
-    # the adjoint components carry conjugate spinors and phases
-    pair = (lambda e: (e.conj(), e)) if dagger else (lambda e: (e, e.conj()))
     for phases, u, v, z in _blocks(family, spec, consts, weighted, derivatives):
-        Z1, Z2 = _mode_actions(z, dagger)
+        # the adjoint components carry conjugate spinors and phases
         if dagger:
             u, v = u.conj(), v.conj()
-        K1 = np.einsum("n...rs,nsc->n...rc", u, Z1).reshape(-1, 4 * DIM)
-        K2 = np.einsum("n...rs,nsc->n...rc", v, Z2).reshape(-1, 4 * DIM)
+        apply = _contraction(u, v, *_mode_actions(z, dagger))
         for sl in _point_slices(nx, len(z)):
-            E, dE = phases(xs[sl])
-            e1, e2 = pair(E)
-            T[sl] += e1 @ K1 + e2 @ K2
+            W, dW = phases(xs[sl])
+            T[sl] += apply(W.conj() if dagger else W)
             if derivatives:
-                d1, d2 = pair(dE)
-                Td[sl] += d1 @ K1 + d2 @ K2
+                Td[sl] += apply(dW.conj() if dagger else dW)
     T = T.reshape(nx, 4, DIM)
     return (T, Td.reshape(nx, 4, 4, DIM)) if derivatives else T
 
@@ -327,14 +384,12 @@ def _overlap_spinor(family, xs, spec, consts, derivatives=False):
     for phases, u, v, z in _blocks(family, spec, consts, derivatives=derivatives):
         # <z| a_s |z> for s = 1..4; the creators of modes 3, 4 give its conjugate
         y = (z[:, _PAIR_ROWS].conj() * z[:, _PAIR_COLS]) @ _PAIR_SIGNS
-        y1, y2 = y[:, :2], y[:, 2:].conj()
-        g1 = np.einsum("n...rs,ns->n...r", u, y1).reshape(-1, 4)
-        g2 = np.einsum("n...rs,ns->n...r", v, y2).reshape(-1, 4)
+        apply = _contraction(u, v, y[:, :2], y[:, 2:].conj())
         for sl in _point_slices(nx, len(z)):
-            E, dE = phases(xs[sl])
-            phi[sl] += E @ g1 + E.conj() @ g2
+            W, dW = phases(xs[sl])
+            phi[sl] += apply(W)
             if derivatives:
-                dphi[sl] += dE @ g1 + dE.conj() @ g2
+                dphi[sl] += apply(dW)
     return (phi, dphi) if derivatives else phi
 
 
@@ -369,6 +424,22 @@ def _converged(run, spec: QuadratureSpec, check: bool, label: str):
     if check and (gap := _disagreement(v1, run(spec.doubled()), spec.abs_tol)):
         raise QuadratureNotConverged(f"{label}: refinement moved the result {gap}")
     return v1
+
+
+def _angular_guard(run, spec: QuadratureSpec, v, families, label: str):
+    """v = run(spec), provided run with n_theta doubled agrees with it.
+
+    Only the product rule of a general family has angular nodes; when every
+    family is two-component the angles are exact and v is returned as is.
+    Otherwise the rerun must agree within _relative_tolerance of its value,
+    or QuadratureNotConverged names both values and the tolerance.
+    """
+    if all(isinstance(f, RhoStateFamily) for f in families):
+        return v
+    finer = run(replace(spec, n_theta=2 * spec.n_theta))
+    if gap := _disagreement(v, finer, _relative_tolerance(spec, finer)):
+        raise QuadratureNotConverged(f"{label}: angular refinement moved the result {gap}")
+    return v
 
 
 def classical_amplitude(family: RhoStateFamily, k, consts: PhysicalConstants) -> complex:
@@ -475,9 +546,10 @@ def total_charge(family: StateFamily, spec: QuadratureSpec, consts: PhysicalCons
 
     def run(sp):
         acc = 0.0
-        for kv, wq in _product_chunks(family, sp):
-            z = family.coefficients(kv)
-            acc += float(np.sum(wq * ((z.real**2 + z.imag**2) @ qdiag)))
+        r, wr, dirs, wo = _sphere_rule(family, sp)
+        for rn, wn in zip(r, wr):
+            z = family.coefficients(rn * dirs)
+            acc += float(np.sum(wn * wo * ((z.real**2 + z.imag**2) @ qdiag)))
         return acc
 
     return consts.ell**3 * _doubling_guard(run, spec, "total charge")
@@ -496,7 +568,8 @@ def two_point(
 
     Indexed [r', r]: row is the field component at x', column the adjoint
     component at x.  The antiparticle sector scales with the radial
-    cutoff, so the refinement check is opt-in.
+    cutoff, so the refinement check is opt-in; a general family's angles
+    are always checked, see _angular_guard.
     """
 
     def run(sp):
@@ -505,7 +578,8 @@ def two_point(
         L = GAMMA0.real @ TA
         return np.einsum("rc,pc->pr", L.conj(), TB)
 
-    return _converged(run, spec, check, "two-point matrix")
+    v = _converged(run, spec, check, "two-point matrix")
+    return _angular_guard(run, spec, v, (bra_family, ket_family), "two-point matrix")
 
 
 def two_point_dirac_residual(
@@ -544,8 +618,8 @@ def r_density(
     by construction; imaginary parts vanish identically and can be audited
     with r_density_residuals.  The antiparticle sector grows with the
     radial cutoff, so there is no refinement check; a general family's
-    sphere rule is checked on its own, by rerunning the same radial rule
-    with n_theta doubled, and raises QuadratureNotConverged when it aliases.
+    sphere rule is checked on its own by _angular_guard, and raises
+    QuadratureNotConverged when it aliases.
     """
     x = np.asarray(x, dtype=float)
 
@@ -554,23 +628,27 @@ def r_density(
         return np.einsum("xrc,mrq,xqc->xm", T.conj(), BILINEAR, T).real
 
     v = _converged(run, spec, False, "local densities")
-    if not isinstance(family, RhoStateFamily):
-        finer = run(replace(spec, n_theta=2 * spec.n_theta))
-        if gap := _disagreement(v, finer, _relative_tolerance(spec, finer)):
-            raise QuadratureNotConverged(
-                f"local densities: angular refinement moved the result {gap}"
-            )
+    v = _angular_guard(run, spec, v, (family,), "local densities")
     return v.reshape(x.shape[:-1] + (4,))
 
 
 def r_density_residuals(
     family: StateFamily, x, spec: QuadratureSpec, consts: PhysicalConstants
 ) -> dict[str, float]:
-    """Reality, positivity, and continuity audits of the local densities."""
+    """Reality, positivity, and continuity audits of the local densities.
+
+    A general family's densities and divergence must pass _angular_guard.
+    """
     x = np.asarray(x, dtype=float)
-    T, Td = _field_tensor(family, x, spec, consts, derivatives=True)
-    vals = np.einsum("xrc,mrq,xqc->xm", T.conj(), BILINEAR, T)
-    div = 2.0 * np.einsum("xmrc,mrq,xqc->x", Td.conj(), BILINEAR, T).real
+
+    def run(sp):
+        T, Td = _field_tensor(family, x, sp, consts, derivatives=True)
+        vals = np.einsum("xrc,mrq,xqc->xm", T.conj(), BILINEAR, T)
+        div = 2.0 * np.einsum("xmrc,mrq,xqc->x", Td.conj(), BILINEAR, T).real
+        return np.column_stack([vals, div])
+
+    out = _angular_guard(run, spec, run(spec), (family,), "density audits")
+    vals, div = out[:, :4], out[:, 4].real
     return {
         "imag_max": float(np.max(np.abs(vals.imag))),
         "r0_min": float(np.min(vals.real[..., 0])),
@@ -588,16 +666,15 @@ def current_reality_residual(
     """Smeared-current reality: conj of <a| j b> equals <b| j a>.
 
     The smearing is the bare dk dk' double integral with the charge
-    prefactor q c / (2 pi)^3; worst case over the four components.
+    prefactor q c / (2 pi)^3; worst case over the four components.  The
+    smeared currents of general families must pass _angular_guard.
     """
 
-    def halves(fam):
-        T = _field_tensor(fam, [x], spec, consts, weighted=False)[0]
-        D = _field_tensor(fam, [x], spec, consts, weighted=False, dagger=True)[0]
+    def halves(fam, sp):
+        T = _field_tensor(fam, [x], sp, consts, weighted=False)[0]
+        D = _field_tensor(fam, [x], sp, consts, weighted=False, dagger=True)[0]
         return T, D
 
-    TA, DA = halves(family_a)
-    TB, DB = halves(family_b)
     pref = 0.5 * consts.q * consts.c / (2.0 * np.pi) ** 3
     g0 = GAMMA0.real
 
@@ -606,8 +683,12 @@ def current_reality_residual(
         second = np.einsum("mqr,rc,qc->m", GAMMA, Dbra.conj(), g0 @ Dket)
         return pref * (first - second)
 
-    X = smeared(TA, DA, TB, DB)
-    Y = smeared(TB, DB, TA, DA)
+    def run(sp):
+        TA, DA = halves(family_a, sp)
+        TB, DB = halves(family_b, sp)
+        return np.stack([smeared(TA, DA, TB, DB), smeared(TB, DB, TA, DA)])
+
+    X, Y = _angular_guard(run, spec, run(spec), (family_a, family_b), "smeared currents")
     return float(np.max(np.abs(X.conj() - Y)))
 
 

@@ -98,9 +98,13 @@ class GeneralStateFamily:
             raise ValueError(f"coefficient map must return shape (n, {DIM})")
         # |z|^2 summed over the real and imaginary parts, without hypot or temporaries
         parts = out.view(np.float64)
-        norms = np.einsum("nc,nc->n", parts, parts)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise ValueError("state family is not normalized at sampled wave vectors")
+        deviation = np.abs(np.einsum("nc,nc->n", parts, parts) - 1.0)
+        # a NaN norm fails the <=, so a NaN coefficient map is rejected too
+        if not np.all(deviation <= 1e-12):
+            raise ValueError(
+                "state family is not normalized at sampled wave vectors: "
+                f"|z|^2 deviates from 1 by up to {np.max(deviation):.3e}"
+            )
         return out
 
 

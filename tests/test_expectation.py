@@ -14,6 +14,7 @@ from scipy.special import spherical_jn
 from diracfock.constants import PhysicalConstants, natural_units
 from diracfock.expectation import (
     _CHUNK_NODES,
+    _angular_guard,
     _converged,
     _doubling_guard,
     _field_tensor,
@@ -307,6 +308,46 @@ class TestGuardsFailClosed:
             r_density(fam, x, spec, NAT)
 
 
+class TestAngularGuard:
+    """Every field integral of a general family reruns with n_theta doubled.
+
+    At k |x| up to 6 * 1.97 the four polar nodes of the product rule alias,
+    and so do eight, so the two disagree and every caller raises; the radial
+    path has no angular nodes and is never rerun.
+    """
+
+    radial = RhoStateFamily(1, rho=lambda r: 1.0 / np.cosh(r) ** 2, k_cutoff=6.0, hard_cutoff=True)
+    general = GeneralStateFamily(radial.coefficients, radial.k_cutoff, hard_cutoff=True)
+    spec = QuadratureSpec(n_radial=12, n_theta=4)
+    x = np.array([0.2, 1.2, -1.2, 1.0])
+    xp = np.array([0.0, -0.4, 0.2, 0.6])
+    calls = {
+        "two_point": lambda f, x, xp, sp: two_point(f, f, x, xp, sp, NAT),
+        "r_density": lambda f, x, xp, sp: r_density(f, x, sp, NAT),
+        "r_density_residuals": lambda f, x, xp, sp: r_density_residuals(f, x, sp, NAT),
+        "current_reality_residual": lambda f, x, xp, sp: current_reality_residual(
+            f, f, x, sp, NAT
+        ),
+    }
+
+    @pytest.mark.parametrize("call", sorted(calls))
+    def test_guard_trips_on_aliased_angles(self, call):
+        message = r"angular refinement moved the result by \S+ \(base .+, doubled .+, tolerance"
+        with pytest.raises(QuadratureNotConverged, match=message):
+            self.calls[call](self.general, self.x, self.xp, self.spec)
+        self.calls[call](self.radial, self.x, self.xp, self.spec)
+
+    def test_radial_families_are_not_rerun(self):
+        specs = []
+        run = lambda sp: specs.append(sp) or np.ones(2)
+        v = np.zeros(2)
+        assert _angular_guard(run, self.spec, v, (self.radial, self.radial), "x") is v
+        assert specs == []
+        with pytest.raises(QuadratureNotConverged, match="tolerance 1.000e-09"):
+            _angular_guard(run, self.spec, v, (self.radial, self.general), "x")
+        assert specs == [QuadratureSpec(n_radial=12, n_theta=8)]
+
+
 class TestBoundedMemory:
     """Peak memory follows the output, not the number of points times nodes.
 
@@ -314,7 +355,8 @@ class TestBoundedMemory:
     time, at most _CHUNK_NODES points x nodes per slice, four angular parts
     each on the radial path.  Whole-grid phase matrices at these 20,000
     points and 16 radial nodes would take 20 MB on their own.  The product
-    rule of a general family runs one sphere of 2 n_theta^2 nodes at a time.
+    rule of a general family runs one sphere of 2 n_theta^2 nodes at a time,
+    and builds its four direction moments one slice of points at a time.
     """
 
     xs = np.random.default_rng(5).uniform(-2.0, 2.0, size=(20_000, 4))
@@ -343,6 +385,17 @@ class TestBoundedMemory:
         x = np.array([0.3, 0.5, -0.2, 0.4])
         peak = self._peak_mb(lambda: classical_spinor(fam, x, SPEC, NAT, check=False))
         assert peak < 8.0
+
+    def test_general_tensor_peak(self):
+        # spheres of 128 nodes: the moments of all 4,000 points at once would
+        # take 31 MB (4 x 16 bytes per point and node), beside a 3.9 MB tensor
+        radial = sech2_family(1.0)
+        fam = GeneralStateFamily(radial.coefficients, radial.k_cutoff)
+        xs = self.xs[:4000]
+        spec = QuadratureSpec(n_radial=2, n_theta=8)
+        tensor_mb = len(xs) * 64 * 16 / 2**20
+        peak = self._peak_mb(lambda: _field_tensor(fam, xs, spec, NAT))
+        assert peak < tensor_mb + 4 * self.slice_mb
 
     def test_density_peak(self):
         # the field tensor (4 x 16 complex entries per point) and its conjugate grow with the output

@@ -3,9 +3,10 @@
 The engine never multiplies the dense stacks fock.ANNIHILATORS and
 fock.CREATORS; these tests keep the dense application as the oracle for
 every place that applies the gather tables instead.  They also keep the
-earlier layout of the spherical product rule, many spheres per block with
-the spinor sandwich contracted from the full gather stack, as the oracle
-of the one-sphere blocks and the pair-product sandwich.
+earlier layout of the spherical product rule as the oracle of its moment
+form: many spheres per block, the spinor columns and the mode measure
+evaluated at every node, and the spinor sandwich or the mode actions
+contracted with those columns node by node.
 """
 
 import itertools
@@ -150,7 +151,7 @@ def test_scattered_psi_matches_dense_halves(batched):
     assert np.max(np.abs(fields.psi_matrices(k, x, 1.3) - (plus + minus))) <= 1e-15
 
 
-# -- the product rule one sphere per block, against the earlier chunked layout --
+# -- the product rule in moment form, against the earlier per-node layout --
 
 
 def _chunked_product_rule(family, spec):
@@ -166,6 +167,25 @@ def _chunked_product_rule(family, spec):
         yield kv, (ws[:, None] * wo[None, :]).reshape(-1)
 
 
+def _node_blocks(family, spec, consts, weighted=True):
+    """(kv, k0, w, u, v, z) per chunked block: k0, the measure and the spinors at every node."""
+    for kv, wq in _chunked_product_rule(family, spec):
+        kmag = np.linalg.norm(kv, axis=-1)
+        k0 = np.sqrt(consts.kappa**2 + kmag**2)
+        w = wq * expectation._weight(kmag, consts) if weighted else wq
+        u, v = u_columns(kv, consts.kappa), v_columns(kv, consts.kappa)
+        yield kv, k0, w, u, v, family.coefficients(kv)
+
+
+def _plane_weights(kv, k0, w, derivatives, xs):
+    """w exp(-i k.x) per (x, node) and its d/dx^mu, which brings down -i k_mu."""
+    E = np.exp(-1.0j * (np.outer(xs[:, 0], k0) - xs[:, 1:] @ kv.T)) * w
+    if not derivatives:
+        return E, None
+    k_cov = np.column_stack([k0, -kv])
+    return E, -1.0j * k_cov.T[None, :, :] * E[:, None, :]
+
+
 def _gathered_sandwich(z):
     """<z| a_s |z> for modes 1, 2 and <z| a_s^dagger |z> for modes 3, 4, from the gather stack."""
     zc = z.conj()
@@ -173,21 +193,37 @@ def _gathered_sandwich(z):
 
 
 def _chunked_overlap_spinor(family, xs, spec, consts, derivatives=False):
-    """expectation._overlap_spinor of a general family, in the chunked layout."""
+    """expectation._overlap_spinor of a general family, spinor columns at every node."""
     phi = np.zeros((len(xs), 4), dtype=np.complex128)
     dphi = np.zeros((len(xs), 4, 4), dtype=np.complex128)
-    for kv, wq in _chunked_product_rule(family, spec):
-        kmag = np.linalg.norm(kv, axis=-1)
-        k0 = np.sqrt(consts.kappa**2 + kmag**2)
-        w = wq * expectation._weight(kmag, consts)
-        y1, y2 = _gathered_sandwich(family.coefficients(kv))
-        g1 = np.einsum("nrs,ns->nr", u_columns(kv, consts.kappa), y1)
-        g2 = np.einsum("nrs,ns->nr", v_columns(kv, consts.kappa), y2)
-        E, dE = expectation._plane_weights(kv, k0, w, derivatives, xs)
+    for kv, k0, w, u, v, z in _node_blocks(family, spec, consts):
+        y1, y2 = _gathered_sandwich(z)
+        g1 = np.einsum("nrs,ns->nr", u, y1)
+        g2 = np.einsum("nrs,ns->nr", v, y2)
+        E, dE = _plane_weights(kv, k0, w, derivatives, xs)
         phi += E @ g1 + E.conj() @ g2
         if derivatives:
             dphi += dE @ g1 + dE.conj() @ g2
     return (phi, dphi) if derivatives else phi
+
+
+def _chunked_field_tensor(family, xs, spec, consts, weighted=True, derivatives=False, dagger=False):
+    """expectation._field_tensor of a general family, spinors and dense operators at every node."""
+    T = np.zeros((len(xs), 4, DIM), dtype=np.complex128)
+    Td = np.zeros((len(xs), 4, 4, DIM), dtype=np.complex128)
+    for kv, k0, w, u, v, z in _node_blocks(family, spec, consts, weighted):
+        Z1, Z2 = _dense_mode_actions(z, dagger)
+        if dagger:
+            u, v = u.conj(), v.conj()
+        K1 = np.einsum("nrs,nsc->nrc", u, Z1)
+        K2 = np.einsum("nrs,nsc->nrc", v, Z2)
+        E, dE = _plane_weights(kv, k0, w, derivatives, xs)
+        e1, e2 = (E.conj(), E) if dagger else (E, E.conj())
+        T += np.einsum("xn,nrc->xrc", e1, K1) + np.einsum("xn,nrc->xrc", e2, K2)
+        if derivatives:
+            d1, d2 = (dE.conj(), dE) if dagger else (dE, dE.conj())
+            Td += np.einsum("xmn,nrc->xmrc", d1, K1) + np.einsum("xmn,nrc->xmrc", d2, K2)
+    return (T, Td) if derivatives else T
 
 
 def _phased_general_family():
@@ -219,18 +255,43 @@ def test_overlap_spinor_matches_chunked_layout(derivatives):
         assert _relative_gap(a, b) <= 1e-14
 
 
-@pytest.mark.parametrize("dagger", [False, True])
-def test_field_tensor_matches_chunked_layout(dagger, monkeypatch):
-    def tensor():
-        return expectation._field_tensor(
-            PHASED, XS, PRODUCT_SPEC, NAT, weighted=not dagger, derivatives=True, dagger=dagger
-        )
+TENSOR_VARIANTS = {
+    "plain": {},
+    "unweighted": {"weighted": False},
+    "dagger": {"weighted": False, "dagger": True},
+}
 
-    got = tensor()
-    monkeypatch.setattr(expectation, "_product_chunks", _chunked_product_rule)
-    want = tensor()
+
+@pytest.mark.parametrize("dagger", [False, True])
+def test_field_tensor_matches_chunked_layout(dagger):
+    options = {"weighted": not dagger, "derivatives": True, "dagger": dagger}
+    got = expectation._field_tensor(PHASED, XS, PRODUCT_SPEC, NAT, **options)
+    want = _chunked_field_tensor(PHASED, XS, PRODUCT_SPEC, NAT, **options)
     for a, b in zip(got, want):
         assert _relative_gap(a, b) <= 1e-14
+
+
+@pytest.mark.parametrize("variant", sorted(TENSOR_VARIANTS))
+def test_field_tensor_variants_match_chunked_layout(variant):
+    options = TENSOR_VARIANTS[variant]
+    got = expectation._field_tensor(PHASED, XS, PRODUCT_SPEC, NAT, **options)
+    want = _chunked_field_tensor(PHASED, XS, PRODUCT_SPEC, NAT, **options)
+    assert _relative_gap(got, want) <= 1e-14
+
+
+@pytest.mark.parametrize("call", sorted(CALLS))
+def test_product_rule_evaluates_six_spinors_per_radius(call, monkeypatch):
+    # the moment form reads u and v at k = +-r e_j only, never at the nodes
+    counted = []
+    for name in ("u_columns", "v_columns"):
+
+        def counting(k, kappa, columns=getattr(expectation, name)):
+            counted.append(np.asarray(k).size // 3)
+            return columns(k, kappa)
+
+        monkeypatch.setattr(expectation, name, counting)
+    CALLS[call](PHASED, XS, PRODUCT_SPEC)
+    assert sum(counted) == 2 * 6 * PRODUCT_SPEC.n_radial
 
 
 def test_general_total_charge_matches_chunked_layout():

@@ -112,6 +112,24 @@ def test_general_family_validates_shape_and_norm():
         GeneralStateFamily(z=good, k_cutoff=0.0)
 
 
+@pytest.mark.parametrize(
+    "rows, value, worst",
+    [("all", np.nan, "nan"), ("one", np.nan, "nan"), ("one", 0.9, r"1\.900e-01")],
+    ids=["all-nan", "one-nan", "one-short"],
+)
+def test_general_family_rejects_malformed_rows(rows, value, worst):
+    # a NaN norm compares False against any bound, so the check must ask for <= 1e-12
+    def coefficients(kvecs):
+        z = np.zeros((len(kvecs), 16), dtype=complex)
+        z[:, 0] = 1.0
+        z[slice(None) if rows == "all" else 1, 0] = value
+        return z
+
+    fam = GeneralStateFamily(z=coefficients, k_cutoff=5.0)
+    with pytest.raises(ValueError, match=f"not normalized .* deviates from 1 by up to {worst}"):
+        fam.coefficients(np.zeros((3, 3)))
+
+
 def test_config_round_trip():
     fam = family_from_config({"profile": "sech2", "a": 2.0, "occupied": 4, "chi": 0.3})
     assert fam.occupied == 4
