@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -112,11 +113,9 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     kappa = args.kappa if args.kappa is not None else float(config.get("kappa", 1.0))
     perturb = args.perturb if args.perturb is not None else float(config.get("perturb", 0.0))
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    consts = PhysicalConstants(kappa=kappa)
     if not math.isfinite(perturb):
         raise ValueError(f"perturb must be finite, got {perturb}")
-    consts = PhysicalConstants(kappa=kappa)
     report = run_suite(
         seed=seed,
         n_spinor=int(config.get("n_spinor", 1000)),
@@ -135,10 +134,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_example(args) -> int:
-    if not math.isfinite(args.a):
-        raise ValueError(f"scale a must be finite, got {args.a}")
-    if args.a <= 0 or args.kappa <= 0 or args.ell <= 0:
-        raise ValueError("a, kappa, and ell must be positive")
     consts = PhysicalConstants(kappa=args.kappa, ell=args.ell)
     spec = QuadratureSpec(n_radial=args.nodes, r_max=args.rmax)
     rep = example_report(args.a, consts, spec)
@@ -209,13 +204,10 @@ def cmd_sample_field(args) -> int:
             row.append(repr(float(ph[r].imag)))
         row += [repr(float(c)) for c in de]
         rows.append(row)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
-    else:
-        w = csv.writer(sys.stdout, lineterminator="\n")
+    with (
+        open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
+    ) as fh:
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
     return EXIT_OK

@@ -383,7 +383,7 @@ def _overlap_spinor(family, xs, spec, consts, derivatives=False):
     dphi = np.zeros((nx, 4, 4), dtype=np.complex128) if derivatives else None
     for phases, u, v, z in _blocks(family, spec, consts, derivatives=derivatives):
         # <z| a_s |z> for s = 1..4; the creators of modes 3, 4 give its conjugate
-        y = (z[:, _PAIR_ROWS].conj() * z[:, _PAIR_COLS]) @ _PAIR_SIGNS
+        y = (z.conj()[:, _PAIR_ROWS] * z[:, _PAIR_COLS]) @ _PAIR_SIGNS
         apply = _contraction(u, v, y[:, :2], y[:, 2:].conj())
         for sl in _point_slices(nx, len(z)):
             W, dW = phases(xs[sl])
@@ -593,20 +593,26 @@ def two_point_dirac_residual(
     """Field equations of the two-point matrix in both arguments.
 
     Checks i kappa G = -d'_mu (gamma^mu G) and the adjoint-side relation
-    i kappa G = +d_mu (G gamma^mu), derivatives taken analytically.
+    i kappa G = +d_mu (G gamma^mu), derivatives taken analytically.  A
+    non-finite residual raises QuadratureNotConverged.
     """
-    TA, TAd = _field_tensor(bra_family, [x], spec, consts, derivatives=True)
-    TB, TBd = _field_tensor(ket_family, [xp], spec, consts, derivatives=True)
-    TA, TAd, TB, TBd = TA[0], TAd[0], TB[0], TBd[0]
-    L = GAMMA0.real @ TA
-    Ld = np.einsum("ab,mbc->mac", GAMMA0.real, TAd)
-    G = np.einsum("rc,pc->pr", L.conj(), TB)
-    Gd_ket = np.einsum("rc,mpc->mpr", L.conj(), TBd)
-    Gd_bra = np.einsum("mrc,pc->mpr", Ld.conj(), TB)
-    lhs = 1.0j * consts.kappa * G
-    rhs_ket = -np.einsum("mab,mbr->ar", GAMMA, Gd_ket)
-    rhs_bra = np.einsum("mpb,mbr->pr", Gd_bra, GAMMA)
-    return float(max(np.max(np.abs(lhs - rhs_ket)), np.max(np.abs(lhs - rhs_bra))))
+
+    def run(sp):
+        TA, TAd = _field_tensor(bra_family, [x], sp, consts, derivatives=True)
+        TB, TBd = _field_tensor(ket_family, [xp], sp, consts, derivatives=True)
+        TA, TAd, TB, TBd = TA[0], TAd[0], TB[0], TBd[0]
+        L = GAMMA0.real @ TA
+        Ld = np.einsum("ab,mbc->mac", GAMMA0.real, TAd)
+        G = np.einsum("rc,pc->pr", L.conj(), TB)
+        Gd_ket = np.einsum("rc,mpc->mpr", L.conj(), TBd)
+        Gd_bra = np.einsum("mrc,pc->mpr", Ld.conj(), TB)
+        lhs = 1.0j * consts.kappa * G
+        rhs_ket = -np.einsum("mab,mbr->ar", GAMMA, Gd_ket)
+        rhs_bra = np.einsum("mpb,mbr->pr", Gd_bra, GAMMA)
+        # one np.max, so a NaN on either side reaches _converged
+        return np.max(np.abs([lhs - rhs_ket, lhs - rhs_bra]))
+
+    return float(_converged(run, spec, False, "two-point field equations"))
 
 
 def r_density(
@@ -637,7 +643,8 @@ def r_density_residuals(
 ) -> dict[str, float]:
     """Reality, positivity, and continuity audits of the local densities.
 
-    A general family's densities and divergence must pass _angular_guard.
+    The densities and divergence must be finite, and a general family's
+    must pass _angular_guard, or QuadratureNotConverged is raised.
     """
     x = np.asarray(x, dtype=float)
 
@@ -647,7 +654,8 @@ def r_density_residuals(
         div = 2.0 * np.einsum("xmrc,mrq,xqc->x", Td.conj(), BILINEAR, T).real
         return np.column_stack([vals, div])
 
-    out = _angular_guard(run, spec, run(spec), (family,), "density audits")
+    out = _converged(run, spec, False, "density audits")
+    out = _angular_guard(run, spec, out, (family,), "density audits")
     vals, div = out[:, :4], out[:, 4].real
     return {
         "imag_max": float(np.max(np.abs(vals.imag))),
@@ -667,7 +675,8 @@ def current_reality_residual(
 
     The smearing is the bare dk dk' double integral with the charge
     prefactor q c / (2 pi)^3; worst case over the four components.  The
-    smeared currents of general families must pass _angular_guard.
+    smeared currents must be finite, and those of general families must
+    pass _angular_guard.
     """
 
     def halves(fam, sp):
@@ -688,7 +697,8 @@ def current_reality_residual(
         TB, DB = halves(family_b, sp)
         return np.stack([smeared(TA, DA, TB, DB), smeared(TB, DB, TA, DA)])
 
-    X, Y = _angular_guard(run, spec, run(spec), (family_a, family_b), "smeared currents")
+    v = _converged(run, spec, False, "smeared currents")
+    X, Y = _angular_guard(run, spec, v, (family_a, family_b), "smeared currents")
     return float(np.max(np.abs(X.conj() - Y)))
 
 

@@ -23,9 +23,6 @@ axes broadcast, as spinors.u_columns does.  Operator stacks come back as
 one value per sample, a plain float when no argument has leading axes.
 """
 
-from functools import cache
-from typing import NamedTuple
-
 import numpy as np
 
 from .constants import PhysicalConstants
@@ -35,6 +32,7 @@ from .fock import (
     CREATOR_INDEX,
     CREATOR_SIGN,
     DIM,
+    charge_operator,
     hamiltonian,
     mode_annihilator,
     mode_creator,
@@ -272,89 +270,36 @@ def _intertwining_residual(chat: np.ndarray, ks: np.ndarray, kappa: float) -> fl
     return float(np.max(np.linalg.norm(chat @ a - b @ chat, 2, axis=(-2, -1))))
 
 
-class _Block(NamedTuple):
-    """One decoupled block of the conjugation system C_hat A = B C_hat.
-
-    cols  unknowns, as indices into vec(C_hat) (column-major: j * 16 + b is C_hat[b, j])
-    rows  equations, relation * 256 + i * 16 + a, the (a, i) entry of one relation
-    src   for each nonzero, its index into the stacked values of A and -B, (2, 2, 16, 16)
-    pos   for each nonzero, its index into the flattened (rows, cols) block
-    """
-
-    cols: np.ndarray
-    rows: np.ndarray
-    src: np.ndarray
-    pos: np.ndarray
+# Q / q of each basis state.  Unknown C_hat[b, j], numbered j * 16 + b
+# (column-major vec), lies in sector Q(b) + Q(j); equation (a, i), numbered
+# relation * 256 + i * 16 + a, in Q(a) + Q(i) - 1 (psi relation) or + 1 (adjoint).
+_CHARGE = np.diag(charge_operator(PhysicalConstants(q=1.0))).real.astype(int)
+_UNKNOWN_SECTOR = (_CHARGE[:, None] + _CHARGE).ravel()
+_EQUATION_SECTOR = np.concatenate([_UNKNOWN_SECTOR - 1, _UNKNOWN_SECTOR + 1])
 
 
-@cache
-def _conjugation_blocks() -> tuple[_Block, ...]:
-    """The blocks of the conjugation system, derived from the field supports.
+def _sector_systems(a: np.ndarray, b: np.ndarray):
+    """(cols, system) for each charge sector, system (samples * 4 * rows, cols).
 
-    Equation (a, i) of one relation, (C_hat A - B C_hat)[a, i] = 0, holds
-    C_hat[a, j] for each nonzero A[j, i] and C_hat[b, i] for each nonzero
-    B[a, b].  A and B are psi and psi_a stacks, whose supports are the
-    entries of _PLUS_SUPPORT and _MINUS_SUPPORT and their transposes for
-    every k and kappa, so the unknowns linked through shared equations
-    fall into the same connected blocks at every solve.  Field operators
-    have no diagonal entries, so no equation meets one unknown twice.
-    Derived on the first solve, not at import.
+    a and b are the (..., 4, 2, 16, 16) stacks of _conjugation_relations.
+    Column c is C_hat[b_c, j_c]; it holds A[j_c, i] in equation (a = b_c, i)
+    and -B[a, b_c] in equation (a, i = j_c), and each entry is gathered
+    from a and b directly, so the full system is never built.
     """
     n = DIM * DIM
-    out_idx = np.concatenate([_PLUS_SUPPORT[0].ravel(), _MINUS_SUPPORT[0].ravel()])
-    in_idx = np.concatenate([_PLUS_SUPPORT[1].ravel(), _MINUS_SUPPORT[1].ravel()])
-    psi, adjoint = (out_idx, in_idx), (in_idx, out_idx)
-    free = np.arange(DIM)[:, None]
-    src, eqs, unknowns = [], [], []
-    for rel, ((j, i), (a, b)) in enumerate([(psi, adjoint), (adjoint, psi)]):
-        # A[j, i] puts C_hat[a, j] into equation (a, i), for every a
-        src.append(np.broadcast_to(rel * n + j * DIM + i, (DIM, j.size)))
-        eqs.append(rel * n + i * DIM + free)
-        unknowns.append(j * DIM + free)
-        # B[a, b] puts C_hat[b, i] into equation (a, i), for every i
-        src.append(np.broadcast_to(2 * n + rel * n + a * DIM + b, (DIM, a.size)))
-        eqs.append(rel * n + free * DIM + a)
-        unknowns.append(free * DIM + b)
-    src, eqs, unknowns = (np.concatenate([t.ravel() for t in ts]) for ts in (src, eqs, unknowns))
-
-    # connected components of the graph joining each equation to its
-    # unknowns: nodes 0..n-1 are unknowns, n.. are equations
-    label = np.arange(3 * n)
-    while True:
-        old = label.copy()
-        np.minimum.at(label, n + eqs, label[unknowns])
-        np.minimum.at(label, unknowns, label[n + eqs])
-        label = label[label]
-        if np.array_equal(label, old):
-            break
-
-    # each block is labelled by its lowest unknown (np.unique would import
-    # numpy.ma, about 15 ms on a first call)
-    blocks = []
-    for root in np.flatnonzero(label[:n] == np.arange(n)):
-        cols = np.flatnonzero(label[:n] == root)
-        mine = label[unknowns] == root
-        rows = np.flatnonzero(np.bincount(eqs[mine], minlength=2 * n))
-        pos = np.searchsorted(rows, eqs[mine]) * cols.size + np.searchsorted(cols, unknowns[mine])
-        block = _Block(cols, rows, src[mine], pos)
-        for table in block:
-            table.setflags(write=False)
-        blocks.append(block)
-    return tuple(blocks)
-
-
-def _block_systems(a: np.ndarray, b: np.ndarray):
-    """Each block's part of the system, (samples * 4 * rows, cols), in block order.
-
-    a and b are the (..., 4, 2, 16, 16) stacks of _conjugation_relations;
-    the entries are gathered from their nonzeros, so the full system is
-    never built.
-    """
-    values = np.concatenate([a.reshape(-1, 2 * DIM * DIM), -b.reshape(-1, 2 * DIM * DIM)], axis=-1)
-    for block in _conjugation_blocks():
-        sub = np.zeros((len(values), block.rows.size * block.cols.size), dtype=np.complex128)
-        sub[:, block.pos] = values[:, block.src]
-        yield sub.reshape(-1, block.cols.size)
+    a, b = a.reshape(-1, 2 * n), b.reshape(-1, 2 * n)
+    # per sample and component: the entries of A, of -B, and a zero
+    values = np.concatenate([a, -b, np.zeros((len(a), 1))], axis=-1)
+    for sector in range(2 * _CHARGE.min(), 2 * _CHARGE.max() + 1):
+        cols = np.flatnonzero(_UNKNOWN_SECTOR == sector)
+        rows = np.flatnonzero(_EQUATION_SECTOR == sector)[:, None]
+        rel, ri, ra = rows // n, rows // DIM % DIM, rows % DIM
+        cj, cb = cols // DIM, cols % DIM
+        a_entry = rel * n + cj * DIM + ri
+        b_entry = (2 + rel) * n + ra * DIM + cb
+        # A where a = b_c, -B where i = j_c, else the zero at the end of values
+        src = np.where(ra == cb, a_entry, np.where(ri == cj, b_entry, -1))
+        yield cols, values.take(src, axis=1).reshape(-1, cols.size)
 
 
 def fock_charge_conjugation(
@@ -380,20 +325,21 @@ def fock_charge_conjugation(
     and stacking those rows filters the null space down to the unitary
     direction.
 
-    The joint homogeneous system has 256 unknowns, but each equation
-    holds at most six of them, and which ones is fixed by the supports of
-    the field operators, not by k or kappa.  The unknowns therefore split
-    into decoupled blocks (sizes C(8, j), j = 0..8), derived from
-    _PLUS_SUPPORT and _MINUS_SUPPORT once, on the first call.  Each block
-    is gathered from the nonzeros of the relations and solved by a QR
-    factorization and an SVD of its small triangular factor.  The
-    singular values of the whole system are the union of the blocks'
-    values; a direction is null when its value is at most null_rtol times
-    the largest over all blocks.  The unique null direction is scaled to
-    a unitary and its phase fixed so that the vacuum entry C_hat[0, 0] is
-    real positive: C_hat maps the vacuum to itself with phase +1.  (C_hat
-    is a signed permutation, so a rule such as "make the largest entry
-    real positive" would tie between 16 entries of modulus 1.)
+    The joint homogeneous system has 256 unknowns, but it conserves
+    charge: psi lowers Q = q (N_1 + N_2 - N_3 - N_4) by q and psi_a raises
+    it, so each equation holds only unknowns C_hat[b, j] of one sector
+    Q(b) + Q(j), whatever k and kappa.  The unknowns split into the nine
+    sectors Q(b) + Q(j) = -4q .. 4q, of C(8, j) unknowns each; C_hat, which
+    flips the charge, lies in sector 0.  Each sector's system is built from
+    the relations directly and solved by a QR factorization and an SVD of
+    its small triangular factor.  The singular values of the whole system
+    are the union of the sectors' values; a direction is null when its
+    value is at most null_rtol times the largest over all sectors.  The
+    unique null direction is scaled to a unitary and its phase fixed so
+    that the vacuum entry C_hat[0, 0] is real positive: C_hat maps the
+    vacuum to itself with phase +1.  (C_hat is a signed permutation, so a
+    rule such as "make the largest entry real positive" would tie between
+    16 entries of modulus 1.)
 
     Raises ValueError when kappa or any wave vector is not finite,
     NoSolutionError when the null space is empty or carries no unitary,
@@ -416,14 +362,15 @@ def fock_charge_conjugation(
         if not np.isfinite(ks).all():
             raise ValueError(f"{name} wave vectors must be finite")
 
-    sings, vhs = [], []
-    for sub in _block_systems(*_conjugation_relations(sample_ks, kappa)):
+    sings, vhs, cols = [], [], []
+    for sector_cols, sub in _sector_systems(*_conjugation_relations(sample_ks, kappa)):
         # sub = Q R keeps the singular values and right vectors in R, which
-        # is square (every block has more equations than unknowns), so the
-        # tall block itself is never decomposed
+        # is square (every sector has more equations than unknowns), so the
+        # tall system itself is never decomposed
         sing, vh = np.linalg.svd(np.linalg.qr(sub, mode="r"))[1:]
         sings.append(sing)
         vhs.append(vh)
+        cols.append(sector_cols)
     largest = max(sing[0] for sing in sings)
     null = [sing <= null_rtol * largest for sing in sings]
     n_null = sum(int(mask.sum()) for mask in null)
@@ -437,7 +384,7 @@ def fock_charge_conjugation(
 
     which = next(n for n, mask in enumerate(null) if mask.any())
     vec = np.zeros(DIM * DIM, dtype=np.complex128)
-    vec[_conjugation_blocks()[which].cols] = vhs[which][-1]
+    vec[cols[which]] = vhs[which][-1]
     chat = vec.reshape(DIM, DIM).T  # undo column-major vec
     gram = chat.conj().T @ chat
     scale = np.sqrt(gram.trace().real / DIM)

@@ -56,20 +56,13 @@ def u_columns(k: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def v_columns(k: np.ndarray, kappa: float) -> np.ndarray:
-    """Both v spinors at wave vector(s) k; column j is the spinor of mode j + 3."""
-    k = np.asarray(k, dtype=float)
-    kx, ky, kz = k[..., 0], k[..., 1], k[..., 2]
-    k0 = np.sqrt(kappa**2 + np.einsum("...i,...i->...", k, k))
-    norm = 1.0 / np.sqrt(2.0 * k0 * (k0 + kappa))
-    out = np.zeros(k.shape[:-1] + (4, 2), dtype=np.complex128)
-    out[..., 0, 0] = -kz
-    out[..., 1, 0] = -(kx + 1.0j * ky)
-    out[..., 2, 0] = k0 + kappa
-    out[..., 0, 1] = -(kx - 1.0j * ky)
-    out[..., 1, 1] = kz
-    out[..., 3, 1] = k0 + kappa
-    out *= norm[..., None, None]
-    return out
+    """Both v spinors at wave vector(s) k; column j is the spinor of mode j + 3.
+
+    v(s, k) = gamma^5 u(s, k): gamma^5 anticommutes with slash(k) and maps
+    u0 onto v0, and in the standard representation it swaps the upper and
+    lower halves of a spinor.
+    """
+    return u_columns(k, kappa).take([2, 3, 0, 1], axis=-2)
 
 
 def spinor_bilinear(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -297,7 +297,7 @@ class TestGuardsFailClosed:
             _converged(run, SPEC, True, "spinor")
 
     def test_unchecked_integrals_reject_nan_density(self):
-        # both skip the refinement check by default, so only the finiteness test
+        # none has a refinement check by default, so only the finiteness test
         # stands; tabulated_family rejects NaN samples, so rho returns NaN here
         fam = RhoStateFamily(1, rho=lambda r: np.full_like(r, np.nan), k_cutoff=1.0)
         spec = QuadratureSpec(n_radial=8, n_theta=4)
@@ -306,6 +306,12 @@ class TestGuardsFailClosed:
             two_point(fam, fam, x, x, spec, NAT)
         with pytest.raises(QuadratureNotConverged):
             r_density(fam, x, spec, NAT)
+        with pytest.raises(QuadratureNotConverged):
+            r_density_residuals(fam, x, spec, NAT)
+        with pytest.raises(QuadratureNotConverged):
+            current_reality_residual(fam, fam, x, spec, NAT)
+        with pytest.raises(QuadratureNotConverged):
+            two_point_dirac_residual(fam, fam, x, x, spec, NAT)
 
 
 class TestAngularGuard:

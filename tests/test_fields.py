@@ -9,9 +9,8 @@ from diracfock.constants import PhysicalConstants, natural_units
 from diracfock.fields import (
     AmbiguousSolutionError,
     NoSolutionError,
-    _block_systems,
-    _conjugation_blocks,
     _conjugation_relations,
+    _sector_systems,
     adjoint_dirac_residual,
     dirac_residual,
     fock_charge_conjugation,
@@ -253,26 +252,48 @@ def _full_system_solve(kappa, sample_ks):
     return chat * np.exp(-1.0j * np.angle(chat[0, 0]))
 
 
+def _charge_sectors(kappa, ks):
+    """(sector, cols, rows, system) for each sector yielded by _sector_systems.
+
+    The sector of a column is recomputed here from the charge of the basis
+    states, and its rows from the relation each equation belongs to: the
+    psi relation lowers the charge by one unit, the adjoint relation raises it.
+    """
+    charge = np.diag(charge_operator(natural_units())).real
+    # Q(j) + Q(b) of unknown j * 16 + b, and Q(i) + Q(a) of equation (a, i)
+    pair = (charge[:, None] + charge).ravel()
+    row_sector = np.concatenate([pair - 1, pair + 1])
+    for cols, sub in _sector_systems(*_conjugation_relations(ks, kappa)):
+        sector = pair[cols[0]]
+        assert np.all(pair[cols] == sector)
+        yield sector, cols, np.flatnonzero(row_sector == sector), sub
+
+
 class TestConjugationBlocks:
+    """The blocks of the conjugation system are its charge sectors."""
+
+    ks = np.random.default_rng(31).normal(size=(3, 3))
+
     def test_blocks_cover_every_unknown_once(self):
-        cols = np.concatenate([block.cols for block in _conjugation_blocks()])
+        sectors = list(_charge_sectors(KAPPA, self.ks))
+        assert [s for s, *_ in sectors] == list(range(-4, 5))
+        cols = np.concatenate([cols for _, cols, _, _ in sectors])
         assert np.array_equal(np.sort(cols), np.arange(DIM * DIM))
-        rows = np.concatenate([block.rows for block in _conjugation_blocks()])
-        assert len(rows) == len(np.unique(rows))
 
     def test_block_sizes_are_binomial(self):
-        sizes = sorted(block.cols.size for block in _conjugation_blocks())
-        assert sizes == [math.comb(8, j) for j in (0, 8, 1, 7, 2, 6, 3, 5, 4)]
+        sizes = [cols.size for _, cols, _, _ in _charge_sectors(KAPPA, self.ks)]
+        assert sizes == [math.comb(8, j) for j in range(9)]
 
     @pytest.mark.parametrize("kappa", [1.0, 1.7])
     def test_system_vanishes_outside_the_blocks(self, kappa):
-        ks = kappa * np.random.default_rng(31).normal(size=(3, 3))
+        ks = kappa * self.ks
         system = _full_system(kappa, ks).reshape(-1, 2 * DIM * DIM, DIM * DIM)
         inside = np.zeros(system.shape[1:], dtype=bool)
-        for block, sub in zip(_conjugation_blocks(), _block_systems(*_conjugation_relations(ks, kappa))):
-            inside[np.ix_(block.rows, block.cols)] = True
-            dense = system[:, block.rows][:, :, block.cols]
-            assert np.array_equal(sub, dense.reshape(-1, block.cols.size))
+        for _, cols, rows, sub in _charge_sectors(kappa, ks):
+            assert not inside[rows].any()
+            inside[np.ix_(rows, cols)] = True
+            dense = system[:, rows][:, :, cols]
+            assert np.array_equal(sub, dense.reshape(-1, cols.size))
         assert np.count_nonzero(system[:, ~inside]) == 0
         assert np.count_nonzero(system[:, inside]) > 0
 
