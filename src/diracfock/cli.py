@@ -27,7 +27,7 @@ import numpy as np
 from .constants import PhysicalConstants
 from .expectation import classical_spinor, example_report, r_density
 from .quadrature import Diverged, QuadratureNotConverged, QuadratureSpec
-from .states import family_from_config
+from .states import config_integer, family_from_config
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -110,7 +110,7 @@ def _emit_json(payload: dict, out, to_stdout: bool):
 
 def cmd_verify(args) -> int:
     config = _load_json(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else config_integer(config.get("seed", 0), "seed")
     kappa = args.kappa if args.kappa is not None else float(config.get("kappa", 1.0))
     perturb = args.perturb if args.perturb is not None else float(config.get("perturb", 0.0))
     consts = PhysicalConstants(kappa=kappa)
@@ -118,8 +118,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"perturb must be finite, got {perturb}")
     report = run_suite(
         seed=seed,
-        n_spinor=int(config.get("n_spinor", 1000)),
-        n_operator=int(config.get("n_operator", 100)),
+        n_spinor=config_integer(config.get("n_spinor", 1000), "n_spinor", minimum=1),
+        n_operator=config_integer(config.get("n_operator", 100), "n_operator", minimum=1),
         consts=consts,
         perturb=perturb,
     )
@@ -160,11 +160,10 @@ def cmd_example(args) -> int:
 def _axis(spec, name):
     if not (isinstance(spec, (list, tuple)) and len(spec) == 3):
         raise ValueError(f"grid axis {name} must be [start, stop, count]")
-    start, stop, count = float(spec[0]), float(spec[1]), int(spec[2])
+    start, stop = float(spec[0]), float(spec[1])
+    count = config_integer(spec[2], f"grid axis {name} count", minimum=1)
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid axis {name} needs finite ends, got [{start}, {stop}]")
-    if count < 1:
-        raise ValueError(f"grid axis {name} needs a positive count")
     return np.linspace(start, stop, count)
 
 

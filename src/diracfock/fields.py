@@ -32,10 +32,12 @@ from .fock import (
     CREATOR_INDEX,
     CREATOR_SIGN,
     DIM,
-    charge_operator,
+    N_MODES,
+    basis_state,
     hamiltonian,
     mode_annihilator,
     mode_creator,
+    vacuum_state,
 )
 from .gamma import (
     CONJUGATION_INDEX,
@@ -51,11 +53,11 @@ from .spinors import u_columns, v_columns
 
 
 class NoSolutionError(RuntimeError):
-    """The intertwining system for the Fock-space conjugation has no solution."""
+    """The Fock-space conjugation does not intertwine the fields at the sampled wave vectors."""
 
 
 class AmbiguousSolutionError(RuntimeError):
-    """The intertwining system does not pin the conjugation up to a phase."""
+    """The intertwining system leaves more than a phase free (raised by the tests' sector solve)."""
 
 
 def _k0(k: np.ndarray, kappa: float) -> np.ndarray:
@@ -252,11 +254,7 @@ def conjugation_mix(stack: np.ndarray) -> np.ndarray:
 
 
 def _conjugation_relations(ks: np.ndarray, kappa: float):
-    """(A, B), each (..., 4, 2, 16, 16): C_hat A = B C_hat for each component and relation.
-
-    The two relations at x = 0 are C_hat psi_r = (C psi_a)_r C_hat and
-    C_hat psi_a_r = -(C psi)_r C_hat, with C the spinor conjugation matrix.
-    """
+    """(A, B), each (..., 4, 2, 16, 16), with C_hat A = B C_hat: psi, then psi_a, at x = 0."""
     x0 = np.zeros(4)
     p = psi_matrices(ks, x0, kappa)
     pa = psi_adjoint_matrices(ks, x0, kappa)
@@ -264,88 +262,60 @@ def _conjugation_relations(ks: np.ndarray, kappa: float):
     return np.stack([p, pa], axis=-3), np.stack(mixed, axis=-3)
 
 
+# largest intertwining residual, an absolute matrix norm, that C_hat may leave
+INTERTWINING_TOL = 1e-8
+
+
 def _intertwining_residual(chat: np.ndarray, ks: np.ndarray, kappa: float) -> float:
-    """Worst residual of both conjugation relations over the wave vectors ks."""
+    """Worst Frobenius norm, an upper bound on the operator norm, of both relations over ks."""
     a, b = _conjugation_relations(ks, kappa)
-    return float(np.max(np.linalg.norm(chat @ a - b @ chat, 2, axis=(-2, -1))))
+    return float(np.max(np.linalg.norm(chat @ a - b @ chat, axis=(-2, -1))))
 
 
-# Q / q of each basis state.  Unknown C_hat[b, j], numbered j * 16 + b
-# (column-major vec), lies in sector Q(b) + Q(j); equation (a, i), numbered
-# relation * 256 + i * 16 + a, in Q(a) + Q(i) - 1 (psi relation) or + 1 (adjoint).
-_CHARGE = np.diag(charge_operator(PhysicalConstants(q=1.0))).real.astype(int)
-_UNKNOWN_SECTOR = (_CHARGE[:, None] + _CHARGE).ravel()
-_EQUATION_SECTOR = np.concatenate([_UNKNOWN_SECTOR - 1, _UNKNOWN_SECTOR + 1])
+# mode s: (pi(s), eps_s) with C_hat a_s C_hat^dagger = eps_s a_pi(s)
+_MODE_MAP = {1: (4, -1.0), 2: (3, 1.0), 3: (2, 1.0), 4: (1, -1.0)}
 
 
-def _sector_systems(a: np.ndarray, b: np.ndarray):
-    """(cols, system) for each charge sector, system (samples * 4 * rows, cols).
+def _mode_map_conjugation() -> np.ndarray:
+    """C_hat as a read-only table: basis state to the mapped creators, same order, on the vacuum."""
+    chat = np.zeros((DIM, DIM), dtype=np.complex128)
+    for n in range(DIM):
+        modes = [s for s in range(1, N_MODES + 1) if n >> (s - 1) & 1]
+        image = vacuum_state()
+        for s in modes:
+            p, eps = _MODE_MAP[s]
+            image = eps * CREATOR_SIGN[p - 1] * image[CREATOR_INDEX[p - 1]]
+        chat += np.outer(image, basis_state(modes).conj())
+    chat.setflags(write=False)
+    return chat
 
-    a and b are the (..., 4, 2, 16, 16) stacks of _conjugation_relations.
-    Column c is C_hat[b_c, j_c]; it holds A[j_c, i] in equation (a = b_c, i)
-    and -B[a, b_c] in equation (a, i = j_c), and each entry is gathered
-    from a and b directly, so the full system is never built.
-    """
-    n = DIM * DIM
-    a, b = a.reshape(-1, 2 * n), b.reshape(-1, 2 * n)
-    # per sample and component: the entries of A, of -B, and a zero
-    values = np.concatenate([a, -b, np.zeros((len(a), 1))], axis=-1)
-    for sector in range(2 * _CHARGE.min(), 2 * _CHARGE.max() + 1):
-        cols = np.flatnonzero(_UNKNOWN_SECTOR == sector)
-        rows = np.flatnonzero(_EQUATION_SECTOR == sector)[:, None]
-        rel, ri, ra = rows // n, rows // DIM % DIM, rows % DIM
-        cj, cb = cols // DIM, cols % DIM
-        a_entry = rel * n + cj * DIM + ri
-        b_entry = (2 + rel) * n + ra * DIM + cb
-        # A where a = b_c, -B where i = j_c, else the zero at the end of values
-        src = np.where(ra == cb, a_entry, np.where(ri == cj, b_entry, -1))
-        yield cols, values.take(src, axis=1).reshape(-1, cols.size)
+
+_C_HAT = _mode_map_conjugation()
 
 
 def fock_charge_conjugation(
-    kappa: float,
-    sample_ks: np.ndarray,
-    validation_ks: np.ndarray | None = None,
-    null_rtol: float = 1e-10,
+    kappa: float, sample_ks: np.ndarray, validation_ks: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
-    """Solve for the unitary Fock-space conjugation C_hat.
+    """The unitary Fock-space conjugation C_hat, checked at the given wave vectors.
 
-    C_hat is required to satisfy, for every component r and every sampled
-    wave vector,
+    C_hat swaps particle and antiparticle modes and fixes the vacuum:
+    C_hat a_s C_hat^dagger = eps_s a_pi(s) with pi = (1 4)(2 3),
+    eps_1 = eps_4 = -1, eps_2 = eps_3 = +1, and C_hat |0> = |0>.  Modes 1, 2
+    carry charge +q and modes 3, 4 carry -q, so C_hat Q C_hat^dagger = -Q.
+    The pairing and its signs are those of the spinor conjugation,
+    C gamma^0T conj(u(1, k)) = -v(4, k) and C gamma^0T conj(u(2, k)) = v(3, k)
+    at every k, so the field relations C_hat psi_r C_hat^dagger = (C psi_a)_r
+    and C_hat psi_a_r C_hat^dagger = -(C psi)_r hold mode by mode.  They fix
+    C_hat up to a phase, which the fixed vacuum sets.  C_hat is a signed
+    permutation.
 
-        C_hat psi_r = (sum_p C_{r p} psi_a_p) C_hat      at x = 0.
-
-    The psi relations alone involve only two annihilators and two
-    creators, whose generated algebra has a 16-dimensional commutant, so
-    they leave a 16-dimensional null space.  Every unitary solution also
-    satisfies the adjoint relation
-
-        C_hat psi_a_r = -(sum_p C_{r p} psi_p) C_hat,
-
-    and stacking those rows filters the null space down to the unitary
-    direction.
-
-    The joint homogeneous system has 256 unknowns, but it conserves
-    charge: psi lowers Q = q (N_1 + N_2 - N_3 - N_4) by q and psi_a raises
-    it, so each equation holds only unknowns C_hat[b, j] of one sector
-    Q(b) + Q(j), whatever k and kappa.  The unknowns split into the nine
-    sectors Q(b) + Q(j) = -4q .. 4q, of C(8, j) unknowns each; C_hat, which
-    flips the charge, lies in sector 0.  Each sector's system is built from
-    the relations directly and solved by a QR factorization and an SVD of
-    its small triangular factor.  The singular values of the whole system
-    are the union of the sectors' values; a direction is null when its
-    value is at most null_rtol times the largest over all sectors.  The
-    unique null direction is scaled to a unitary and its phase fixed so
-    that the vacuum entry C_hat[0, 0] is real positive: C_hat maps the
-    vacuum to itself with phase +1.  (C_hat is a signed permutation, so a
-    rule such as "make the largest entry real positive" would tie between
-    16 entries of modulus 1.)
-
-    Raises ValueError when kappa or any wave vector is not finite,
-    NoSolutionError when the null space is empty or carries no unitary,
-    AmbiguousSolutionError when it has more than one dimension.  Returns
-    the matrix together with the worst intertwining residual on the
-    validation wave vectors (held out from the solve).
+    Each call proves the map at the caller's wave vectors: the worst
+    residual of both relations on sample_ks must be at most
+    INTERTWINING_TOL, else NoSolutionError.  Returns a copy of C_hat and the
+    worst residual on validation_ks, held out from that check (by default
+    the last of three or more samples, else a fixed wave vector).  Raises
+    ValueError for a non-finite kappa or wave vector, or fewer than two
+    sample wave vectors.
     """
     if not np.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
@@ -361,37 +331,7 @@ def fock_charge_conjugation(
     for name, ks in (("sample", sample_ks), ("validation", validation_ks)):
         if not np.isfinite(ks).all():
             raise ValueError(f"{name} wave vectors must be finite")
-
-    sings, vhs, cols = [], [], []
-    for sector_cols, sub in _sector_systems(*_conjugation_relations(sample_ks, kappa)):
-        # sub = Q R keeps the singular values and right vectors in R, which
-        # is square (every sector has more equations than unknowns), so the
-        # tall system itself is never decomposed
-        sing, vh = np.linalg.svd(np.linalg.qr(sub, mode="r"))[1:]
-        sings.append(sing)
-        vhs.append(vh)
-        cols.append(sector_cols)
-    largest = max(sing[0] for sing in sings)
-    null = [sing <= null_rtol * largest for sing in sings]
-    n_null = sum(int(mask.sum()) for mask in null)
-    if n_null == 0:
-        raise NoSolutionError(
-            f"no null direction: smallest singular value {min(sing[-1] for sing in sings):.3e} "
-            f"(largest {largest:.3e})"
-        )
-    if n_null > 1:
-        raise AmbiguousSolutionError(f"null space has dimension {n_null}")
-
-    which = next(n for n, mask in enumerate(null) if mask.any())
-    vec = np.zeros(DIM * DIM, dtype=np.complex128)
-    vec[cols[which]] = vhs[which][-1]
-    chat = vec.reshape(DIM, DIM).T  # undo column-major vec
-    gram = chat.conj().T @ chat
-    scale = np.sqrt(gram.trace().real / DIM)
-    chat = chat / scale
-    if np.abs(chat.conj().T @ chat - np.eye(DIM)).max() > 1e-10:
-        raise NoSolutionError("null direction is not proportional to a unitary")
-    chat = chat * np.exp(-1.0j * np.angle(chat[0, 0]))
-
-    residual = _intertwining_residual(chat, validation_ks, kappa)
-    return chat, residual
+    residual = _intertwining_residual(_C_HAT, sample_ks, kappa)
+    if residual > INTERTWINING_TOL:
+        raise NoSolutionError(f"sample residual {residual:.3e} exceeds {INTERTWINING_TOL:.0e}")
+    return _C_HAT.copy(), _intertwining_residual(_C_HAT, validation_ks, kappa)

@@ -35,6 +35,20 @@ def _check_positive(value: float, name: str):
         raise ValueError(f"{name} must be positive")
 
 
+def config_integer(value, name: str, minimum: int | None = None) -> int:
+    """A config value read as an integer exactly: booleans and fractions are refused."""
+    refused = ValueError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise refused
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise refused from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {number}")
+    return number
+
+
 @dataclass(frozen=True)
 class RhoStateFamily:
     """Two-component family with radial density rho and phases chi, xi."""
@@ -188,7 +202,7 @@ def family_from_config(config: dict) -> RhoStateFamily:
     if not isinstance(config, dict):
         raise ValueError("state config must be a mapping")
     profile = config.get("profile")
-    occupied = int(config.get("occupied", 1))
+    occupied = config_integer(config.get("occupied", 1), "occupied")
     chi0 = float(config.get("chi", 0.0))
     xi0 = float(config.get("xi", 0.0))
     if not (np.isfinite(chi0) and np.isfinite(xi0)):

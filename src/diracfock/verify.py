@@ -21,7 +21,6 @@ from .spinors import identity_suite_batch
 
 _TIGHT = 1e-13
 _LOOSE = 1e-12
-_SOLVER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -219,8 +218,8 @@ def _conjugation_checks(rng, consts: PhysicalConstants):
     conj_split = _amax(currents.j_current_conjugated_stack(k, kp, x, kappa, chat) - normal)
     return [
         _check("conjugation.solver_unitary", tag, unitary, _LOOSE),
-        _check("conjugation.intertwining_heldout", tag, residual, _SOLVER_TOL),
-        _check("conjugation.adjoint_relation", tag, adjoint, _SOLVER_TOL),
+        _check("conjugation.intertwining_heldout", tag, residual, fields.INTERTWINING_TOL),
+        _check("conjugation.adjoint_relation", tag, adjoint, fields.INTERTWINING_TOL),
         _check("conjugation.charge_flip", tag, flip, _LOOSE),
         _check("conjugation.current_conjugated_split", tag, conj_split, _LOOSE),
     ]

@@ -283,6 +283,10 @@ def test_nan_grid_axis_is_a_configuration_error(tmp_path, capsys):
         ({"x": [0.0, "inf", 2]}, "grid axis x needs finite ends"),
         ({"t": ["nan", 1.0, 2]}, "grid axis t needs finite ends"),
         ({"y": "-inf"}, "grid y and z must be finite"),
+        # the count is read exactly, not truncated
+        ({"t": [0.0, 1.0, 2.5]}, "grid axis t count must be an integer, got 2.5"),
+        ({"x": [0.0, 1.0, True]}, "grid axis x count must be an integer, got True"),
+        ({"x": [0.0, 1.0, 0]}, "grid axis x count must be at least 1, got 0"),
     ],
 )
 def test_grid_values_must_be_finite(tmp_path, capsys, grid, message):
@@ -313,6 +317,23 @@ def test_configuration_errors(tmp_path, capsys):
 
     missing = str(tmp_path / "absent.json")
     assert main(["verify", "--config", missing]) == 2
+
+    # config integers are read exactly, never truncated, and the message names the key
+    for command, payload, message in [
+        ("verify", {"n_operator": 2.7}, "n_operator must be an integer, got 2.7"),
+        ("verify", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("verify", {"seed": True}, "seed must be an integer, got True"),
+        ("verify", {"n_spinor": False}, "n_spinor must be an integer, got False"),
+        ("verify", {"n_operator": 0}, "n_operator must be at least 1, got 0"),
+        ("verify", {"n_spinor": -3}, "n_spinor must be at least 1, got -3"),
+        ("sample-field", {"profile": "sech2", "occupied": 4.9}, "occupied must be an integer"),
+        ("sample-field", {"profile": "sech2", "occupied": True}, "occupied must be an integer"),
+    ]:
+        cfg = _write(tmp_path, "integer.json", payload)
+        assert main([command, "--config", cfg]) == 2, payload
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"configuration error: {message}" in captured.err
 
 
 def test_usage_errors_exit_two(capsys):

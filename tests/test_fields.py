@@ -1,16 +1,18 @@
 """Field operators at a wave vector: Dirac equation, anticommutators, conjugation."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from diracfock import fields
 from diracfock.constants import PhysicalConstants, natural_units
 from diracfock.fields import (
     AmbiguousSolutionError,
     NoSolutionError,
     _conjugation_relations,
-    _sector_systems,
+    _intertwining_residual,
     adjoint_dirac_residual,
     dirac_residual,
     fock_charge_conjugation,
@@ -183,15 +185,6 @@ class TestFockConjugation:
         with pytest.raises(ValueError):
             fock_charge_conjugation(self.kappa, self.sample[:1])
 
-    def test_loose_null_tolerance_is_ambiguous(self):
-        with pytest.raises(AmbiguousSolutionError):
-            fock_charge_conjugation(self.kappa, self.sample, null_rtol=1e3)
-
-    def test_tight_null_tolerance_has_no_solution(self):
-        # the numerical null direction sits near 1e-16, far above this tolerance
-        with pytest.raises(NoSolutionError):
-            fock_charge_conjugation(self.kappa, self.sample, null_rtol=1e-30)
-
     @pytest.mark.parametrize("kappa", [1.0, 1.7])
     def test_vacuum_maps_to_itself_with_phase_one(self, kappa):
         # C_hat is a signed permutation, so a largest-entry phase rule ties
@@ -205,20 +198,54 @@ class TestFockConjugation:
             assert abs(chat[0, 0] - 1.0) < 1e-12, seed
 
     def test_no_factorization_sees_the_whole_system(self, monkeypatch):
-        # the blocks have at most 70 unknowns; a full 256-column solve
-        # would show up here before it shows up in a timing
+        # C_hat is built in closed form: neither the build nor the residual
+        # check factors a matrix.  The factorizations are recorded where the
+        # public names point and where numpy's own norm finds them.
         seen = []
-        for name in ("qr", "svd"):
+        internal = inspect.unwrap(np.linalg.norm).__globals__
+        for name in [n for n in dir(np.linalg) if n.startswith(("qr", "svd", "eig"))]:
             original = getattr(np.linalg, name)
 
-            def recording(m, *args, _original=original, **kwargs):
-                seen.append(np.shape(m))
+            def recording(m, *args, _name=name, _original=original, **kwargs):
+                seen.append((_name, np.shape(m)))
                 return _original(m, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recording)
-        fock_charge_conjugation(self.kappa, self.sample)
+            if name in internal:
+                monkeypatch.setitem(internal, name, recording)
+        # the recorder sees a factorization made inside np.linalg.norm
+        np.linalg.norm(np.eye(2), 2)
         assert seen
-        assert max(shape[-1] for shape in seen) <= 70
+        seen.clear()
+        fock_charge_conjugation(self.kappa, self.sample)
+        assert seen == []
+
+    def test_returns_a_fresh_signed_permutation(self):
+        chat, _ = self.solve()
+        assert np.count_nonzero(chat) == DIM
+        assert set(chat[chat != 0].tolist()) <= {1.0, -1.0}
+        assert np.array_equal(chat.conj().T @ chat, np.eye(DIM))
+        chat[0, 0] = 7.0
+        assert self.solve()[0][0, 0] == 1.0
+
+    @pytest.mark.parametrize("mode", [1, 2, 3, 4])
+    def test_flipped_mode_sign_has_no_solution(self, mode, monkeypatch):
+        partner, eps = fields._MODE_MAP[mode]
+        monkeypatch.setitem(fields._MODE_MAP, mode, (partner, -eps))
+        monkeypatch.setattr(fields, "_C_HAT", fields._mode_map_conjugation())
+        with pytest.raises(NoSolutionError, match="sample residual"):
+            self.solve()
+
+    @pytest.mark.parametrize("kappa", [0.3, 1.0, 1.7, 7.0])
+    def test_matches_sector_and_full_system_oracles(self, kappa):
+        rng = np.random.default_rng(int(10 * kappa))
+        for _ in range(3):
+            sample = _sample_wave_vectors(rng, 3, kappa, lo=-0.5, hi=0.5)
+            heldout = _sample_wave_vectors(rng, 5, kappa, lo=-1.0, hi=1.0)
+            chat, residual = fock_charge_conjugation(kappa, sample, heldout)
+            assert residual < 1e-14
+            assert np.abs(chat - _sector_solve(kappa, sample, heldout)[0]).max() < 1e-14
+            assert np.abs(chat - _full_system_solve(kappa, sample)).max() < 1e-14
 
     @pytest.mark.parametrize(
         "kappa, sample, validation",
@@ -252,6 +279,105 @@ def _full_system_solve(kappa, sample_ks):
     return chat * np.exp(-1.0j * np.angle(chat[0, 0]))
 
 
+# Q / q of each basis state.  Unknown C_hat[b, j], numbered j * 16 + b
+# (column-major vec), lies in sector Q(b) + Q(j); equation (a, i), numbered
+# relation * 256 + i * 16 + a, in Q(a) + Q(i) - 1 (psi relation) or + 1 (adjoint).
+_CHARGE = np.diag(charge_operator(PhysicalConstants(q=1.0))).real.astype(int)
+_UNKNOWN_SECTOR = (_CHARGE[:, None] + _CHARGE).ravel()
+_EQUATION_SECTOR = np.concatenate([_UNKNOWN_SECTOR - 1, _UNKNOWN_SECTOR + 1])
+
+
+def _sector_systems(a: np.ndarray, b: np.ndarray):
+    """(cols, system) for each charge sector, system (samples * 4 * rows, cols).
+
+    a and b are the (..., 4, 2, 16, 16) stacks of _conjugation_relations.
+    Column c is C_hat[b_c, j_c]; it holds A[j_c, i] in equation (a = b_c, i)
+    and -B[a, b_c] in equation (a, i = j_c), and each entry is gathered
+    from a and b directly, so the full system is never built.
+    """
+    n = DIM * DIM
+    a, b = a.reshape(-1, 2 * n), b.reshape(-1, 2 * n)
+    # per sample and component: the entries of A, of -B, and a zero
+    values = np.concatenate([a, -b, np.zeros((len(a), 1))], axis=-1)
+    for sector in range(2 * _CHARGE.min(), 2 * _CHARGE.max() + 1):
+        cols = np.flatnonzero(_UNKNOWN_SECTOR == sector)
+        rows = np.flatnonzero(_EQUATION_SECTOR == sector)[:, None]
+        rel, ri, ra = rows // n, rows // DIM % DIM, rows % DIM
+        cj, cb = cols // DIM, cols % DIM
+        a_entry = rel * n + cj * DIM + ri
+        b_entry = (2 + rel) * n + ra * DIM + cb
+        # A where a = b_c, -B where i = j_c, else the zero at the end of values
+        src = np.where(ra == cb, a_entry, np.where(ri == cj, b_entry, -1))
+        yield cols, values.take(src, axis=1).reshape(-1, cols.size)
+
+
+def _sector_solve(
+    kappa: float,
+    sample_ks: np.ndarray,
+    validation_ks: np.ndarray | None = None,
+    null_rtol: float = 1e-10,
+) -> tuple[np.ndarray, float]:
+    """Oracle: C_hat as the null direction of the intertwining system, solved by charge sector.
+
+    The system conserves charge: psi lowers Q by q and psi_a raises it, so
+    each equation holds only unknowns C_hat[b, j] of one sector Q(b) + Q(j).
+    Each sector's system gets a QR factorization and an SVD of its small
+    triangular factor; a direction is null when its singular value is at
+    most null_rtol times the largest over all sectors.  The unique null
+    direction is scaled to a unitary with its vacuum entry real positive.
+    Raises NoSolutionError or AmbiguousSolutionError when the null space is
+    empty or has more than one dimension.
+    """
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
+    sample_ks = np.atleast_2d(np.asarray(sample_ks, dtype=float))
+    if len(sample_ks) < 2:
+        raise ValueError("need at least two sample wave vectors")
+    if validation_ks is None:
+        if len(sample_ks) >= 3:
+            sample_ks, validation_ks = sample_ks[:-1], sample_ks[-1:]
+        else:
+            validation_ks = kappa * np.array([[0.437, -0.912, 0.655]])
+    validation_ks = np.atleast_2d(np.asarray(validation_ks, dtype=float))
+    for name, ks in (("sample", sample_ks), ("validation", validation_ks)):
+        if not np.isfinite(ks).all():
+            raise ValueError(f"{name} wave vectors must be finite")
+
+    sings, vhs, cols = [], [], []
+    for sector_cols, sub in _sector_systems(*_conjugation_relations(sample_ks, kappa)):
+        # sub = Q R keeps the singular values and right vectors in R, which
+        # is square (every sector has more equations than unknowns), so the
+        # tall system itself is never decomposed
+        sing, vh = np.linalg.svd(np.linalg.qr(sub, mode="r"))[1:]
+        sings.append(sing)
+        vhs.append(vh)
+        cols.append(sector_cols)
+    largest = max(sing[0] for sing in sings)
+    null = [sing <= null_rtol * largest for sing in sings]
+    n_null = sum(int(mask.sum()) for mask in null)
+    if n_null == 0:
+        raise NoSolutionError(
+            f"no null direction: smallest singular value {min(sing[-1] for sing in sings):.3e} "
+            f"(largest {largest:.3e})"
+        )
+    if n_null > 1:
+        raise AmbiguousSolutionError(f"null space has dimension {n_null}")
+
+    which = next(n for n, mask in enumerate(null) if mask.any())
+    vec = np.zeros(DIM * DIM, dtype=np.complex128)
+    vec[cols[which]] = vhs[which][-1]
+    chat = vec.reshape(DIM, DIM).T  # undo column-major vec
+    gram = chat.conj().T @ chat
+    scale = np.sqrt(gram.trace().real / DIM)
+    chat = chat / scale
+    if np.abs(chat.conj().T @ chat - np.eye(DIM)).max() > 1e-10:
+        raise NoSolutionError("null direction is not proportional to a unitary")
+    chat = chat * np.exp(-1.0j * np.angle(chat[0, 0]))
+
+    residual = _intertwining_residual(chat, validation_ks, kappa)
+    return chat, residual
+
+
 def _charge_sectors(kappa, ks):
     """(sector, cols, rows, system) for each sector yielded by _sector_systems.
 
@@ -270,9 +396,19 @@ def _charge_sectors(kappa, ks):
 
 
 class TestConjugationBlocks:
-    """The blocks of the conjugation system are its charge sectors."""
+    """The sector-solve oracle: the blocks of the conjugation system are its charge sectors."""
 
     ks = np.random.default_rng(31).normal(size=(3, 3))
+    sample = TestFockConjugation.sample
+
+    def test_loose_null_tolerance_is_ambiguous(self):
+        with pytest.raises(AmbiguousSolutionError):
+            _sector_solve(KAPPA, self.sample, null_rtol=1e3)
+
+    def test_tight_null_tolerance_has_no_solution(self):
+        # the numerical null direction sits near 1e-16, far above this tolerance
+        with pytest.raises(NoSolutionError):
+            _sector_solve(KAPPA, self.sample, null_rtol=1e-30)
 
     def test_blocks_cover_every_unknown_once(self):
         sectors = list(_charge_sectors(KAPPA, self.ks))
@@ -302,7 +438,7 @@ class TestConjugationBlocks:
         rng = np.random.default_rng(int(10 * kappa))
         for _ in range(4):
             ks = kappa * rng.normal(size=(2, 3))
-            chat, _ = fock_charge_conjugation(kappa, ks)
+            chat, _ = _sector_solve(kappa, ks)
             full = _full_system_solve(kappa, ks)
             # each solve sits a few ulp from the exact signed permutation,
             # so the comparison is relative, in the Frobenius norm
