@@ -22,15 +22,16 @@ are always analytic (phase insertions, or the derivatives of the Bessel
 terms), never finite differences; the field equations then hold at
 every node and the residual checks probe the algebra, not the step size.
 
-The mode operators act on the state coefficients as signed gathers
-(fock.ANNIHILATOR_INDEX and its siblings); the dense stacks
-fock.ANNIHILATORS and CREATORS are only their definition.  The classical
-spinor needs only the sandwiches <z| a_s |z>, formed from the 32 nonzero
-entries of the annihilators as one pair-product matrix product.  A
-block's moments are built for one slice of points at a time, at most
-_CHUNK_NODES points x nodes per slice (times the four moments and the
-derivatives; all that _CHUNK_NODES sizes), so peak memory follows the
-output, not the number of points times nodes.
+The state is held mode-major, one column per node.  Mode s is bit s - 1
+of the basis index (fock's Jordan-Wigner order), so each mode operator,
+and each sandwich <z| a_s |z> the classical spinor needs, pairs two bit
+slices of the state: row views, with no gather and no dense 16 x 16
+product.  The product rule refills buffers allocated once per call, and
+reads its time derivative off the value contraction.  A block's moments
+are built for one slice of points at a time, at most _CHUNK_NODES
+points x nodes per slice (times the four moments and the derivatives;
+all that _CHUNK_NODES sizes), so peak memory follows the output, not the
+number of points times nodes.
 
 The antiparticle sector of the two-point matrix and of the densities does
 not decay with |k|, so those values grow with the radial cutoff; they are
@@ -48,14 +49,7 @@ from functools import partial
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fock import (
-    ANNIHILATOR_INDEX,
-    ANNIHILATOR_SIGN,
-    CREATOR_INDEX,
-    CREATOR_SIGN,
-    DIM,
-    charge_operator,
-)
+from .fock import ANNIHILATOR_INDEX, ANNIHILATOR_SIGN, DIM, N_MODES, charge_operator
 from .gamma import BILINEAR, GAMMA, GAMMA0
 from .quadrature import (
     REFERENCE_R_MAX,
@@ -97,72 +91,100 @@ def _sphere_rule(family: StateFamily, spec: QuadratureSpec):
     return r, wr * r**2, dirs, wo
 
 
-# (index, sign) gathers of the operators paired with (u, u, v, v): the
-# annihilators of modes 1, 2 and the creators of modes 3, 4, or with
-# dagger the creators of modes 1, 2 and the annihilators of modes 3, 4
-_FIELD_ACTIONS = {
-    False: (
-        np.concatenate([ANNIHILATOR_INDEX[:2], CREATOR_INDEX[2:]]),
-        np.concatenate([ANNIHILATOR_SIGN[:2], CREATOR_SIGN[2:]]),
-    ),
-    True: (
-        np.concatenate([CREATOR_INDEX[:2], ANNIHILATOR_INDEX[2:]]),
-        np.concatenate([CREATOR_SIGN[:2], ANNIHILATOR_SIGN[2:]]),
-    ),
-}
+# Jordan-Wigner: mode s is bit s - 1 of the basis index, so a_s pairs each row n
+# of a mode-major state (DIM, m) with that bit clear with the row n + 2^(s-1).
+# In its (2, 2, 2, 2, m) view the two row sets are slices 0 and 1 of axis 4 - s.
+_BIT_OFF = [(slice(None),) * (N_MODES - s) + (0,) for s in range(1, N_MODES + 1)]
+_BIT_ON = [off[:-1] + (1,) for off in _BIT_OFF]
+_BASIS, _MODE = np.arange(DIM).reshape((2,) * N_MODES), np.arange(N_MODES)[:, None]
+_ROWS, _COLS = (np.array([_BASIS[i].ravel() for i in bits]) for bits in (_BIT_OFF, _BIT_ON))
+_BIT_SIGNS = ANNIHILATOR_SIGN[_MODE, _ROWS].astype(np.complex128)  # (4, 8), each +-1
+_BIT_SIGNS.setflags(write=False)
+if not (
+    np.array_equal(ANNIHILATOR_INDEX[_MODE, _ROWS], _COLS)
+    and np.array_equal(_COLS, _ROWS + 2**_MODE)
+    and np.sum(np.abs(_BIT_SIGNS)) == np.count_nonzero(ANNIHILATOR_SIGN) == _ROWS.size
+):
+    raise ImportError("the mode operators do not pair the basis states n and n + 2^(s-1)")
+# rows of _sandwich's scratch: the four sandwiches, the conjugate state, one mode's pairs
+_SANDWICH_ROWS = N_MODES + DIM + 8
 
 
-# the 32 nonzeros of the four annihilators as read-only (row, column, sign)
-# pairs: <z| a_s |z> = sum_j conj(z[ROWS[j]]) z[COLS[j]] SIGNS[j, s]
-_PAIR_MODE, _PAIR_ROWS = np.nonzero(ANNIHILATOR_SIGN)
-_PAIR_COLS = ANNIHILATOR_INDEX[_PAIR_MODE, _PAIR_ROWS]
-_PAIR_SIGNS = ANNIHILATOR_SIGN[_PAIR_MODE, _PAIR_ROWS, None] * (_PAIR_MODE[:, None] == range(4))
-for _table in (_PAIR_ROWS, _PAIR_COLS, _PAIR_SIGNS):
-    _table.setflags(write=False)
+def _sandwich(zT, work):
+    """<z| a_s |z> (4, m) for s = 1..4 from the mode-major state zT (DIM, m), in work.
 
-
-def _mode_actions(z, dagger: bool = False):
-    """(Z1, Z2), each (n, 2, DIM): the operators paired with u and v, applied to z.
-
-    Z1 applies the annihilators of modes 1, 2 (paired with the u columns),
-    Z2 the creators of modes 3, 4 (paired with v); the dagger variant
-    exchanges creators and annihilators.  Each is a signed gather of the
-    entries of z (see fock).
+    Each is eight signed pair products of bit slices of zT.  It is the state
+    side of _overlap_spinor: the creators of modes 3, 4 paired with v give
+    the conjugate sandwiches, whose conjugates S holds (see _contraction).
     """
-    index, sign = _FIELD_ACTIONS[dagger]
-    Z = np.take(z, index, axis=1)
-    Z *= sign
-    return Z[:, :2], Z[:, 2:]
+    y, zc, pairs = work[:N_MODES], work[N_MODES : N_MODES + DIM], work[N_MODES + DIM :]
+    np.conjugate(zT, out=zc)
+    z5, zc5 = zT.reshape(*_BASIS.shape, -1), zc.reshape(*_BASIS.shape, -1)
+    for s in range(N_MODES):
+        np.multiply(zc5[_BIT_OFF[s]], z5[_BIT_ON[s]], out=pairs.reshape(2, 2, 2, -1))
+        np.matmul(_BIT_SIGNS[s], pairs, out=y[s])
+    return y
 
 
-def _plane_moments(kv, k0, w, moments, derivatives, xs):
-    """Direction moments of one product-rule sphere and their d/dx^mu, see _blocks.
+def _mode_actions(zT, work, dagger: bool = False):
+    """The state side S (4 DIM, m) of _field_tensor from the mode-major state zT (DIM, m).
+
+    Rows s DIM + c hold (O_s z)_c for the operators paired with (u, u, v, v):
+    the annihilators of modes 1, 2 and the creators of modes 3, 4, or with
+    dagger the creators of modes 1, 2 and the annihilators of modes 3, 4.
+    Each is a signed copy of one bit slice of zT into the other, written
+    into work; the rows paired with v are conjugated (see _contraction).
+    """
+    z5, S = zT.reshape(*_BASIS.shape, -1), work.reshape(N_MODES, *_BASIS.shape, -1)
+    for s in range(N_MODES):
+        # a_s moves the bit-set rows onto the bit-clear ones; its adjoint the reverse
+        dst, src = (_BIT_OFF[s], _BIT_ON[s]) if (s < 2) != dagger else (_BIT_ON[s], _BIT_OFF[s])
+        np.multiply(z5[src], _BIT_SIGNS[s].reshape(2, 2, 2, 1), out=S[s][dst])
+        S[s][src] = 0.0
+    np.conjugate(work[2 * DIM :], out=work[2 * DIM :])
+    return work
+
+
+def _plane_moments(kv, k0, w, dirs, derivatives, scratch, xs):
+    """Direction moments of one product-rule sphere and their d/dx^j, see _blocks.
 
     W[x, 0, a, m] = w_m exp(-i k_m.x) (1, khat_m)_a at the nodes k_m of the
-    sphere; d/dx^mu brings down -i k_mu, with k_mu = (k0, -k) and k0 one
-    value per sphere.
+    sphere; d/dx^j brings down i k_m^j for the spatial j.  Both live in
+    scratch, allocated for the first (largest) slice of points.
     """
-    E = np.exp(-1.0j * (xs[:, :1] * k0 - xs[:, 1:] @ kv.T)) * w
-    W = E[:, None, None, :] * moments
+    nx, m = len(xs), len(kv)
+    if not scratch or len(scratch[0]) < nx:
+        shapes = [(nx, 1, 4, m)] + [(nx, 3, 1, 4, m)] * derivatives
+        scratch[:] = [np.empty(shape, dtype=np.complex128) for shape in shapes]
+    W, *dW = (a[:nx] for a in scratch)
+    E, phase = W[:, 0, 0], W[:, 0, 0].imag  # the moment (1, khat)_0 is 1
+    np.matmul(xs[:, 1:], kv.T, out=phase)
+    phase -= xs[:, :1] * k0
+    np.cos(phase, out=E.real)
+    np.sin(phase, out=phase)
+    E *= w
+    np.multiply(E[:, None], dirs.T, out=W[:, 0, 1:])
     if not derivatives:
         return W, None
-    k_cov = np.vstack([np.full(len(kv), k0), -kv.T])
-    return W, (-1.0j * E)[:, None, None, None, :] * (k_cov[:, None, None, :] * moments)
+    np.multiply(W[:, None], 1.0j * kv.T[:, None, None], out=dW[0])
+    return W, dW[0]
 
 
 def _product_blocks(family, spec, consts, weighted, derivatives):
     """Blocks of the spherical product rule, one sphere each, for any family; see _blocks.
 
-    k0, the mode measure and the spinor parts take one value per sphere.
+    k0, the mode measure and the spinor parts take one value per sphere;
+    the nodes, the state and the moments refill buffers allocated once.
     """
     r, wr, dirs, wo = _sphere_rule(family, spec)
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * (_weight(r, consts) if weighted else 1.0)
-    moments = np.vstack([np.ones(len(dirs)), dirs.T])
+    kv, zT, scratch = np.empty_like(dirs), np.empty((DIM, len(dirs)), dtype=np.complex128), []
     for rn, k0n, wn, un, vn in zip(r, k0, w, *_spinor_parts(r, consts.kappa)):
-        kv = rn * dirs
-        phases = partial(_plane_moments, kv, k0n, wn * wo, moments, derivatives)
-        yield phases, un[None], vn[None], family.coefficients(kv)
+        np.multiply(rn, dirs, out=kv)
+        zT[...] = family.coefficients(kv).T
+        phases = partial(_plane_moments, kv, k0n, wn * wo, dirs, derivatives, scratch)
+        yield phases, un[None], vn[None], zT, k0n
 
 
 # series below this argument, closed forms above; both sides agree to roundoff
@@ -271,74 +293,99 @@ def _radial_blocks(family, spec, consts, weighted, derivatives):
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * r**2 * (_weight(r, consts) if weighted else 1.0)
     phases = partial(_sphere_weights, r, k0, w, derivatives)
-    yield phases, *_spinor_parts(r, consts.kappa), family.coefficients(np.outer(r, [0.0, 0.0, 1.0]))
+    z = family.coefficients(np.outer(r, [0.0, 0.0, 1.0]))
+    yield phases, *_spinor_parts(r, consts.kappa), z.T, None
 
 
 def _blocks(family, spec, consts, weighted=True, derivatives=False):
-    """Yield (phases, u, v, z) blocks whose contractions sum to the k-integral.
+    """Yield (phases, u, v, zT, k0) blocks whose contractions sum to the k-integral.
 
-    A block covers i spheres of m nodes each.  z (i * m, DIM) holds the state
-    coefficients at the nodes, sphere-major, and u, v (i, 4, 4, 2) the spinor
-    parts of each sphere (see _spinor_parts).  phases(xs) returns (W, dW)
-    for points xs (nx, 4): W (nx, i, 4, m) holds the direction moments
-    w exp(-i k.x) (1, khat)_a of the weighted phases and dW (nx, 4, i, 4, m)
-    their d/dx^mu, or None without derivatives.  The particle parts u pair
-    with W and the antiparticle parts v with its conjugate, see _contraction.
-    Two-component families take the radial rule, one sphere per node
-    (m = 1) with the moments in closed form; general ones the product rule,
-    one block per sphere (i = 1).
+    A block covers i spheres of m nodes each.  zT (DIM, i * m) holds the
+    state coefficients mode-major, one column per node, sphere-major, and
+    u, v (i, 4, 4, 2) the spinor parts of each sphere (see _spinor_parts).
+    phases(xs) returns (W, dW) for points xs (nx, 4): W (nx, i, 4, m) holds
+    the direction moments w exp(-i k.x) (1, khat)_a of the weighted phases
+    and dW (nx, 4, i, 4, m) their d/dx^mu, or None without derivatives.  The
+    particle parts u pair with W and the antiparticle parts v with its
+    conjugate, see _contraction.  Two-component families take the radial
+    rule, one sphere per node (m = 1) with the moments in closed form, and
+    k0 None; general ones the product rule, one block per sphere (i = 1)
+    with its k0, and dW without d/dt.  Their zT, W and dW are buffers,
+    valid until the next block and free to overwrite.
     """
     source = _radial_blocks if isinstance(family, RhoStateFamily) else _product_blocks
     return source(family, spec, consts, weighted, derivatives)
 
 
-def _contraction(u, v, Z1, Z2):
+def _contraction(u, v, S):
     """The k-integral of a block as a function of its moments W, see _blocks.
 
-    apply(W)[..., r * c] sums over the block's spheres i, parts a, spin s and
-    nodes m of one sphere
+    apply(W) returns (P, Q), the integral being P + Q; P[..., r * c + d]
+    sums over the block's spheres i, parts a, spin s and nodes m of one sphere
 
-        u[i, a, r, s] W[..., i, a, m] Z1[i m, s, c]
-        + v[i, a, r, s] conj(W[..., i, a, m]) Z2[i m, s, c],
+        u[i, a, r, s] W[..., i, a, m] Z1[s, d, i m],
 
-    with Z1, Z2 the state side paired with the particle and antiparticle
-    parts, one row per node (c = 1 when they have no trailing axis).  On the
-    radial path (m = 1) the spinor parts meet the state first, once per
+    and Q the same with v, conj(W) and Z2.  The state side S (4 c, nodes)
+    holds Z1 (modes s = 0, 1) and then conj(Z2), one column per node.  On
+    the radial path (m = 1) the spinor parts meet the state first, once per
     block, and the moments take one matrix product.  On a sphere of the
     product rule (i = 1) the moments meet the state first, in one product
-    for all four modes since conj(W) Z2 = conj(W conj(Z2)), and the spinor
-    parts come last: no spinor is formed at any node.
+    W S^T for all four modes since conj(W) Z2 = conj(W conj(Z2)), and the
+    spinor parts come last: no spinor is formed at any node.
     """
-    ni, nodes = len(u), len(Z1)
+    ni, nodes = len(u), S.shape[1]
+    S = S.reshape(4, -1, nodes)
     if nodes == ni:  # one node per sphere; otherwise one sphere, ni == 1
-        K1 = np.einsum("iars,is...->iar...", u, Z1).reshape(4 * ni, -1)
-        K2 = np.einsum("iars,is...->iar...", v, Z2).reshape(4 * ni, -1)
+        K1 = np.einsum("iars,sci->iarc", u, S[:2]).reshape(4 * ni, -1)
+        K2 = np.einsum("iars,sci->iarc", v, S[2:].conj()).reshape(4 * ni, -1)
 
         def apply(W):
             W = W.reshape(*W.shape[:-3], 4 * ni)
-            return W @ K1 + W.conj() @ K2
+            return W @ K1, W.conj() @ K2
 
         return apply
-    S = np.concatenate([Z1, Z2.conj()], axis=1).reshape(nodes, -1)
 
     def apply(W):
-        A = (W.reshape(-1, nodes) @ S).reshape(-1, 4, 4, S.shape[1] // 4)
-        T = np.einsum("ars,xasc->xrc", u[0], A[:, :, :2])
-        T += np.einsum("ars,xasc->xrc", v[0], A[:, :, 2:].conj())
-        return T.reshape(*W.shape[:-3], -1)
+        A = (W.reshape(-1, nodes) @ S.reshape(-1, nodes).T).reshape(-1, 4, 4, S.shape[1])
+        np.conjugate(A[:, :, 2:], out=A[:, :, 2:])
+        P = np.einsum("ars,xasc->xrc", u[0], A[:, :, :2])
+        Q = np.einsum("ars,xasc->xrc", v[0], A[:, :, 2:])
+        return P.reshape(*W.shape[:-3], -1), Q.reshape(*W.shape[:-3], -1)
 
     return apply
 
 
-def _point_slices(nx: int, n: int):
-    """Slices of the nx points holding at most _CHUNK_NODES // n points each (at least one).
+def _accumulate(family, xs, spec, consts, side, rows, cols, weighted, derivatives, dagger=False):
+    """The k-integral T (nx, cols) of the field against the state side at the points xs.
 
-    A block of n nodes then builds phase matrices of at most _CHUNK_NODES
-    points x nodes per slice (times its angular parts and derivatives),
-    whatever the number of points.
+    side(zT, work) forms a block's state side S (cols, m) (see _contraction)
+    in work (rows, m), allocated once per call.  Td (nx, 4, cols) holds the
+    d/dx^mu, or is None.  The dagger variant applies the adjoint components,
+    which carry conjugate spinors and phases.
     """
-    per = max(1, _CHUNK_NODES // n)
-    return [slice(i, i + per) for i in range(0, nx, per)]
+    xs = np.asarray(xs, dtype=float).reshape(-1, 4)
+    T = np.zeros((len(xs), cols), dtype=np.complex128)
+    Td = np.zeros((len(xs), 4, cols), dtype=np.complex128) if derivatives else None
+    work = None
+    for phases, u, v, zT, k0 in _blocks(family, spec, consts, weighted, derivatives):
+        if work is None or work.shape[1] != zT.shape[1]:
+            work = np.empty((rows, zT.shape[1]), dtype=np.complex128)
+        if dagger:
+            u, v = u.conj(), v.conj()
+        apply = _contraction(u, v, side(zT, work))
+        # at most _CHUNK_NODES points x nodes per slice of points
+        per = max(1, _CHUNK_NODES // zT.shape[1])
+        for sl in (slice(i, i + per) for i in range(0, len(xs), per)):
+            W, dW = phases(xs[sl])
+            P, Q = apply(np.conjugate(W, out=W) if dagger else W)
+            T[sl] += P + Q
+            if not derivatives:
+                continue
+            if k0 is not None:  # d/dt of a sphere: -i k0 on P, +i k0 on Q, conjugate for dagger
+                Td[sl, 0] += (1.0j if dagger else -1.0j) * k0 * (P - Q)
+            del P, Q  # free before the larger derivative products
+            Td[sl, -dW.shape[1] :] += np.add(*apply(np.conjugate(dW, out=dW) if dagger else dW))
+    return T, Td
 
 
 def _field_tensor(
@@ -357,39 +404,16 @@ def _field_tensor(
     also the four d/dx^mu insertions as Td[x, mu, r, c].  The dagger
     variant applies the adjoint component operators instead.
     """
-    xs = np.asarray(xs, dtype=float).reshape(-1, 4)
-    nx = len(xs)
-    T = np.zeros((nx, 4 * DIM), dtype=np.complex128)
-    Td = np.zeros((nx, 4, 4 * DIM), dtype=np.complex128) if derivatives else None
-    for phases, u, v, z in _blocks(family, spec, consts, weighted, derivatives):
-        # the adjoint components carry conjugate spinors and phases
-        if dagger:
-            u, v = u.conj(), v.conj()
-        apply = _contraction(u, v, *_mode_actions(z, dagger))
-        for sl in _point_slices(nx, len(z)):
-            W, dW = phases(xs[sl])
-            T[sl] += apply(W.conj() if dagger else W)
-            if derivatives:
-                Td[sl] += apply(dW.conj() if dagger else dW)
-    T = T.reshape(nx, 4, DIM)
-    return (T, Td.reshape(nx, 4, 4, DIM)) if derivatives else T
+    side, cols = partial(_mode_actions, dagger=dagger), 4 * DIM
+    T, Td = _accumulate(family, xs, spec, consts, side, cols, cols, weighted, derivatives, dagger)
+    T = T.reshape(-1, 4, DIM)
+    return (T, Td.reshape(-1, 4, 4, DIM)) if derivatives else T
 
 
 def _overlap_spinor(family, xs, spec, consts, derivatives=False):
     """Same-k sandwich <state| field_r |state> integrated with the measure."""
-    xs = np.asarray(xs, dtype=float).reshape(-1, 4)
-    nx = len(xs)
-    phi = np.zeros((nx, 4), dtype=np.complex128)
-    dphi = np.zeros((nx, 4, 4), dtype=np.complex128) if derivatives else None
-    for phases, u, v, z in _blocks(family, spec, consts, derivatives=derivatives):
-        # <z| a_s |z> for s = 1..4; the creators of modes 3, 4 give its conjugate
-        y = (z.conj()[:, _PAIR_ROWS] * z[:, _PAIR_COLS]) @ _PAIR_SIGNS
-        apply = _contraction(u, v, y[:, :2], y[:, 2:].conj())
-        for sl in _point_slices(nx, len(z)):
-            W, dW = phases(xs[sl])
-            phi[sl] += apply(W)
-            if derivatives:
-                dphi[sl] += apply(dW)
+    rows = _SANDWICH_ROWS
+    phi, dphi = _accumulate(family, xs, spec, consts, _sandwich, rows, 4, True, derivatives)
     return (phi, dphi) if derivatives else phi
 
 

@@ -18,6 +18,7 @@ from . import currents, fields, fock
 from .constants import PhysicalConstants, natural_units
 from .gamma import CONJUGATION, GAMMA, METRIC
 from .spinors import identity_suite_batch
+from .states import config_integer
 
 _TIGHT = 1e-13
 _LOOSE = 1e-12
@@ -233,6 +234,9 @@ def run_suite(
     perturb: float = 0.0,
 ) -> VerificationReport:
     """Evaluate every named check with deterministic sampling."""
+    seed = config_integer(seed, "seed")
+    n_spinor = config_integer(n_spinor, "n_spinor", minimum=1)
+    n_operator = config_integer(n_operator, "n_operator", minimum=1)
     consts = consts or natural_units()
     rng = np.random.default_rng(seed)
     checks = []

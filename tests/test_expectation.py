@@ -403,6 +403,17 @@ class TestBoundedMemory:
         peak = self._peak_mb(lambda: _field_tensor(fam, xs, spec, NAT))
         assert peak < tensor_mb + 4 * self.slice_mb
 
+    def test_general_tensor_derivative_peak(self):
+        # the value and derivative tensors take 19.5 MB; forming the time
+        # derivative moments as well (4 instead of 3 per point, node and
+        # direction moment) and keeping the previous slice's products put
+        # the peak at 60 MB
+        radial = sech2_family(1.0)
+        fam = GeneralStateFamily(radial.coefficients, radial.k_cutoff)
+        spec = QuadratureSpec(n_radial=2, n_theta=8)
+        peak = self._peak_mb(lambda: _field_tensor(fam, self.xs[:4000], spec, NAT, derivatives=True))
+        assert peak < 45.0
+
     def test_density_peak(self):
         # the field tensor (4 x 16 complex entries per point) and its conjugate grow with the output
         tensor_mb = len(self.xs) * 64 * 16 / 2**20

@@ -35,7 +35,7 @@ def _random_z(n, seed):
 
 
 def _dense_mode_actions(z, dagger=False):
-    """The dense application that expectation._mode_actions replaces."""
+    """The dense application that expectation._mode_actions replaces, (Z1, Z2) each (n, 2, DIM)."""
     if dagger:
         first, second = CREATORS[:2], ANNIHILATORS[2:]
     else:
@@ -43,14 +43,28 @@ def _dense_mode_actions(z, dagger=False):
     return np.einsum("sij,nj->nsi", first, z), np.einsum("sij,nj->nsi", second, z)
 
 
-def _dense_pair_tables():
-    """All 256 (row, column) pairs, signed by the dense annihilators.
+def _dense_mode_side(zT, work, dagger=False):
+    """expectation._mode_actions from the dense operators: rows (Z1, conj(Z2)), one column per node."""
+    Z1, Z2 = _dense_mode_actions(zT.T, dagger)
+    return np.concatenate([Z1, Z2.conj()], axis=1).reshape(len(Z1), -1).T
 
-    Put in place of expectation._PAIR_ROWS, _PAIR_COLS and _PAIR_SIGNS, they
-    form the sandwich sum_ij conj(z_i) a_s[i, j] z_j over every entry.
-    """
-    rows, cols = np.divmod(np.arange(DIM * DIM), DIM)
-    return rows, cols, ANNIHILATORS[:, rows, cols].real.T
+
+def _dense_sandwich(zT, work):
+    """expectation._sandwich from the dense annihilators, over all 256 entries of each."""
+    return np.einsum("cn,scd,dn->sn", zT.conj(), ANNIHILATORS, zT)
+
+
+# the 32 nonzeros of the four annihilators as (row, column, sign) pairs, the
+# form the product rule's sandwich took before the bit slices:
+# <z| a_s |z> = sum_j conj(z[ROWS[j]]) z[COLS[j]] SIGNS[j, s]
+_PAIR_MODE, _PAIR_ROWS = np.nonzero(fock.ANNIHILATOR_SIGN)
+_PAIR_COLS = fock.ANNIHILATOR_INDEX[_PAIR_MODE, _PAIR_ROWS]
+_PAIR_SIGNS = fock.ANNIHILATOR_SIGN[_PAIR_MODE, _PAIR_ROWS, None] * (_PAIR_MODE[:, None] == range(4))
+
+
+def _pair_sandwich(z):
+    """<z| a_s |z>, (n, 4), as one (n, 32) @ (32, 4) pair-product matrix product."""
+    return (z.conj()[:, _PAIR_ROWS] * z[:, _PAIR_COLS]) @ _PAIR_SIGNS
 
 
 def _dense_psi_halves(k, x, kappa):
@@ -92,9 +106,12 @@ def test_basis_states_match_dense_creators():
 @pytest.mark.parametrize("dagger", [False, True])
 def test_mode_actions_match_dense_application(dagger):
     z = _random_z(50, 2)
-    for got, want in zip(expectation._mode_actions(z, dagger), _dense_mode_actions(z, dagger)):
-        assert got.shape == want.shape == (50, 2, DIM)
-        assert np.max(np.abs(got - want)) <= 1e-15
+    work = np.empty((4 * DIM, 50), dtype=np.complex128)
+    got = expectation._mode_actions(np.ascontiguousarray(z.T), work, dagger)
+    want = _dense_mode_side(z.T, None, dagger)
+    assert got is work
+    assert got.shape == want.shape == (4 * DIM, 50)
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def _random_general_family():
@@ -130,9 +147,8 @@ def test_integrals_match_dense_application(family, call, monkeypatch):
     xs = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 0.5, -0.2, 0.4], [-0.7, 1.1, 0.6, -0.9]])
     spec = QuadratureSpec(n_radial=12, n_theta=6)
     fast = CALLS[call](FAMILIES[family], xs, spec)
-    monkeypatch.setattr(expectation, "_mode_actions", _dense_mode_actions)
-    for name, table in zip(("_PAIR_ROWS", "_PAIR_COLS", "_PAIR_SIGNS"), _dense_pair_tables()):
-        monkeypatch.setattr(expectation, name, table)
+    monkeypatch.setattr(expectation, "_mode_actions", _dense_mode_side)
+    monkeypatch.setattr(expectation, "_sandwich", _dense_sandwich)
     dense = CALLS[call](FAMILIES[family], xs, spec)
     for a, b in zip(fast, dense):
         assert np.max(np.abs(a - b)) <= 1e-15 * max(1.0, np.max(np.abs(b)))
@@ -189,7 +205,7 @@ def _plane_weights(kv, k0, w, derivatives, xs):
 def _gathered_sandwich(z):
     """<z| a_s |z> for modes 1, 2 and <z| a_s^dagger |z> for modes 3, 4, from the gather stack."""
     zc = z.conj()
-    return tuple(np.einsum("nsc,nc->ns", Z, zc) for Z in expectation._mode_actions(z))
+    return tuple(np.einsum("nsc,nc->ns", Z, zc) for Z in _dense_mode_actions(z))
 
 
 def _chunked_overlap_spinor(family, xs, spec, consts, derivatives=False):
@@ -306,18 +322,19 @@ def test_general_total_charge_matches_chunked_layout():
 
 
 def test_pair_tables_rebuild_the_dense_sandwich():
-    rows, cols, signs = expectation._PAIR_ROWS, expectation._PAIR_COLS, expectation._PAIR_SIGNS
-    assert not any(t.flags.writeable for t in (rows, cols, signs))
-    assert signs.shape == (32, 4)
-    # one +-1 per pair, eight pairs per annihilator
-    assert np.array_equal(np.abs(signs).sum(axis=1), np.ones(32))
-    assert np.array_equal(np.abs(signs).sum(axis=0), np.full(4, 8.0))
+    signs = expectation._BIT_SIGNS
+    assert not signs.flags.writeable
+    # eight pairs per mode, each signed +-1
+    assert signs.shape == (4, 8)
+    assert np.array_equal(np.abs(signs), np.ones((4, 8)))
     z = _random_z(40, 7)
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    got = (z[:, rows].conj() * z[:, cols]) @ signs
+    work = np.empty((expectation._SANDWICH_ROWS, 40), dtype=np.complex128)
+    got = expectation._sandwich(np.ascontiguousarray(z.T), work).T
     want = np.einsum("nc,scd,nd->ns", z.conj(), ANNIHILATORS, z)
     assert np.max(np.abs(got - want)) <= 1e-15
-    # and the sandwich the engine forms from them, against the gather stack
+    # against the pair-product form it replaces, and the gather stack
+    assert np.max(np.abs(got - _pair_sandwich(z))) <= 1e-15
     y1, y2 = _gathered_sandwich(z)
     assert np.max(np.abs(got[:, :2] - y1)) <= 1e-15
     assert np.max(np.abs(got[:, 2:].conj() - y2)) <= 1e-15

@@ -38,6 +38,22 @@ def test_same_seed_same_report():
     assert a.as_dict() == b.as_dict()
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"n_operator": 0}, "n_operator must be at least 1, got 0"),
+        ({"n_spinor": 0}, "n_spinor must be at least 1, got 0"),
+        ({"n_operator": 2.7}, "n_operator must be an integer, got 2.7"),
+        ({"n_spinor": True}, "n_spinor must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ],
+)
+def test_suite_rejects_bad_counts(options, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_suite(**{"n_spinor": 30, "n_operator": 5, **options})
+
+
 def test_different_seed_moves_sampled_residuals():
     a = run_suite(seed=1, n_spinor=30, n_operator=5)
     b = run_suite(seed=2, n_spinor=30, n_operator=5)
