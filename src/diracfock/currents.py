@@ -205,14 +205,16 @@ def integrated_charge_check(k, kappa: float, consts: PhysicalConstants | None = 
 
     The x-independent part of J^0 at equal wave vectors is the signed mode
     number n1 + n2 - n3 - n4; the pair part never contributes on the
-    diagonal.  Samples a few spacetime points and returns the largest
-    deviation over the 16 occupation basis states, one value per k.
+    diagonal.  Samples a few spacetime points, one at a time, and returns
+    the largest deviation over them and the 16 occupation basis states,
+    one value per k.
     """
     consts = consts if consts is not None else PhysicalConstants()
     target = np.diag(charge_operator(consts)).real / consts.q
-    k = np.asarray(k, dtype=float)[..., None, :]  # against every sample point
-    deviation = np.abs(_j0_diagonal(k, _CHARGE_POINTS / kappa, kappa) - target)
-    return _per_sample(deviation.max(axis=(-2, -1)))
+    deviations = [
+        np.abs(_j0_diagonal(k, x, kappa) - target).max(axis=-1) for x in _CHARGE_POINTS / kappa
+    ]
+    return _per_sample(np.max(deviations, axis=0))
 
 
 def _j0_diagonal(k, x, kappa: float) -> np.ndarray:

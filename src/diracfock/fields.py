@@ -134,39 +134,63 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
     return GAMMA0_SIGN[:, None, None] * stack.conj().swapaxes(-1, -2)
 
 
-def _gamma_sum(index: np.ndarray, phase: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_mu (gamma^mu stack_mu)_r = sum_mu phase[mu, r] stack[mu, index[mu, r]].
+def _gamma_sum(index, phase, stack, weights=None):
+    """sum_mu (gamma^mu A_mu)_r = sum_mu phase[mu, r] A_mu[index[mu, r]], one mu at a time.
 
-    stack is (..., mu, 4, 16, 16); each gamma^mu acts on the component
-    axis as the gather (index, phase) of gamma.
+    A_mu is stack[..., mu, :, :, :] of a (..., mu, 4, 16, 16) stack, or,
+    with weights (..., mu) given, weights[..., mu] times a (..., 4, 16, 16)
+    stack shared by every mu.  Each gamma^mu acts on the component axis as
+    the gather (index, phase) of gamma; the terms are added in the order
+    mu = 0, 1, 2, 3, so only one gathered term is alive beside the sum.
     """
-    terms = phase[:, :, None, None] * stack[..., np.arange(4)[:, None], index, :, :]
-    return terms.sum(axis=-4)
+
+    def term(mu):
+        if weights is None:
+            gathered = stack[..., mu, index[mu], :, :]
+        else:
+            gathered = weights[..., mu, None, None, None] * stack[..., index[mu], :, :]
+        gathered *= phase[mu, :, None, None]
+        return gathered
+
+    out = term(0)
+    for mu in (1, 2, 3):
+        out += term(mu)
+    return out
 
 
-def _psi_derivatives(k, x, kappa):
-    """d_mu psi as a (..., 4, 4, 16, 16) array: mode phases give -/+ i k_mu."""
+def _derivative_factors(k, x, kappa):
+    """(i k_mu, minus-less-plus psi): d_mu psi is i k_mu times the second, per component.
+
+    Mode phases give -/+ i k_mu, so the derivative of psi along mu is the
+    covariant i k_mu times the scattered psi with its u-mode half negated.
+    """
     k = np.asarray(k, dtype=float)
-    k_cov = covariant_components(_k0(k, kappa), k)
-    minus_less_plus = _scattered_psi(k, x, kappa, -1.0)
-    return 1.0j * k_cov[..., :, None, None, None] * minus_less_plus[..., None, :, :, :]
+    return 1.0j * covariant_components(_k0(k, kappa), k), _scattered_psi(k, x, kappa, -1.0)
 
 
 def dirac_residual(k: np.ndarray, x: np.ndarray, kappa: float):
-    """Operator norm of i gamma^mu d_mu psi - kappa psi, worst component."""
-    p = psi_matrices(k, x, kappa)
-    dp = _psi_derivatives(k, x, kappa)
-    lhs = 1.0j * _gamma_sum(GAMMA_INDEX, GAMMA_PHASE, dp) - kappa * p
+    """Operator norm of i gamma^mu d_mu psi - kappa psi, worst component.
+
+    gamma^mu d_mu psi is gathered one mu at a time straight from the
+    minus-less-plus psi, weighted by i k_mu; no (..., mu, 4, 16, 16)
+    derivative stack is formed.
+    """
+    ik, minus_less_plus = _derivative_factors(k, x, kappa)
+    slash = _gamma_sum(GAMMA_INDEX, GAMMA_PHASE, minus_less_plus, ik)
+    lhs = 1.0j * slash - kappa * psi_matrices(k, x, kappa)
     return _worst_norm(lhs)
 
 
 def adjoint_dirac_residual(k: np.ndarray, x: np.ndarray, kappa: float):
-    """Operator norm of -i d_mu psi_a gamma^mu - kappa psi_a, worst component."""
-    pa = psi_adjoint_matrices(k, x, kappa)
-    dp = _psi_derivatives(k, x, kappa)
-    # d_mu psi_a, contracted with gamma^mu from the right: a column gather
-    dpa = _adjoint(dp)
-    lhs = -1.0j * _gamma_sum(GAMMA_T_INDEX, GAMMA_T_PHASE, dpa) - kappa * pa
+    """Operator norm of -i d_mu psi_a gamma^mu - kappa psi_a, worst component.
+
+    d_mu psi_a is conj(i k_mu) times the adjoint of the minus-less-plus
+    psi; gamma^mu contracts it from the right as a column gather, one mu
+    at a time, as in dirac_residual.
+    """
+    ik, minus_less_plus = _derivative_factors(k, x, kappa)
+    slash = _gamma_sum(GAMMA_T_INDEX, GAMMA_T_PHASE, _adjoint(minus_less_plus), ik.conj())
+    lhs = -1.0j * slash - kappa * psi_adjoint_matrices(k, x, kappa)
     return _worst_norm(lhs)
 
 
@@ -224,9 +248,10 @@ def mixed_car_residual(k, kp, x, y, kappa: float):
     uu = u_columns(k, kappa) @ u_columns(kp, kappa).conj().swapaxes(-1, -2)
     vv = v_columns(k, kappa) @ v_columns(kp, kappa).conj().swapaxes(-1, -2)
     scalar = ek * np.conj(ekp) * uu + np.conj(ek) * ekp * vv
-    # the scalar of pair (r, r') on the diagonal of block (r, r')
-    identity = scalar[..., :, None, :, None] * np.eye(DIM)[:, None, :]
-    anti = _anticommutators(p, pp.conj().swapaxes(-1, -2)) - identity
+    anti = _anticommutators(p, pp.conj().swapaxes(-1, -2))
+    # the scalar of pair (r, r') comes off the diagonal of block (r, r')
+    diagonal = np.arange(DIM)
+    anti[..., :, diagonal, :, diagonal] -= scalar
     return _per_sample(np.maximum(zero, np.abs(anti).max(axis=(-4, -3, -2, -1))))
 
 
@@ -244,8 +269,10 @@ def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _anticommutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """{a_r, b_r'} for every component pair, laid out (..., r, 16, r', 16)."""
-    # b_r' a_r comes back as (r', i, r, l)
-    return _pair_products(a, b) + _pair_products(b, a).swapaxes(-4, -2)
+    out = _pair_products(a, b)
+    # b_r' a_r comes back as (r', i, r, l); summed in place
+    out += _pair_products(b, a).swapaxes(-4, -2)
+    return out
 
 
 def conjugation_mix(stack: np.ndarray) -> np.ndarray:

@@ -5,6 +5,13 @@ generator, evaluates each identity, and reports one named residual per
 check.  Everything is deterministic for a fixed seed, so two runs emit
 identical reports byte for byte.
 
+The sampled checks run one at a time, each over consecutive batches of
+the samples drawn up front (_OPERATOR_BATCH operator samples,
+_SPINOR_BATCH spinor samples), and each batch is reduced to its worst
+value before the next is formed, so memory stays flat in the sample
+counts.  Batches combine with np.max, which keeps a NaN where Python's
+max would drop it.
+
 The optional perturb argument adds a multiple of the identity to the
 second gamma matrix inside the anticommutation check only.  That is a
 self-test hook: a nonzero perturbation must make exactly that check fail.
@@ -143,11 +150,30 @@ def _fock_checks(consts: PhysicalConstants):
     ]
 
 
+# samples per batch, the default counts of run_suite
+_OPERATOR_BATCH = 100
+_SPINOR_BATCH = 1000
+
+
+def _batches(samples, size):
+    """Consecutive slices of at most size rows, taken together from every sample array."""
+    for start in range(0, len(samples[0]), size):
+        yield tuple(a[start : start + size] for a in samples)
+
+
+def _worst(values) -> float:
+    """The largest of some residuals; np.max, unlike max, keeps a NaN."""
+    return float(np.max(list(values)))
+
+
 def _spinor_checks(rng, n, kappa):
     ks = _sample_wave_vectors(rng, n, kappa)
     kps = _sample_wave_vectors(rng, n, kappa)
-    suite = identity_suite_batch(ks, kps, kappa)
-    return [_check(f"spinor.{key}", "spinor-identity", r, _LOOSE) for key, r in suite.items()]
+    suites = [identity_suite_batch(k, kp, kappa) for k, kp in _batches((ks, kps), _SPINOR_BATCH)]
+    return [
+        _check(f"spinor.{key}", "spinor-identity", _worst(s[key] for s in suites), _LOOSE)
+        for key in suites[0]
+    ]
 
 
 def _amax(a) -> float:
@@ -161,34 +187,57 @@ def _operator_checks(rng, n, consts: PhysicalConstants):
     xs = rng.normal(scale=1.5, size=(n, 4))
     ys = rng.normal(scale=1.5, size=(n, 4))
     field_tag, cur_tag = "field-operator", "current-operator"
-    # every residual below holds all n samples; each check takes the worst
-    one, pair = (ks, xs, kappa), (ks, kps, xs, kappa)
-    inverse = [fields.inverse_relation_residual(s, *one) for s in (1, 2, 3, 4)]
-    heisenberg = [fields.heisenberg_residual(s, ks, xs, consts) for s in (1, 2, 3, 4)]
-    car = fields.mixed_car_residual(ks, kps, xs, ys, kappa)
-    r_kpk = currents.r_current_stack(kps, ks, xs, kappa)
-    swap = currents.r_current_stack(*pair).conj().swapaxes(-1, -2) - r_kpk
-    parts = currents.j_diag_stack(*pair) + currents.j_off_stack(*pair)
-    split = currents.j_current_stack(*pair) - parts
-    div = [currents.j_diag_divergence(*pair), currents.j_off_divergence(*pair)]
-    jstack = currents.j_current_stack(ks, ks, xs, kappa)
     qhat = fock.charge_operator(consts)
-    charge = currents.integrated_charge_check(ks, kappa, consts)
+
+    # each takes one batch (k, k', x, y) and gives its residual stacks
+    def inverse(k, kp, x, y):
+        return [fields.inverse_relation_residual(s, k, x, kappa) for s in (1, 2, 3, 4)]
+
+    def heisenberg(k, kp, x, y):
+        return [fields.heisenberg_residual(s, k, x, consts) for s in (1, 2, 3, 4)]
+
+    def swap(k, kp, x, y):
+        r_kpk = currents.r_current_stack(kp, k, x, kappa)
+        return currents.r_current_stack(k, kp, x, kappa).conj().swapaxes(-1, -2) - r_kpk
+
+    def split(k, kp, x, y):
+        parts = currents.j_diag_stack(k, kp, x, kappa) + currents.j_off_stack(k, kp, x, kappa)
+        return currents.j_current_stack(k, kp, x, kappa) - parts
+
+    def divergence(k, kp, x, y):
+        parts = (currents.j_diag_divergence, currents.j_off_divergence)
+        return _worst(_amax(f(k, kp, x, kappa)) for f in parts)
+
+    def commutator(k, kp, x, y):
+        jstack = currents.j_current_stack(k, k, x, kappa)
+        return jstack @ qhat - qhat @ jstack
+
     checks = [
-        ("field.dirac_equation", field_tag, fields.dirac_residual(*one), _LOOSE),
-        ("field.adjoint_equation", field_tag, fields.adjoint_dirac_residual(*one), _LOOSE),
+        ("field.dirac_equation", field_tag,
+         lambda k, kp, x, y: fields.dirac_residual(k, x, kappa), _LOOSE),
+        ("field.adjoint_equation", field_tag,
+         lambda k, kp, x, y: fields.adjoint_dirac_residual(k, x, kappa), _LOOSE),
         ("field.inverse_relations", field_tag, inverse, _LOOSE),
         ("field.heisenberg_evolution", field_tag, heisenberg, _LOOSE),
-        ("field.anticommutators", field_tag, car, _LOOSE),
+        ("field.anticommutators", field_tag,
+         lambda k, kp, x, y: fields.mixed_car_residual(k, kp, x, y, kappa), _LOOSE),
         ("current.hermiticity_swap", cur_tag, swap, _LOOSE),
         ("current.split", cur_tag, split, _LOOSE),
-        ("current.diag_contraction", cur_tag, currents.j_diag_symmetry_residual(*pair), _LOOSE),
-        ("current.off_contraction", cur_tag, currents.j_off_symmetry_residual(*pair), _LOOSE),
-        ("current.divergence_free", cur_tag, div, _LOOSE),
-        ("current.charge_commutator", cur_tag, jstack @ qhat - qhat @ jstack, _TIGHT),
-        ("current.integrated_charge", cur_tag, charge, _LOOSE),
+        ("current.diag_contraction", cur_tag,
+         lambda k, kp, x, y: currents.j_diag_symmetry_residual(k, kp, x, kappa), _LOOSE),
+        ("current.off_contraction", cur_tag,
+         lambda k, kp, x, y: currents.j_off_symmetry_residual(k, kp, x, kappa), _LOOSE),
+        ("current.divergence_free", cur_tag, divergence, _LOOSE),
+        ("current.charge_commutator", cur_tag, commutator, _TIGHT),
+        ("current.integrated_charge", cur_tag,
+         lambda k, kp, x, y: currents.integrated_charge_check(k, kappa, consts), _LOOSE),
     ]
-    return [_check(name, tag, _amax(r), tol) for name, tag, r, tol in checks]
+    batches = list(_batches((ks, kps, xs, ys), _OPERATOR_BATCH))
+    # one check at a time, each reduced batch by batch to its worst value
+    return [
+        _check(name, tag, _worst(_amax(residual(*b)) for b in batches), tol)
+        for name, tag, residual, tol in checks
+    ]
 
 
 def _conjugation_checks(rng, consts: PhysicalConstants):

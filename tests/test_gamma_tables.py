@@ -72,6 +72,30 @@ def test_gamma_sums_match_dense(shape):
     assert np.array_equal(right, np.einsum("...mrij,mrp->...pij", dp, GAMMA))
 
 
+def _psi_derivatives(k, x, kappa):
+    """d_mu psi as a (..., 4, 4, 16, 16) array: mode phases give -/+ i k_mu."""
+    k = np.asarray(k, dtype=float)
+    k_cov = gamma.covariant_components(fields._k0(k, kappa), k)
+    minus_less_plus = fields._scattered_psi(k, x, kappa, -1.0)
+    return 1.0j * k_cov[..., :, None, None, None] * minus_less_plus[..., None, :, :, :]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_dirac_residuals_match_the_derivative_stack(shape):
+    # the residuals gather i k_mu gamma^mu one mu at a time; the full
+    # (..., mu, 4, 16, 16) derivative stack they replaced gives the same bits
+    rng = np.random.default_rng(14)
+    k, x = rng.normal(size=SHAPES[shape] + (3,)), rng.normal(size=SHAPES[shape] + (4,))
+    dp = _psi_derivatives(k, x, 1.3)
+    lhs = 1.0j * np.einsum("mrp,...mpij->...rij", GAMMA, dp)
+    lhs -= 1.3 * fields.psi_matrices(k, x, 1.3)
+    assert np.array_equal(fields.dirac_residual(k, x, 1.3), fields._worst_norm(lhs))
+    dpa = fields._adjoint(dp)
+    lhs = -1.0j * np.einsum("...mrij,mrp->...pij", dpa, GAMMA)
+    lhs -= 1.3 * fields.psi_adjoint_matrices(k, x, 1.3)
+    assert np.array_equal(fields.adjoint_dirac_residual(k, x, 1.3), fields._worst_norm(lhs))
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_conjugation_mix_matches_dense(shape):
     p = _stack(SHAPES[shape] + (4, DIM, DIM), 3)
