@@ -23,7 +23,7 @@ float when no argument has leading axes.
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fields import _k0, _per_sample, plane_phase, psi_adjoint_matrices, psi_matrices
+from .fields import _k0, _norm, _per_sample, plane_phase, psi_adjoint_matrices, psi_matrices
 from .fock import ANNIHILATORS, CREATORS, DIM, charge_operator
 # unused here, but perfbench/tracer.py wraps these two names at this call site
 from .fock import mode_annihilator, mode_creator  # noqa: F401
@@ -90,9 +90,12 @@ def _field_bilinear(a: np.ndarray, gather, b: np.ndarray) -> np.ndarray:
 
 def r_current_stack(k, kp, x, kappa: float) -> np.ndarray:
     """sum_{r r'} psi_a(r, k) gamma^mu_{r r'} psi(r', k') at x, shape (..., 4, 16, 16)."""
-    return _field_bilinear(
-        psi_adjoint_matrices(k, x, kappa), _GAMMA_ROWS, psi_matrices(kp, x, kappa)
-    )
+    return _r_current(psi_adjoint_matrices(k, x, kappa), psi_matrices(kp, x, kappa))
+
+
+def _r_current(adjoint: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """r_current_stack from psi_a(k, x) and psi(k', x)."""
+    return _field_bilinear(adjoint, _GAMMA_ROWS, field)
 
 
 def j_current_stack(k, kp, x, kappa: float) -> np.ndarray:
@@ -102,13 +105,13 @@ def j_current_stack(k, kp, x, kappa: float) -> np.ndarray:
     ordering with transposed gamma indices.  Dimensionless: the charge and
     momentum-space prefactors are applied by the expectation layer.
     """
-    first = _field_bilinear(
-        psi_adjoint_matrices(k, x, kappa), _GAMMA_ROWS, psi_matrices(kp, x, kappa)
-    )
-    second = _field_bilinear(
-        psi_matrices(k, x, kappa), _GAMMA_T_ROWS, psi_adjoint_matrices(kp, x, kappa)
-    )
-    return 0.5 * (first - second)
+    r = r_current_stack(k, kp, x, kappa)
+    return _j_current(r, psi_matrices(k, x, kappa), psi_adjoint_matrices(kp, x, kappa))
+
+
+def _j_current(r: np.ndarray, field: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """j_current_stack from r(k, k'), psi(k, x) and psi_a(k', x)."""
+    return 0.5 * (r - _field_bilinear(field, _GAMMA_T_ROWS, adjoint))
 
 
 def j_current_conjugated_stack(k, kp, x, kappa: float, chat: np.ndarray) -> np.ndarray:
@@ -160,8 +163,13 @@ def j_diag_divergence(k, kp, x, kappa: float) -> np.ndarray:
     divergence contracts the stack with minus that exponent.  Vanishes up
     to roundoff.
     """
-    p = _cov(k, kappa) - _cov(kp, kappa)
-    return _contract(p, _diag_half(kp, k, x, kappa)) - _contract(p, _diag_half(k, kp, x, kappa))
+    halves = _diag_half(k, kp, x, kappa), _diag_half(kp, k, x, kappa)
+    return _diag_divergence(_cov(k, kappa) - _cov(kp, kappa), *halves)
+
+
+def _diag_divergence(p, first, second) -> np.ndarray:
+    """j_diag_divergence from the (k, k') and (k', k) halves."""
+    return _contract(p, second) - _contract(p, first)
 
 
 def j_off_divergence(k, kp, x, kappa: float) -> np.ndarray:
@@ -170,22 +178,28 @@ def j_off_divergence(k, kp, x, kappa: float) -> np.ndarray:
     Creation terms carry exp(+i (k + k')_nu x^nu) and annihilation terms
     the opposite sign, for both orderings of (k, k').
     """
-    s = _cov(k, kappa) + _cov(kp, kappa)
-    c1, a1 = _off_parts(k, kp, x, kappa)
-    c2, a2 = _off_parts(kp, k, x, kappa)
+    parts = _off_parts(k, kp, x, kappa) + _off_parts(kp, k, x, kappa)
+    return _off_divergence(_cov(k, kappa) + _cov(kp, kappa), *parts)
+
+
+def _off_divergence(s, c1, a1, c2, a2) -> np.ndarray:
+    """j_off_divergence from the _off_parts of (k, k'), then of (k', k)."""
     return _contract(s, a1 + a2) - _contract(s, c1 + c2)
 
 
+def _contraction_norm(p: np.ndarray, stack: np.ndarray):
+    """The Frobenius norm of p_mu stack^mu, one value per sample."""
+    return _per_sample(_norm(_contract(p, stack)))
+
+
 def j_diag_symmetry_residual(k, kp, x, kappa: float):
-    """Operator norm of (k - k')_mu contracted into the diagonal stack."""
-    lhs = _contract(_cov(k, kappa) - _cov(kp, kappa), j_diag_stack(k, kp, x, kappa))
-    return _per_sample(np.linalg.norm(lhs, 2, axis=(-2, -1)))
+    """Frobenius norm, an upper bound on the operator norm, of (k - k')_mu J_diag^mu."""
+    return _contraction_norm(_cov(k, kappa) - _cov(kp, kappa), j_diag_stack(k, kp, x, kappa))
 
 
 def j_off_symmetry_residual(k, kp, x, kappa: float):
-    """Operator norm of (k + k')_mu contracted into the pair stack."""
-    lhs = _contract(_cov(k, kappa) + _cov(kp, kappa), j_off_stack(k, kp, x, kappa))
-    return _per_sample(np.linalg.norm(lhs, 2, axis=(-2, -1)))
+    """Frobenius norm, an upper bound on the operator norm, of (k + k')_mu J_off^mu."""
+    return _contraction_norm(_cov(k, kappa) + _cov(kp, kappa), j_off_stack(k, kp, x, kappa))
 
 
 # sample points for the charge check, scaled by 1/kappa at call time

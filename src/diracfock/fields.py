@@ -70,9 +70,18 @@ def _per_sample(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def _norm(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm, an upper bound on the operator norm, over the last two axes."""
+    return np.linalg.norm(stack, axis=(-2, -1))
+
+
 def _worst_norm(stack: np.ndarray):
-    """Largest operator norm over the component axis of a (..., 4, 16, 16) stack."""
-    return _per_sample(np.linalg.norm(stack, 2, axis=(-2, -1)).max(axis=-1))
+    """Largest _norm over the component axis of a (..., 4, 16, 16) stack.
+
+    verify builds psi, psi_a and the derivative factors once per batch and
+    hands the same stacks to both Dirac checks and to the other readers.
+    """
+    return _per_sample(_norm(stack).max(axis=-1))
 
 
 def plane_phase(k: np.ndarray, x: np.ndarray, kappa: float):
@@ -134,21 +143,17 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
     return GAMMA0_SIGN[:, None, None] * stack.conj().swapaxes(-1, -2)
 
 
-def _gamma_sum(index, phase, stack, weights=None):
-    """sum_mu (gamma^mu A_mu)_r = sum_mu phase[mu, r] A_mu[index[mu, r]], one mu at a time.
+def _gamma_sum(index, phase, stack, weights):
+    """sum_mu weights_mu (gamma^mu A)_r = sum_mu weights[..., mu] phase[mu, r] A[index[mu, r]].
 
-    A_mu is stack[..., mu, :, :, :] of a (..., mu, 4, 16, 16) stack, or,
-    with weights (..., mu) given, weights[..., mu] times a (..., 4, 16, 16)
-    stack shared by every mu.  Each gamma^mu acts on the component axis as
-    the gather (index, phase) of gamma; the terms are added in the order
-    mu = 0, 1, 2, 3, so only one gathered term is alive beside the sum.
+    A is a (..., 4, 16, 16) stack and weights a (..., mu) vector.  Each
+    gamma^mu acts on the component axis as the gather (index, phase) of
+    gamma; the terms are added in the order mu = 0, 1, 2, 3, so only one
+    gathered term is alive beside the sum.
     """
 
     def term(mu):
-        if weights is None:
-            gathered = stack[..., mu, index[mu], :, :]
-        else:
-            gathered = weights[..., mu, None, None, None] * stack[..., index[mu], :, :]
+        gathered = weights[..., mu, None, None, None] * stack[..., index[mu], :, :]
         gathered *= phase[mu, :, None, None]
         return gathered
 
@@ -169,40 +174,51 @@ def _derivative_factors(k, x, kappa):
 
 
 def dirac_residual(k: np.ndarray, x: np.ndarray, kappa: float):
-    """Operator norm of i gamma^mu d_mu psi - kappa psi, worst component.
+    """Frobenius norm, an upper bound on the operator norm, of i gamma^mu d_mu psi - kappa psi.
 
-    gamma^mu d_mu psi is gathered one mu at a time straight from the
-    minus-less-plus psi, weighted by i k_mu; no (..., mu, 4, 16, 16)
-    derivative stack is formed.
+    Worst component.  gamma^mu d_mu psi is gathered one mu at a time
+    straight from the minus-less-plus psi, weighted by i k_mu; no
+    (..., mu, 4, 16, 16) derivative stack is formed.
     """
-    ik, minus_less_plus = _derivative_factors(k, x, kappa)
+    return _dirac_norm(*_derivative_factors(k, x, kappa), psi_matrices(k, x, kappa), kappa)
+
+
+def _dirac_norm(ik, minus_less_plus, p, kappa: float):
+    """dirac_residual from the derivative factors and psi."""
     slash = _gamma_sum(GAMMA_INDEX, GAMMA_PHASE, minus_less_plus, ik)
-    lhs = 1.0j * slash - kappa * psi_matrices(k, x, kappa)
-    return _worst_norm(lhs)
+    return _worst_norm(1.0j * slash - kappa * p)
 
 
 def adjoint_dirac_residual(k: np.ndarray, x: np.ndarray, kappa: float):
-    """Operator norm of -i d_mu psi_a gamma^mu - kappa psi_a, worst component.
+    """Frobenius norm, an upper bound on the operator norm, of -i d_mu psi_a gamma^mu - kappa psi_a.
 
-    d_mu psi_a is conj(i k_mu) times the adjoint of the minus-less-plus
-    psi; gamma^mu contracts it from the right as a column gather, one mu
-    at a time, as in dirac_residual.
+    Worst component.  d_mu psi_a is conj(i k_mu) times the adjoint of the
+    minus-less-plus psi; gamma^mu contracts it from the right as a column
+    gather, one mu at a time, as in dirac_residual.
     """
     ik, minus_less_plus = _derivative_factors(k, x, kappa)
+    return _adjoint_dirac_norm(ik, minus_less_plus, psi_adjoint_matrices(k, x, kappa), kappa)
+
+
+def _adjoint_dirac_norm(ik, minus_less_plus, pa, kappa: float):
+    """adjoint_dirac_residual from the derivative factors and psi_a."""
     slash = _gamma_sum(GAMMA_T_INDEX, GAMMA_T_PHASE, _adjoint(minus_less_plus), ik.conj())
-    lhs = -1.0j * slash - kappa * psi_adjoint_matrices(k, x, kappa)
-    return _worst_norm(lhs)
+    return _worst_norm(-1.0j * slash - kappa * pa)
 
 
 def inverse_relation_residual(s: int, k: np.ndarray, x: np.ndarray, kappa: float):
-    """Projecting psi back onto one mode with the reflected spinor.
+    """Frobenius norm, an upper bound on the operator norm, of projecting psi back onto one mode.
 
     sum_r conj(u_r(s, -k)) psi_r = (kappa / k0) phi_plus(s)   for s = 1, 2
     sum_r conj(v_r(s, -k)) psi_r = (kappa / k0) phi_minus(s)  for s = 3, 4
     """
+    return _inverse_norm(s, k, x, psi_matrices(k, x, kappa), kappa)
+
+
+def _inverse_norm(s: int, k, x, p, kappa: float):
+    """inverse_relation_residual from psi(k, x)."""
     k = np.asarray(k, dtype=float)
     ratio = (kappa / _k0(k, kappa))[..., None, None]
-    p = psi_matrices(k, x, kappa)
     if s in (1, 2):
         w = u_columns(-k, kappa)[..., s - 1]
         target = ratio * phi_plus(s, k, x, kappa)
@@ -212,18 +228,21 @@ def inverse_relation_residual(s: int, k: np.ndarray, x: np.ndarray, kappa: float
     else:
         raise ValueError(f"mode index must be 1..4, got {s}")
     lhs = np.einsum("...r,...rij->...ij", w.conj(), p)
-    return _per_sample(np.linalg.norm(lhs - target, 2, axis=(-2, -1)))
+    return _per_sample(_norm(lhs - target))
 
 
 def heisenberg_residual(s: int, k: np.ndarray, x: np.ndarray, consts: PhysicalConstants):
-    """Norm of i hbar c d_0 phi_plus(s) - [phi_plus(s), H_k]."""
+    """Frobenius norm, an upper bound on the operator norm, of the Heisenberg residual.
+
+    i hbar c d_0 phi_plus(s) - [phi_plus(s), H_k]
+    """
     k = np.asarray(k, dtype=float)
     k0 = _k0(k, consts.kappa)[..., None, None]
     f = phi_plus(s, k, x, consts.kappa)
     h = hamiltonian(k, consts)
     lhs = 1.0j * consts.hbar * consts.c * (-1.0j * k0) * f
     rhs = f @ h - h @ f
-    return _per_sample(np.linalg.norm(lhs - rhs, 2, axis=(-2, -1)))
+    return _per_sample(_norm(lhs - rhs))
 
 
 def mixed_car_residual(k, kp, x, y, kappa: float):
@@ -238,10 +257,11 @@ def mixed_car_residual(k, kp, x, y, kappa: float):
     times the identity; the delta_{r,r'} shortcut holds only through this
     expression.  Returns the worst matrix entry over all component pairs.
     """
-    k = np.asarray(k, dtype=float)
-    kp = np.asarray(kp, dtype=float)
-    p = psi_matrices(k, x, kappa)
-    pp = psi_matrices(kp, y, kappa)
+    return _mixed_car(k, kp, x, y, psi_matrices(k, x, kappa), psi_matrices(kp, y, kappa), kappa)
+
+
+def _mixed_car(k, kp, x, y, p, pp, kappa: float):
+    """mixed_car_residual from psi(k, x) and psi(k', y)."""
     zero = np.abs(_anticommutators(p, pp)).max(axis=(-4, -3, -2, -1))
     ek = plane_phase(k, x, kappa)[..., None, None]
     ekp = plane_phase(kp, y, kappa)[..., None, None]
@@ -270,8 +290,9 @@ def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _anticommutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """{a_r, b_r'} for every component pair, laid out (..., r, 16, r', 16)."""
     out = _pair_products(a, b)
-    # b_r' a_r comes back as (r', i, r, l); summed in place
-    out += _pair_products(b, a).swapaxes(-4, -2)
+    # b_r' a_r for every r, laid out (r, i, l): one r' at a time, summed in place
+    for rp in range(4):
+        out[..., rp, :] += b[..., rp, None, :, :] @ a
     return out
 
 

@@ -5,12 +5,15 @@ generator, evaluates each identity, and reports one named residual per
 check.  Everything is deterministic for a fixed seed, so two runs emit
 identical reports byte for byte.
 
-The sampled checks run one at a time, each over consecutive batches of
-the samples drawn up front (_OPERATOR_BATCH operator samples,
-_SPINOR_BATCH spinor samples), and each batch is reduced to its worst
-value before the next is formed, so memory stays flat in the sample
-counts.  Batches combine with np.max, which keeps a NaN where Python's
-max would drop it.
+The sampled checks run over consecutive batches of the samples drawn up
+front (_OPERATOR_BATCH operator samples, _SPINOR_BATCH spinor samples),
+and each batch is reduced to its worst values before the next is formed,
+so memory stays flat in the sample counts.  Batches combine with np.max,
+which keeps a NaN where Python's max would drop it.  Within a batch each
+operator stack is built once and freed after its last reader: psi and
+psi_a at (k, x) and at (k', x), the derivative factors of both Dirac
+checks, r(k, k') for the hermiticity swap and the split, and the current
+halves and pair parts for the split, the contractions and the divergence.
 
 The optional perturb argument adds a multiple of the identity to the
 second gamma matrix inside the anticommutation check only.  That is a
@@ -180,63 +183,77 @@ def _amax(a) -> float:
     return float(np.max(np.abs(a)))
 
 
+# the operator checks in report order; all but the exact charge commutator are loose
+_OPERATOR_CHECKS = (
+    "field.dirac_equation", "field.adjoint_equation", "field.inverse_relations",
+    "field.heisenberg_evolution", "field.anticommutators", "current.hermiticity_swap",
+    "current.split", "current.diag_contraction", "current.off_contraction",
+    "current.divergence_free", "current.charge_commutator", "current.integrated_charge",
+)
+
+
+def _operator_batch(k, kp, x, y, consts: PhysicalConstants, charges) -> dict:
+    """The worst residual of every operator check on one batch, by check name."""
+    kappa = consts.kappa
+    out = {"current.integrated_charge": currents.integrated_charge_check(k, kappa, consts)}
+    out["field.heisenberg_evolution"] = [
+        fields.heisenberg_residual(s, k, x, consts) for s in (1, 2, 3, 4)
+    ]
+    p = fields.psi_matrices(k, x, kappa)
+    out["field.inverse_relations"] = [fields._inverse_norm(s, k, x, p, kappa) for s in (1, 2, 3, 4)]
+    out["field.anticommutators"] = fields._mixed_car(
+        k, kp, x, y, p, fields.psi_matrices(kp, y, kappa), kappa
+    )
+    pa = fields._adjoint(p)
+    ik, minus_less_plus = fields._derivative_factors(k, x, kappa)
+    out["field.dirac_equation"] = fields._dirac_norm(ik, minus_less_plus, p, kappa)
+    out["field.adjoint_equation"] = fields._adjoint_dirac_norm(ik, minus_less_plus, pa, kappa)
+    del minus_less_plus
+    # j(k, k); q_hat is diagonal, so [j, q_hat] is j q_j - q_i j entry by entry
+    j = currents._j_current(currents._r_current(pa, p), p, pa)
+    out["current.charge_commutator"] = _amax(j * charges - charges[:, None] * j)
+    pp = fields.psi_matrices(kp, x, kappa)
+    pap = fields._adjoint(pp)
+    r = currents._r_current(pa, pp)
+    del pa, pp
+    out["current.hermiticity_swap"] = _amax(r.conj().swapaxes(-1, -2) - currents._r_current(pap, p))
+    j = currents._j_current(r, p, pap)  # j(k, k')
+    del p, pap, r
+    minus = currents._cov(k, kappa) - currents._cov(kp, kappa)
+    plus = currents._cov(k, kappa) + currents._cov(kp, kappa)
+    halves = currents._diag_half(k, kp, x, kappa), currents._diag_half(kp, k, x, kappa)
+    diag = halves[0] + halves[1]
+    out["current.diag_contraction"] = currents._contraction_norm(minus, diag)
+    divergence = [_amax(currents._diag_divergence(minus, *halves))]
+    del halves
+    parts = currents._off_parts(k, kp, x, kappa) + currents._off_parts(kp, k, x, kappa)
+    off = parts[0] + parts[1] + parts[2] + parts[3]
+    out["current.off_contraction"] = currents._contraction_norm(plus, off)
+    divergence.append(_amax(currents._off_divergence(plus, *parts)))
+    del parts
+    out["current.divergence_free"] = divergence
+    out["current.split"] = j - (diag + off)
+    return {name: _amax(value) for name, value in out.items()}
+
+
 def _operator_checks(rng, n, consts: PhysicalConstants):
     kappa = consts.kappa
     ks = _sample_wave_vectors(rng, n, kappa, lo=-2.0, hi=2.0)
     kps = _sample_wave_vectors(rng, n, kappa, lo=-2.0, hi=2.0)
     xs = rng.normal(scale=1.5, size=(n, 4))
     ys = rng.normal(scale=1.5, size=(n, 4))
-    field_tag, cur_tag = "field-operator", "current-operator"
-    qhat = fock.charge_operator(consts)
-
-    # each takes one batch (k, k', x, y) and gives its residual stacks
-    def inverse(k, kp, x, y):
-        return [fields.inverse_relation_residual(s, k, x, kappa) for s in (1, 2, 3, 4)]
-
-    def heisenberg(k, kp, x, y):
-        return [fields.heisenberg_residual(s, k, x, consts) for s in (1, 2, 3, 4)]
-
-    def swap(k, kp, x, y):
-        r_kpk = currents.r_current_stack(kp, k, x, kappa)
-        return currents.r_current_stack(k, kp, x, kappa).conj().swapaxes(-1, -2) - r_kpk
-
-    def split(k, kp, x, y):
-        parts = currents.j_diag_stack(k, kp, x, kappa) + currents.j_off_stack(k, kp, x, kappa)
-        return currents.j_current_stack(k, kp, x, kappa) - parts
-
-    def divergence(k, kp, x, y):
-        parts = (currents.j_diag_divergence, currents.j_off_divergence)
-        return _worst(_amax(f(k, kp, x, kappa)) for f in parts)
-
-    def commutator(k, kp, x, y):
-        jstack = currents.j_current_stack(k, k, x, kappa)
-        return jstack @ qhat - qhat @ jstack
-
-    checks = [
-        ("field.dirac_equation", field_tag,
-         lambda k, kp, x, y: fields.dirac_residual(k, x, kappa), _LOOSE),
-        ("field.adjoint_equation", field_tag,
-         lambda k, kp, x, y: fields.adjoint_dirac_residual(k, x, kappa), _LOOSE),
-        ("field.inverse_relations", field_tag, inverse, _LOOSE),
-        ("field.heisenberg_evolution", field_tag, heisenberg, _LOOSE),
-        ("field.anticommutators", field_tag,
-         lambda k, kp, x, y: fields.mixed_car_residual(k, kp, x, y, kappa), _LOOSE),
-        ("current.hermiticity_swap", cur_tag, swap, _LOOSE),
-        ("current.split", cur_tag, split, _LOOSE),
-        ("current.diag_contraction", cur_tag,
-         lambda k, kp, x, y: currents.j_diag_symmetry_residual(k, kp, x, kappa), _LOOSE),
-        ("current.off_contraction", cur_tag,
-         lambda k, kp, x, y: currents.j_off_symmetry_residual(k, kp, x, kappa), _LOOSE),
-        ("current.divergence_free", cur_tag, divergence, _LOOSE),
-        ("current.charge_commutator", cur_tag, commutator, _TIGHT),
-        ("current.integrated_charge", cur_tag,
-         lambda k, kp, x, y: currents.integrated_charge_check(k, kappa, consts), _LOOSE),
+    charges = np.diag(fock.charge_operator(consts))
+    # every check over one batch at a time, each batch reduced to its worst values
+    worst = [
+        _operator_batch(*batch, consts, charges)
+        for batch in _batches((ks, kps, xs, ys), _OPERATOR_BATCH)
     ]
-    batches = list(_batches((ks, kps, xs, ys), _OPERATOR_BATCH))
-    # one check at a time, each reduced batch by batch to its worst value
     return [
-        _check(name, tag, _worst(_amax(residual(*b)) for b in batches), tol)
-        for name, tag, residual, tol in checks
+        _check(
+            name, name.split(".")[0] + "-operator", _worst(w[name] for w in worst),
+            _TIGHT if name == "current.charge_commutator" else _LOOSE,
+        )
+        for name in _OPERATOR_CHECKS
     ]
 
 
@@ -249,7 +266,7 @@ def _conjugation_checks(rng, consts: PhysicalConstants):
     unitary = np.max(np.abs(chat.conj().T @ chat - np.eye(fock.DIM)))
     x0 = np.zeros(4)
     p = fields.psi_matrices(heldout, x0, kappa)
-    pa = fields.psi_adjoint_matrices(heldout, x0, kappa)
+    pa = fields._adjoint(p)
     target = -fields.conjugation_mix(p)
     adjoint = _amax(chat @ pa - target @ chat)
     qhat = fock.charge_operator(consts)

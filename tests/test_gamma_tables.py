@@ -65,11 +65,12 @@ def test_adjoint_gather_matches_dense(shape):
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_gamma_sums_match_dense(shape):
-    dp = _stack(SHAPES[shape] + (4, 4, DIM, DIM), 2)
-    left = fields._gamma_sum(gamma.GAMMA_INDEX, gamma.GAMMA_PHASE, dp)
-    assert np.array_equal(left, np.einsum("mrp,...mpij->...rij", GAMMA, dp))
-    right = fields._gamma_sum(gamma.GAMMA_T_INDEX, gamma.GAMMA_T_PHASE, dp)
-    assert np.array_equal(right, np.einsum("...mrij,mrp->...pij", dp, GAMMA))
+    p = _stack(SHAPES[shape] + (4, DIM, DIM), 2)
+    w = _stack(SHAPES[shape] + (4,), 3)
+    left = fields._gamma_sum(gamma.GAMMA_INDEX, gamma.GAMMA_PHASE, p, w)
+    assert _relative(left, np.einsum("...m,mrp,...pij->...rij", w, GAMMA, p)) <= 1e-15
+    right = fields._gamma_sum(gamma.GAMMA_T_INDEX, gamma.GAMMA_T_PHASE, p, w)
+    assert _relative(right, np.einsum("...m,...rij,mrp->...pij", w, p, GAMMA)) <= 1e-15
 
 
 def _psi_derivatives(k, x, kappa):

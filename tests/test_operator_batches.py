@@ -86,3 +86,32 @@ def test_leading_axes_broadcast():
     assert j.shape == (2, 3, 4, 16, 16)
     flat = currents.j_current_stack(ks, kps, xs[0], KAPPA)
     assert np.max(np.abs(j.reshape(6, 4, 16, 16) - flat)) <= 1e-15
+
+
+# the residuals that take the Frobenius norm where they once took the spectral norm
+FROBENIUS = [
+    "dirac_residual",
+    "adjoint_dirac_residual",
+    *(f"{name}[{s}]" for name in ("inverse_relation_residual", "heisenberg_residual")
+      for s in (1, 2, 3, 4)),
+    "j_diag_symmetry_residual",
+    "j_off_symmetry_residual",
+]
+
+
+def _spectral_norm(stack):
+    """The spectral norm over the last two axes (a batched SVD), these residuals' former norm."""
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("name", FROBENIUS)
+def test_frobenius_residuals_bound_the_spectral_norm(name, monkeypatch):
+    # for 16 x 16 matrices |A|_2 <= |A|_F <= 4 |A|_2, so no check got looser
+    samples = _samples()
+    new = np.asarray(CALLS[name](*samples))
+    monkeypatch.setattr(fields, "_norm", _spectral_norm)
+    monkeypatch.setattr(currents, "_norm", _spectral_norm)
+    old = np.asarray(CALLS[name](*samples))
+    assert not np.array_equal(old, new)  # the residual does go through _norm
+    assert np.all(old <= new)
+    assert np.all(new <= 4 * old)

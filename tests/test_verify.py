@@ -174,12 +174,50 @@ def test_nan_in_a_later_operator_batch_fails_its_check(monkeypatch):
         residual[-1] = np.nan
         return residual
 
-    calls = _poison_call(fields, "dirac_residual", monkeypatch, 3, poison)
+    # the Dirac check's norm, called once per batch on the shared psi stacks
+    calls = _poison_call(fields, "_dirac_norm", monkeypatch, 3, poison)
     checks = {c.name: c for c in _operator_checks(np.random.default_rng(5), 8, natural_units())}
     assert calls == [3, 3, 2]
     assert np.isnan(checks["field.dirac_equation"].residual)
     assert not checks["field.dirac_equation"].passed
     assert [c.name for c in checks.values() if not c.passed] == ["field.dirac_equation"]
+
+
+@pytest.mark.parametrize(
+    "owner, builder, readers",
+    [
+        (fields, "psi_matrices", ["current.hermiticity_swap", "current.split"]),
+        (currents, "_diag_half",
+         ["current.split", "current.diag_contraction", "current.divergence_free"]),
+        (currents, "_off_parts",
+         ["current.split", "current.off_contraction", "current.divergence_free"]),
+    ],
+    ids=["psi_k_prime", "diag_half", "off_parts"],
+)
+def test_nan_in_a_shared_stack_fails_every_check_that_reads_it(
+    owner, builder, readers, monkeypatch
+):
+    # the third batch's psi(k', x), (k, k') current half or (k, k') pair parts gets a NaN
+    monkeypatch.setattr(verify, "_OPERATOR_BATCH", 3)
+    consts = natural_units()
+    rng = np.random.default_rng(5)
+    ks, kps = (_sample_wave_vectors(rng, 8, consts.kappa, lo=-2.0, hi=2.0) for _ in range(2))
+    xs = rng.normal(scale=1.5, size=(8, 4))
+    wanted = (kps[6:], xs[6:]) if builder == "psi_matrices" else (ks[6:], kps[6:], xs[6:])
+    original, hits = getattr(owner, builder), []
+
+    def poisoned(*args):
+        result = original(*args)
+        if all(np.array_equal(a, w) for a, w in zip(args, wanted)):
+            hits.append(args)
+            (result[0] if isinstance(result, tuple) else result)[-1, 0, 0, 0] = np.nan
+        return result
+
+    monkeypatch.setattr(owner, builder, poisoned)
+    checks = _operator_checks(np.random.default_rng(5), 8, consts)
+    assert len(hits) == 1  # built once in its batch
+    assert [c.name for c in checks if not c.passed] == readers
+    assert all(np.isnan(c.residual) for c in checks if c.name in readers)
 
 
 def test_nan_in_a_later_spinor_batch_fails_its_check(monkeypatch):
