@@ -14,6 +14,8 @@ operator stack is built once and freed after its last reader: psi and
 psi_a at (k, x) and at (k', x), the derivative factors of both Dirac
 checks, r(k, k') for the hermiticity swap and the split, and the current
 halves and pair parts for the split, the contractions and the divergence.
+Every stack is held as the fermion-parity blocks of fields,
+(..., 4, 2, 8, 8), never as dense 16 x 16 matrices.
 
 The optional perturb argument adds a multiple of the identity to the
 second gamma matrix inside the anticommutation check only.  That is a
@@ -199,20 +201,20 @@ def _operator_batch(k, kp, x, y, consts: PhysicalConstants, charges) -> dict:
     out["field.heisenberg_evolution"] = [
         fields.heisenberg_residual(s, k, x, consts) for s in (1, 2, 3, 4)
     ]
-    p = fields.psi_matrices(k, x, kappa)
+    p = fields._scattered_psi(k, x, kappa)
     out["field.inverse_relations"] = [fields._inverse_norm(s, k, x, p, kappa) for s in (1, 2, 3, 4)]
     out["field.anticommutators"] = fields._mixed_car(
-        k, kp, x, y, p, fields.psi_matrices(kp, y, kappa), kappa
+        k, kp, x, y, p, fields._scattered_psi(kp, y, kappa), kappa
     )
     pa = fields._adjoint(p)
     ik, minus_less_plus = fields._derivative_factors(k, x, kappa)
     out["field.dirac_equation"] = fields._dirac_norm(ik, minus_less_plus, p, kappa)
     out["field.adjoint_equation"] = fields._adjoint_dirac_norm(ik, minus_less_plus, pa, kappa)
     del minus_less_plus
-    # j(k, k); q_hat is diagonal, so [j, q_hat] is j q_j - q_i j entry by entry
+    # j(k, k); q_hat is diagonal, so [j, q_hat] is j q_j - q_i j entry by entry, block by block
     j = currents._j_current(currents._r_current(pa, p), p, pa)
-    out["current.charge_commutator"] = _amax(j * charges - charges[:, None] * j)
-    pp = fields.psi_matrices(kp, x, kappa)
+    out["current.charge_commutator"] = _amax(j * charges[:, None, :] - charges[:, :, None] * j)
+    pp = fields._scattered_psi(kp, x, kappa)
     pap = fields._adjoint(pp)
     r = currents._r_current(pa, pp)
     del pa, pp
@@ -242,7 +244,8 @@ def _operator_checks(rng, n, consts: PhysicalConstants):
     kps = _sample_wave_vectors(rng, n, kappa, lo=-2.0, hi=2.0)
     xs = rng.normal(scale=1.5, size=(n, 4))
     ys = rng.normal(scale=1.5, size=(n, 4))
-    charges = np.diag(fock.charge_operator(consts))
+    # the diagonal of q_hat by parity sector, as the graded current blocks hold their rows
+    charges = np.diag(fock.charge_operator(consts))[fields._SECTORS]
     # every check over one batch at a time, each batch reduced to its worst values
     worst = [
         _operator_batch(*batch, consts, charges)
@@ -264,9 +267,7 @@ def _conjugation_checks(rng, consts: PhysicalConstants):
     heldout = _sample_wave_vectors(rng, 5, kappa, lo=-1.0, hi=1.0)
     chat, residual = fields.fock_charge_conjugation(kappa, sample, heldout)
     unitary = np.max(np.abs(chat.conj().T @ chat - np.eye(fock.DIM)))
-    x0 = np.zeros(4)
-    p = fields.psi_matrices(heldout, x0, kappa)
-    pa = fields._adjoint(p)
+    p, pa = fields._psi_pair(heldout, np.zeros(4), kappa)
     target = -fields.conjugation_mix(p)
     adjoint = _amax(chat @ pa - target @ chat)
     qhat = fock.charge_operator(consts)

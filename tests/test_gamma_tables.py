@@ -5,6 +5,11 @@ GAMMA0 or CONJUGATION; it applies the (index, phase) tables of gamma as
 gathers along the spinor axis.  These tests keep the dense einsum forms
 that the gathers replaced as oracles: the pure gathers must agree with
 them bit for bit, the matrix products within 1e-15 relative.
+
+The operators themselves are held as fermion-parity blocks (fields._EVEN,
+fields._ODD).  The dense 16 x 16 forms of the pair products, the
+anticommutators and the field bilinear that the blocks replaced are kept
+here as oracles, and the graded helpers must agree with them bit for bit.
 """
 
 import numpy as np
@@ -12,6 +17,7 @@ import pytest
 
 from diracfock import currents, fields, gamma, spinors
 from diracfock.constants import natural_units
+from diracfock.fields import _EVEN, _ODD, _SECTORS, _dense
 from diracfock.fock import DIM
 from diracfock.gamma import BILINEAR, CONJUGATION, GAMMA, GAMMA0
 
@@ -33,6 +39,12 @@ def _stack(shape, seed):
 
 def _relative(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def _odd_stack(shape, seed):
+    """Random graded blocks of odd operators, (*shape, 2, 8, 8), and their dense form."""
+    blocks = _stack(shape + (2, DIM // 2, DIM // 2), seed)
+    return blocks, _dense(blocks, _ODD)
 
 
 @pytest.mark.parametrize("table", sorted(TABLES))
@@ -58,18 +70,18 @@ def test_slash_scatter_matches_dense(shape):
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_adjoint_gather_matches_dense(shape):
-    p = _stack(SHAPES[shape] + (4, DIM, DIM), 1)
+    blocks, p = _odd_stack(SHAPES[shape] + (4,), 1)
     want = np.einsum("...pji,pr->...rij", p.conj(), GAMMA0.real)
-    assert np.array_equal(fields._adjoint(p), want)
+    assert np.array_equal(_dense(fields._adjoint(blocks), _ODD), want)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_gamma_sums_match_dense(shape):
-    p = _stack(SHAPES[shape] + (4, DIM, DIM), 2)
+    blocks, p = _odd_stack(SHAPES[shape] + (4,), 2)
     w = _stack(SHAPES[shape] + (4,), 3)
-    left = fields._gamma_sum(gamma.GAMMA_INDEX, gamma.GAMMA_PHASE, p, w)
+    left = _dense(fields._gamma_sum(gamma.GAMMA_INDEX, gamma.GAMMA_PHASE, blocks, w), _ODD)
     assert _relative(left, np.einsum("...m,mrp,...pij->...rij", w, GAMMA, p)) <= 1e-15
-    right = fields._gamma_sum(gamma.GAMMA_T_INDEX, gamma.GAMMA_T_PHASE, p, w)
+    right = _dense(fields._gamma_sum(gamma.GAMMA_T_INDEX, gamma.GAMMA_T_PHASE, blocks, w), _ODD)
     assert _relative(right, np.einsum("...m,...rij,mrp->...pij", w, p, GAMMA)) <= 1e-15
 
 
@@ -77,7 +89,7 @@ def _psi_derivatives(k, x, kappa):
     """d_mu psi as a (..., 4, 4, 16, 16) array: mode phases give -/+ i k_mu."""
     k = np.asarray(k, dtype=float)
     k_cov = gamma.covariant_components(fields._k0(k, kappa), k)
-    minus_less_plus = fields._scattered_psi(k, x, kappa, -1.0)
+    minus_less_plus = _dense(fields._scattered_psi(k, x, kappa, -1.0), _ODD)
     return 1.0j * k_cov[..., :, None, None, None] * minus_less_plus[..., None, :, :, :]
 
 
@@ -90,11 +102,13 @@ def test_dirac_residuals_match_the_derivative_stack(shape):
     dp = _psi_derivatives(k, x, 1.3)
     lhs = 1.0j * np.einsum("mrp,...mpij->...rij", GAMMA, dp)
     lhs -= 1.3 * fields.psi_matrices(k, x, 1.3)
-    assert np.array_equal(fields.dirac_residual(k, x, 1.3), fields._worst_norm(lhs))
-    dpa = fields._adjoint(dp)
+    want = fields._worst_norm(fields._blocks(lhs, _ODD))
+    assert np.array_equal(fields.dirac_residual(k, x, 1.3), want)
+    dpa = gamma.GAMMA0_SIGN[:, None, None] * dp.conj().swapaxes(-1, -2)
     lhs = -1.0j * np.einsum("...mrij,mrp->...pij", dpa, GAMMA)
     lhs -= 1.3 * fields.psi_adjoint_matrices(k, x, 1.3)
-    assert np.array_equal(fields.adjoint_dirac_residual(k, x, 1.3), fields._worst_norm(lhs))
+    want = fields._worst_norm(fields._blocks(lhs, _ODD))
+    assert np.array_equal(fields.adjoint_dirac_residual(k, x, 1.3), want)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -112,42 +126,96 @@ def test_spinor_bilinear_matches_dense(shape):
 
 
 def _dense_field_bilinear(a, g, b):
-    """The per-(mu, r) form that currents._field_bilinear replaces."""
+    """The per-(mu, r) form that the gathered field bilinear replaces."""
     gb = np.einsum("mrq,...qjl->...mrjl", g, b)
     return (a[..., None, :, :, :] @ gb).sum(axis=-3)
 
 
+def _dense_gather_rows(index, phase):
+    """(rows, phases) that lay out gamma^mu b, for dense b, as a (64, mu * 16) matrix."""
+    rows = index.T[:, None, :] * DIM + np.arange(DIM)[:, None]
+    phases = np.broadcast_to(phase.T[:, None, :], rows.shape).reshape(-1, 1)
+    return rows.ravel(), phases
+
+
+def _dense_gathered_bilinear(a, gather, b):
+    """The dense gather form of currents._field_bilinear: one (16 x 64) @ (64 x 64) product."""
+    rows, phases = gather
+    n = 4 * DIM
+    gb = np.take(b.reshape(b.shape[:-3] + (n, DIM)), rows, axis=-2)
+    gb *= phases
+    side = a.swapaxes(-3, -2).reshape(a.shape[:-3] + (DIM, n))
+    out = side @ gb.reshape(gb.shape[:-2] + (n, n))
+    return out.reshape(out.shape[:-1] + (4, DIM)).swapaxes(-3, -2)
+
+
+def _dense_pair_products(a, b):
+    """a_r @ b_r' for dense stacks, laid out (..., r, 16, r', 16): one (64 x 16) @ (16 x 64)."""
+    rows = a.reshape(a.shape[:-3] + (4 * DIM, DIM))
+    cols = b.swapaxes(-3, -2).reshape(b.shape[:-3] + (DIM, 4 * DIM))
+    prods = rows @ cols
+    return prods.reshape(prods.shape[:-2] + (4, DIM, 4, DIM))
+
+
+def _dense_anticommutators(a, b):
+    """{a_r, b_r'} for dense stacks, laid out (..., r, 16, r', 16)."""
+    out = _dense_pair_products(a, b)
+    for rp in range(4):
+        out[..., rp, :] += b[..., rp, None, :, :] @ a
+    return out
+
+
+def _dense_pairs(graded):
+    """A graded (..., 2, r, 8, r', 8) pair layout as the dense (..., r, 16, r', 16) one."""
+    blocks = np.moveaxis(graded, (-5, -4, -3, -2), (-3, -5, -2, -4))  # (..., r, r', 2, 8, 8)
+    return _dense(blocks, _EVEN).swapaxes(-3, -2)
+
+
+GRADED_GATHERS = {"gamma": currents._GAMMA_ROWS, "gamma_transposed": currents._GAMMA_T_ROWS}
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-@pytest.mark.parametrize(
-    "gather, dense",
-    [(currents._GAMMA_ROWS, GAMMA), (currents._GAMMA_T_ROWS, GAMMA.swapaxes(-1, -2))],
-    ids=["gamma", "gamma_transposed"],
-)
-def test_field_bilinear_matches_dense(shape, gather, dense):
-    a = _stack(SHAPES[shape] + (4, DIM, DIM), 6)
-    b = _stack(SHAPES[shape] + (4, DIM, DIM), 7)
-    got = currents._field_bilinear(a, gather, b)
-    want = _dense_field_bilinear(a, dense, b)
-    assert got.shape == want.shape == SHAPES[shape] + (4, DIM, DIM)
-    assert _relative(got, want) <= 1e-15
+@pytest.mark.parametrize("table", sorted(GRADED_GATHERS))
+def test_field_bilinear_matches_dense(shape, table):
+    index, phase, dense = TABLES[table]
+    a, dense_a = _odd_stack(SHAPES[shape] + (4,), 6)
+    b, dense_b = _odd_stack(SHAPES[shape] + (4,), 7)
+    gathered = _dense_gathered_bilinear(dense_a, _dense_gather_rows(index, phase), dense_b)
+    assert _relative(gathered, _dense_field_bilinear(dense_a, dense, dense_b)) <= 1e-15
+    got = currents._field_bilinear(a, GRADED_GATHERS[table], b)
+    assert got.shape == SHAPES[shape] + (4, 2, DIM // 2, DIM // 2)
+    assert np.array_equal(_dense(got, _EVEN), gathered)
 
 
 def test_field_bilinear_broadcasts_leading_axes():
-    a = _stack((5, 1, 4, DIM, DIM), 8)
-    b = _stack((3, 4, DIM, DIM), 9)
+    a, dense_a = _odd_stack((5, 1, 4), 8)
+    b, dense_b = _odd_stack((3, 4), 9)
     got = currents._field_bilinear(a, currents._GAMMA_ROWS, b)
-    assert got.shape == (5, 3, 4, DIM, DIM)
-    assert _relative(got, _dense_field_bilinear(a, GAMMA, b)) <= 1e-15
+    assert got.shape == (5, 3, 4, 2, DIM // 2, DIM // 2)
+    gather = _dense_gather_rows(gamma.GAMMA_INDEX, gamma.GAMMA_PHASE)
+    assert np.array_equal(_dense(got, _EVEN), _dense_gathered_bilinear(dense_a, gather, dense_b))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_pair_products_match_dense(shape):
+    a, dense_a = _odd_stack(SHAPES[shape] + (4,), 10)
+    b, dense_b = _odd_stack(SHAPES[shape] + (4,), 11)
+    got = fields._pair_products(a, b)
+    assert got.shape == SHAPES[shape] + (2, 4, DIM // 2, 4, DIM // 2)
+    assert np.array_equal(_dense_pairs(got), _dense_pair_products(dense_a, dense_b))
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_anticommutators_match_pairwise_products(shape):
-    a = _stack(SHAPES[shape] + (4, DIM, DIM), 10)[..., :, None, :, :]
-    b = _stack(SHAPES[shape] + (4, DIM, DIM), 11)[..., None, :, :, :]
-    want = a @ b + b @ a  # (..., r, r', i, l)
-    got = fields._anticommutators(a[..., :, 0, :, :], b[..., 0, :, :, :])
-    assert got.shape == SHAPES[shape] + (4, DIM, 4, DIM)
-    assert _relative(got.swapaxes(-3, -2), want) <= 1e-15
+    a, dense_a = _odd_stack(SHAPES[shape] + (4,), 10)
+    b, dense_b = _odd_stack(SHAPES[shape] + (4,), 11)
+    want = _dense_anticommutators(dense_a, dense_b)
+    pairwise = dense_a[..., :, None, :, :] @ dense_b[..., None, :, :, :]
+    pairwise += dense_b[..., None, :, :, :] @ dense_a[..., :, None, :, :]  # (..., r, r', i, l)
+    assert _relative(want.swapaxes(-3, -2), pairwise) <= 1e-15
+    got = fields._anticommutators(a, b)
+    assert got.shape == SHAPES[shape] + (2, 4, DIM // 2, 4, DIM // 2)
+    assert np.array_equal(_dense_pairs(got), want)
 
 
 def _dense_mixed_car(k, kp, x, y, kappa):
@@ -185,5 +253,5 @@ def test_charge_diagonal_matches_dense():
     second = _dense_field_bilinear(field, g0.swapaxes(-1, -2), adjoint)
     want = np.diagonal(0.5 * (first - second)[..., 0, :, :], axis1=-2, axis2=-1)
     got = currents._j0_diagonal(ks, xs, 1.3)
-    assert got.shape == want.shape == (8, DIM)
-    assert _relative(got, want) <= 1e-15
+    assert got.shape == (8, 2, DIM // 2)
+    assert _relative(got, want[..., _SECTORS]) <= 1e-15

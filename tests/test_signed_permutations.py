@@ -162,9 +162,51 @@ def test_scattered_psi_matches_dense_halves(batched):
     plus, minus = _dense_psi_halves(k, x, 1.3)
     for plus_sign, want in ((1.0, plus + minus), (-1.0, minus - plus)):
         got = fields._scattered_psi(k, x, 1.3, plus_sign)
-        assert got.shape == shape + (4, DIM, DIM)
-        assert np.max(np.abs(got - want)) <= 1e-15
+        assert got.shape == shape + (4, 2, DIM // 2, DIM // 2)
+        assert np.max(np.abs(fields._dense(got, fields._ODD) - want)) <= 1e-15
     assert np.max(np.abs(fields.psi_matrices(k, x, 1.3) - (plus + minus))) <= 1e-15
+
+
+# -- the fermion-parity blocks of the operator layer --
+
+
+def test_sectors_split_the_basis_by_occupation_parity():
+    sectors = fields._SECTORS
+    assert sorted(sectors.ravel()) == list(range(DIM))
+    assert [[bin(n).count("1") % 2 for n in row] for row in sectors] == [[0] * 8, [1] * 8]
+    for row in sectors:
+        assert np.array_equal(fields._POSITION[row], np.arange(8))
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_mode_operators_survive_the_odd_blocks(table):
+    for s in MODES:
+        op = TABLES[table][2](s)
+        assert np.array_equal(fields._dense(fields._blocks(op, fields._ODD), fields._ODD), op)
+        assert not np.any(fields._blocks(op, fields._EVEN))
+
+
+def test_even_operators_survive_the_even_blocks():
+    pair = ANNIHILATORS[0] @ CREATORS[3]
+    for op in (fock.total_number_operator(), fock.charge_operator(NAT), pair):
+        assert np.array_equal(fields._dense(fields._blocks(op, fields._EVEN), fields._EVEN), op)
+
+
+# two flipped occupation bits keep the parity; three change it, but no one mode acts
+@pytest.mark.parametrize("flip", [0b11, 0b111], ids=["parity_preserving", "three_bits"])
+def test_grading_check_rejects_a_support_entry_not_flipping_one_bit(flip):
+    rows, cols, signs = (a.copy() for a in fields._PLUS_SUPPORT)
+    fields._check_grading([(rows, cols, signs)], [])
+    cols[0, 3] = rows[0, 3] ^ flip
+    with pytest.raises(ImportError, match="does not flip exactly one occupation bit"):
+        fields._check_grading([fields._MINUS_SUPPORT, (rows, cols, signs)], [])
+
+
+def test_grading_check_rejects_an_even_table_between_sectors():
+    even = fock.charge_operator(NAT)
+    fields._check_grading([], [even])
+    with pytest.raises(ImportError, match="an entry between the parity sectors"):
+        fields._check_grading([], [even, even + 1e-3 * mode_annihilator(2)])
 
 
 # -- the product rule in moment form, against the earlier per-node layout --
