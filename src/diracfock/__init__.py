@@ -22,7 +22,6 @@ from .expectation import (
     two_point_dirac_residual,
 )
 from .fields import (
-    AmbiguousSolutionError,
     NoSolutionError,
     fock_charge_conjugation,
     psi_adjoint_matrices,
@@ -43,7 +42,6 @@ from .states import (
 from .verify import Check, VerificationReport, run_suite
 
 __all__ = [
-    "AmbiguousSolutionError",
     "Check",
     "Diverged",
     "ExampleReport",

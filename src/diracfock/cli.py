@@ -27,7 +27,7 @@ import numpy as np
 from .constants import PhysicalConstants
 from .expectation import classical_spinor, example_report, r_density
 from .quadrature import Diverged, QuadratureNotConverged, QuadratureSpec
-from .states import config_integer, family_from_config
+from .states import config_float, config_integer, family_from_config
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -111,8 +111,10 @@ def _emit_json(payload: dict, out, to_stdout: bool):
 def cmd_verify(args) -> int:
     config = _load_json(args.config) if args.config else {}
     seed = args.seed if args.seed is not None else config_integer(config.get("seed", 0), "seed")
-    kappa = args.kappa if args.kappa is not None else float(config.get("kappa", 1.0))
-    perturb = args.perturb if args.perturb is not None else float(config.get("perturb", 0.0))
+    kappa = config_float(config.get("kappa", 1.0), "kappa") if args.kappa is None else args.kappa
+    perturb = args.perturb
+    if perturb is None:
+        perturb = config_float(config.get("perturb", 0.0), "perturb")
     consts = PhysicalConstants(kappa=kappa)
     if not math.isfinite(perturb):
         raise ValueError(f"perturb must be finite, got {perturb}")
@@ -160,7 +162,7 @@ def cmd_example(args) -> int:
 def _axis(spec, name):
     if not (isinstance(spec, (list, tuple)) and len(spec) == 3):
         raise ValueError(f"grid axis {name} must be [start, stop, count]")
-    start, stop = float(spec[0]), float(spec[1])
+    start, stop = (config_float(end, f"grid axis {name} end") for end in spec[:2])
     count = config_integer(spec[2], f"grid axis {name} count", minimum=1)
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid axis {name} needs finite ends, got [{start}, {stop}]")
@@ -173,7 +175,7 @@ def _grid_points(config) -> np.ndarray:
         raise ValueError("grid must be an object")
     ts = _axis(grid.get("t", [0.0, 1.0, 5]), "t")
     xs = _axis(grid.get("x", [0.0, 1.0, 5]), "x")
-    y, z = (float(grid.get(name, 0.0)) for name in ("y", "z"))
+    y, z = (config_float(grid.get(name, 0.0), f"grid {name}") for name in ("y", "z"))
     if not (math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"grid y and z must be finite, got {y}, {z}")
     points = [(t, x, y, z) for t in ts for x in xs]
@@ -184,9 +186,9 @@ def cmd_sample_field(args) -> int:
     config = _load_json(args.config)
     family = family_from_config(config)
     consts = PhysicalConstants(
-        kappa=float(config.get("kappa", 1.0)),
-        ell=float(config.get("ell", 1.0)),
-        q=float(config.get("q", 1.0)),
+        kappa=config_float(config.get("kappa", 1.0), "kappa"),
+        ell=config_float(config.get("ell", 1.0), "ell"),
+        q=config_float(config.get("q", 1.0), "q"),
     )
     spec = QuadratureSpec(n_radial=args.nodes, r_max=args.rmax)
     points = _grid_points(config)

@@ -30,10 +30,9 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .fields import (
-    _EVEN, _HALF, _MINUS_SUPPORT, _PLUS_SUPPORT, _SECTORS, _adjoint, _blocks, _check_grading,
-    _dense, _k0, _norm, _per_sample, _scattered_psi, plane_phase,
+    _EVEN, _HALF, _adjoint, _blocks, _dense, _k0, _norm, _per_sample, _scattered_psi, plane_phase,
 )
-from .fock import ANNIHILATORS, CREATORS, charge_operator, hamiltonian
+from .fock import ANNIHILATORS, CREATORS, SECTORS, charge_operator
 # unused here, but perfbench/tracer.py wraps these four names at this call site
 from .fields import psi_adjoint_matrices, psi_matrices  # noqa: F401
 from .fock import mode_annihilator, mode_creator  # noqa: F401
@@ -53,13 +52,7 @@ _EE = np.einsum("sij,tjl->stil", CREATORS[:2], ANNIHILATORS[:2])
 _PP = np.einsum("sij,tjl->stil", CREATORS[2:], ANNIHILATORS[2:])
 _CC = np.einsum("sij,tjl->stil", CREATORS[:2], CREATORS[2:])
 _AA = np.einsum("sij,tjl->stil", ANNIHILATORS[2:], ANNIHILATORS[:2])
-# the graded blocks drop every entry between the parity sectors of an even operator
-_check_grading(
-    (_PLUS_SUPPORT, _MINUS_SUPPORT),
-    (_EE, _PP, _CC, _AA, charge_operator(PhysicalConstants()),
-     hamiltonian(np.zeros(3), PhysicalConstants())),
-)
-# the tables as graded blocks, (s, t, 2, 8, 8) each
+# the tables as graded blocks, (s, t, 2, 8, 8) each: even, as fock's table check proves
 _EE, _PP, _CC, _AA = (_blocks(table, _EVEN) for table in (_EE, _PP, _CC, _AA))
 
 
@@ -158,14 +151,9 @@ def _diag_half(k, kp, x, kappa: float) -> np.ndarray:
     return 0.5 * phase[..., None, None, None, None] * modes
 
 
-def _diag(k, kp, x, kappa: float) -> np.ndarray:
-    """Graded j_diag_stack."""
-    return _diag_half(k, kp, x, kappa) + _diag_half(kp, k, x, kappa)
-
-
 def j_diag_stack(k, kp, x, kappa: float) -> np.ndarray:
     """Number-conserving part of the electric current, shape (..., 4, 16, 16)."""
-    return _dense(_diag(k, kp, x, kappa), _EVEN)
+    return _dense(_diag_half(k, kp, x, kappa) + _diag_half(kp, k, x, kappa), _EVEN)
 
 
 def _off_parts(k, kp, x, kappa: float):
@@ -178,16 +166,11 @@ def _off_parts(k, kp, x, kappa: float):
     return creation, annihilation
 
 
-def _off(k, kp, x, kappa: float) -> np.ndarray:
-    """Graded j_off_stack."""
-    c1, a1 = _off_parts(k, kp, x, kappa)
-    c2, a2 = _off_parts(kp, k, x, kappa)
-    return c1 + a1 + c2 + a2
-
-
 def j_off_stack(k, kp, x, kappa: float) -> np.ndarray:
     """Pair part of the electric current, changes mode number by two."""
-    return _dense(_off(k, kp, x, kappa), _EVEN)
+    c1, a1 = _off_parts(k, kp, x, kappa)
+    c2, a2 = _off_parts(kp, k, x, kappa)
+    return _dense(c1 + a1 + c2 + a2, _EVEN)
 
 
 def j_diag_divergence(k, kp, x, kappa: float) -> np.ndarray:
@@ -226,16 +209,6 @@ def _contraction_norm(p: np.ndarray, stack: np.ndarray):
     return _per_sample(_norm(_contract(p, stack)))
 
 
-def j_diag_symmetry_residual(k, kp, x, kappa: float):
-    """Frobenius norm, an upper bound on the operator norm, of (k - k')_mu J_diag^mu."""
-    return _contraction_norm(_cov(k, kappa) - _cov(kp, kappa), _diag(k, kp, x, kappa))
-
-
-def j_off_symmetry_residual(k, kp, x, kappa: float):
-    """Frobenius norm, an upper bound on the operator norm, of (k + k')_mu J_off^mu."""
-    return _contraction_norm(_cov(k, kappa) + _cov(kp, kappa), _off(k, kp, x, kappa))
-
-
 # sample points for the charge check, scaled by 1/kappa at call time
 _CHARGE_POINTS = np.array(
     [
@@ -258,7 +231,7 @@ def integrated_charge_check(k, kappa: float, consts: PhysicalConstants | None = 
     one value per k.
     """
     consts = consts if consts is not None else PhysicalConstants()
-    target = (np.diag(charge_operator(consts)).real / consts.q)[_SECTORS]
+    target = (np.diag(charge_operator(consts)).real / consts.q)[SECTORS]
     deviations = [
         np.abs(_j0_diagonal(k, x, kappa) - target).max(axis=(-2, -1))
         for x in _CHARGE_POINTS / kappa
@@ -267,7 +240,7 @@ def integrated_charge_check(k, kappa: float, consts: PhysicalConstants | None = 
 
 
 def _j0_diagonal(k, x, kappa: float) -> np.ndarray:
-    """The diagonal of J^0_{k,k} at x by sector, (..., 2, 8) as fields._SECTORS, without J^0.
+    """The diagonal of J^0_{k,k} at x by sector, (..., 2, 8) as fock.SECTORS, without J^0.
 
     gamma^0 is diagonal, and diag(A B)_i = sum_j A_ij B_ji, so each
     ordering of the current needs only elementwise products: of block s

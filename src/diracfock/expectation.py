@@ -25,9 +25,11 @@ every node and the residual checks probe the algebra, not the step size.
 The state is held mode-major, one column per node.  Mode s is bit s - 1
 of the basis index (fock's Jordan-Wigner order), so each mode operator,
 and each sandwich <z| a_s |z> the classical spinor needs, pairs two bit
-slices of the state: row views, with no gather and no dense 16 x 16
-product.  The product rule refills buffers allocated once per call, and
-reads its time derivative off the value contraction.  A block's moments
+slices of the state, fock.BIT_CLEAR and BIT_SET with the signs
+fock.SIGNS (fock is the one source of these tables): row views, with no
+gather and no dense 16 x 16 product.  The product rule refills buffers
+allocated once per call, and reads its time derivative off the value
+contraction.  A block's moments
 are built for one slice of points at a time, at most _CHUNK_NODES
 points x nodes per slice (times the four moments and the derivatives;
 all that _CHUNK_NODES sizes), so peak memory follows the output, not the
@@ -49,7 +51,7 @@ from functools import partial
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fock import ANNIHILATOR_INDEX, ANNIHILATOR_SIGN, DIM, N_MODES, charge_operator
+from .fock import BIT_CLEAR, BIT_SET, DIM, N_MODES, SIGNS, charge_operator
 from .gamma import BILINEAR, GAMMA, GAMMA0
 from .quadrature import (
     REFERENCE_R_MAX,
@@ -91,21 +93,8 @@ def _sphere_rule(family: StateFamily, spec: QuadratureSpec):
     return r, wr * r**2, dirs, wo
 
 
-# Jordan-Wigner: mode s is bit s - 1 of the basis index, so a_s pairs each row n
-# of a mode-major state (DIM, m) with that bit clear with the row n + 2^(s-1).
-# In its (2, 2, 2, 2, m) view the two row sets are slices 0 and 1 of axis 4 - s.
-_BIT_OFF = [(slice(None),) * (N_MODES - s) + (0,) for s in range(1, N_MODES + 1)]
-_BIT_ON = [off[:-1] + (1,) for off in _BIT_OFF]
-_BASIS, _MODE = np.arange(DIM).reshape((2,) * N_MODES), np.arange(N_MODES)[:, None]
-_ROWS, _COLS = (np.array([_BASIS[i].ravel() for i in bits]) for bits in (_BIT_OFF, _BIT_ON))
-_BIT_SIGNS = ANNIHILATOR_SIGN[_MODE, _ROWS].astype(np.complex128)  # (4, 8), each +-1
-_BIT_SIGNS.setflags(write=False)
-if not (
-    np.array_equal(ANNIHILATOR_INDEX[_MODE, _ROWS], _COLS)
-    and np.array_equal(_COLS, _ROWS + 2**_MODE)
-    and np.sum(np.abs(_BIT_SIGNS)) == np.count_nonzero(ANNIHILATOR_SIGN) == _ROWS.size
-):
-    raise ImportError("the mode operators do not pair the basis states n and n + 2^(s-1)")
+# a mode-major state (DIM, m) viewed as (2, 2, 2, 2, m), where fock's bit slices apply
+_BITS = (2,) * N_MODES
 # rows of _sandwich's scratch: the four sandwiches, the conjugate state, one mode's pairs
 _SANDWICH_ROWS = N_MODES + DIM + 8
 
@@ -119,10 +108,10 @@ def _sandwich(zT, work):
     """
     y, zc, pairs = work[:N_MODES], work[N_MODES : N_MODES + DIM], work[N_MODES + DIM :]
     np.conjugate(zT, out=zc)
-    z5, zc5 = zT.reshape(*_BASIS.shape, -1), zc.reshape(*_BASIS.shape, -1)
+    z5, zc5 = zT.reshape(*_BITS, -1), zc.reshape(*_BITS, -1)
     for s in range(N_MODES):
-        np.multiply(zc5[_BIT_OFF[s]], z5[_BIT_ON[s]], out=pairs.reshape(2, 2, 2, -1))
-        np.matmul(_BIT_SIGNS[s], pairs, out=y[s])
+        np.multiply(zc5[BIT_CLEAR[s]], z5[BIT_SET[s]], out=pairs.reshape(2, 2, 2, -1))
+        np.matmul(SIGNS[s], pairs, out=y[s])
     return y
 
 
@@ -135,11 +124,11 @@ def _mode_actions(zT, work, dagger: bool = False):
     Each is a signed copy of one bit slice of zT into the other, written
     into work; the rows paired with v are conjugated (see _contraction).
     """
-    z5, S = zT.reshape(*_BASIS.shape, -1), work.reshape(N_MODES, *_BASIS.shape, -1)
+    z5, S = zT.reshape(*_BITS, -1), work.reshape(N_MODES, *_BITS, -1)
     for s in range(N_MODES):
         # a_s moves the bit-set rows onto the bit-clear ones; its adjoint the reverse
-        dst, src = (_BIT_OFF[s], _BIT_ON[s]) if (s < 2) != dagger else (_BIT_ON[s], _BIT_OFF[s])
-        np.multiply(z5[src], _BIT_SIGNS[s].reshape(2, 2, 2, 1), out=S[s][dst])
+        dst, src = (BIT_CLEAR[s], BIT_SET[s]) if (s < 2) != dagger else (BIT_SET[s], BIT_CLEAR[s])
+        np.multiply(z5[src], SIGNS[s].reshape(2, 2, 2, 1), out=S[s][dst])
         S[s][src] = 0.0
     np.conjugate(work[2 * DIM :], out=work[2 * DIM :])
     return work

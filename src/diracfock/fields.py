@@ -9,10 +9,11 @@ v spinors:
 
 All derivatives are analytic: each factor contributes -i k_mu or +i k_mu.
 
-The mode operators are signed permutations (see fock), and the supports
-of a_1, a_2, a_3^dagger and a_4^dagger are disjoint, so psi is assembled
-by scattering u e and v conj(e) onto their 32 fixed nonzero entries; the
-dense stacks fock.ANNIHILATORS and CREATORS are only the definition.
+The mode operators are signed permutations, and the supports of a_1,
+a_2, a_3^dagger and a_4^dagger are disjoint, so psi is assembled by
+scattering u e and v conj(e) onto their 32 fixed nonzero entries.  Those
+entries, the parity sectors below and every other basis table come from
+fock, their one source, which checks them against the dense definition.
 Gamma matrices act on the component axis as gathers with the (index,
 phase) tables of gamma; no dense 4 x 4 table is multiplied here.
 
@@ -39,12 +40,16 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .fock import (
-    ANNIHILATOR_INDEX,
-    ANNIHILATOR_SIGN,
-    CREATOR_INDEX,
-    CREATOR_SIGN,
+    COLS,
     DIM,
     N_MODES,
+    OCCUPATION,
+    PARITY,
+    POSITION,
+    ROWS,
+    SECTORS,
+    SIGNS,
+    apply_creator,
     basis_state,
     hamiltonian,
     mode_annihilator,
@@ -68,10 +73,6 @@ class NoSolutionError(RuntimeError):
     """The Fock-space conjugation does not intertwine the fields at the sampled wave vectors."""
 
 
-class AmbiguousSolutionError(RuntimeError):
-    """The intertwining system leaves more than a phase free (raised by the tests' sector solve)."""
-
-
 def _k0(k: np.ndarray, kappa: float) -> np.ndarray:
     """On-shell frequency sqrt(kappa^2 + |k|^2) over the leading axes of k."""
     return np.sqrt(kappa**2 + np.einsum("...i,...i->...", k, k))
@@ -82,16 +83,10 @@ def _per_sample(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-# basis states by occupation parity: row 0 the eight even states, row 1 the eight odd ones
 _HALF = DIM // 2
-_PARITY = np.array([bin(n).count("1") % 2 for n in range(DIM)])
-_SECTORS = np.array([np.flatnonzero(_PARITY == parity) for parity in (0, 1)])
-# position of each basis state within its sector
-_POSITION = np.zeros(DIM, dtype=int)
-_POSITION[_SECTORS] = np.arange(_HALF)
 # dense (rows, cols) of the graded blocks (2, 8, 8) of an even and of an odd operator
-_EVEN = (_SECTORS[:, :, None], _SECTORS[:, None, :])
-_ODD = (_SECTORS[:, :, None], _SECTORS[::-1, None, :])
+_EVEN = (SECTORS[:, :, None], SECTORS[:, None, :])
+_ODD = (SECTORS[:, :, None], SECTORS[::-1, None, :])
 
 
 def _blocks(dense: np.ndarray, entries) -> np.ndarray:
@@ -149,30 +144,9 @@ def phi_minus(s: int, k: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarray:
     return _dense(_phi(s, k, x, kappa, plus=False), _ODD)
 
 
-def _support(index, sign):
-    """(rows, cols, signs), each (mode, 8): the nonzero entries of a signed gather table."""
-    rows = np.array([np.flatnonzero(row) for row in sign])
-    return rows, np.take_along_axis(index, rows, -1), np.take_along_axis(sign, rows, -1)
-
-
-# entries of the operators in phi_plus of modes (1, 2) and phi_minus of modes (3, 4)
-_PLUS_SUPPORT = _support(ANNIHILATOR_INDEX[:2], ANNIHILATOR_SIGN[:2])
-_MINUS_SUPPORT = _support(CREATOR_INDEX[2:], CREATOR_SIGN[2:])
-
-
-def _check_grading(supports, evens):
-    """ImportError unless the graded layout holds every entry of these operators.
-
-    Each entry (row, col) of the field supports must flip exactly one
-    occupation bit, and no even table (..., 16, 16) may have an entry
-    between the two sectors; the graded blocks would drop it silently.
-    """
-    for rows, cols, _ in supports:
-        if any(bin(r ^ c).count("1") != 1 for r, c in zip(rows.flat, cols.flat)):
-            raise ImportError("a field operator entry does not flip exactly one occupation bit")
-    for table in evens:
-        if np.any(_blocks(table, _ODD)):
-            raise ImportError("an even operator table has an entry between the parity sectors")
+# (rows, cols, signs) of the operators in phi_plus of modes (1, 2) and phi_minus of modes (3, 4)
+_PLUS_SUPPORT = ROWS[:2], COLS[:2], SIGNS[:2]
+_MINUS_SUPPORT = COLS[2:], ROWS[2:], SIGNS[2:]
 
 
 def _scattered_psi(k, x, kappa, plus_sign: float = 1.0):
@@ -187,7 +161,7 @@ def _scattered_psi(k, x, kappa, plus_sign: float = 1.0):
     out = np.zeros(u.shape[:-1] + (2, _HALF, _HALF), dtype=np.complex128)
     # component r of mode s lands on the entries of that mode's operator
     for c, (rows, cols, signs) in ((u, _PLUS_SUPPORT), (v, _MINUS_SUPPORT)):
-        out[..., _PARITY[rows], _POSITION[rows], _POSITION[cols]] = c[..., None] * signs
+        out[..., PARITY[rows], POSITION[rows], POSITION[cols]] = c[..., None] * signs
     return out
 
 
@@ -408,11 +382,11 @@ def _mode_map_conjugation() -> np.ndarray:
     """C_hat as a read-only table: basis state to the mapped creators, same order, on the vacuum."""
     chat = np.zeros((DIM, DIM), dtype=np.complex128)
     for n in range(DIM):
-        modes = [s for s in range(1, N_MODES + 1) if n >> (s - 1) & 1]
+        modes = [s for s in range(1, N_MODES + 1) if OCCUPATION[n, s - 1]]
         image = vacuum_state()
         for s in modes:
             p, eps = _MODE_MAP[s]
-            image = eps * CREATOR_SIGN[p - 1] * image[CREATOR_INDEX[p - 1]]
+            image = eps * apply_creator(p, image)
         chat += np.outer(image, basis_state(modes).conj())
     chat.setflags(write=False)
     return chat

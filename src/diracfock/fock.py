@@ -6,12 +6,12 @@ by the Jordan-Wigner construction from Pauli matrices, with mode 1 the
 innermost tensor factor and a sigma_3 string on all modes of lower index.
 The vacuum is the state with every mode in the sigma_3 = +1 level.
 
-Each ladder operator has exactly eight nonzero entries, all +1 or -1, and
-at most one per row: it is a signed permutation.  The dense stacks
-ANNIHILATORS and CREATORS are the definition; the same operators as index
-and sign tables (ANNIHILATOR_INDEX, ...), derived from those stacks, are
-the form the engine applies to state vectors and scatters into field
-operators.
+So mode s is bit s - 1 of the basis index, and a_s is a signed
+permutation: eight entries, +1 or -1, each pairing a state with that bit
+clear with the state that has it set.  The dense stacks ANNIHILATORS and
+CREATORS are the definition.  This module is the one source of the basis
+tables every other module applies instead (occupations, bit slices, the
+entries of each a_s, parity sectors), checked against ANNIHILATORS once.
 """
 
 from functools import cache
@@ -78,23 +78,46 @@ CREATORS = np.stack([mode_creator(s) for s in range(1, N_MODES + 1)])
 ANNIHILATORS.setflags(write=False)
 CREATORS.setflags(write=False)
 
+# Jordan-Wigner: mode s is bit s - 1 of the basis index, OCCUPATION (16, mode).  In a
+# (2, 2, 2, 2, ...) view of the basis axis that bit is axis 4 - s, and BIT_CLEAR and
+# BIT_SET are the slices of the states with it clear and set.
+OCCUPATION = np.arange(DIM)[:, None] >> np.arange(N_MODES) & 1
+BIT_CLEAR = tuple((slice(None),) * (N_MODES - s) + (0,) for s in range(1, N_MODES + 1))
+BIT_SET = tuple(clear[:-1] + (1,) for clear in BIT_CLEAR)
+# a_s maps state COLS[s - 1, j] onto SIGNS[s - 1, j] times state ROWS[s - 1, j], and its
+# creator the reverse; (mode, 8) each, ROWS and COLS the two bit slices of the basis
+_BASIS = np.arange(DIM).reshape((2,) * N_MODES)
+ROWS, COLS = (np.array([_BASIS[bits].ravel() for bits in side]) for side in (BIT_CLEAR, BIT_SET))
+SIGNS = ANNIHILATORS.real[np.arange(N_MODES)[:, None], ROWS, COLS]
+# SECTORS (2, 8): the states of even occupation parity, then the odd ones;
+# POSITION: the place of each state within its sector
+PARITY = OCCUPATION.sum(axis=1) % 2
+SECTORS = np.array([np.flatnonzero(PARITY == parity) for parity in (0, 1)])
+POSITION = np.zeros(DIM, dtype=int)
+POSITION[SECTORS] = np.arange(DIM // 2)
+for _table in (OCCUPATION, ROWS, COLS, SIGNS, PARITY, SECTORS, POSITION):
+    _table.setflags(write=False)
 
-def _signed_permutation(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) with (stack[s] @ z)[i] = sign[s, i] * z[index[s, i]].
 
-    Valid for operators with at most one nonzero entry per row, each +1
-    or -1; a zero row gets sign 0.
+def _check_tables(stack: np.ndarray):
+    """ImportError unless the 32 nonzero entries of stack are +1 or -1 at (s, ROWS[s], COLS[s]).
+
+    Each flips one occupation bit, so a field maps each parity sector onto
+    the other and a product of two keeps it: the graded blocks drop nothing.
     """
-    index = np.argmax(np.abs(stack), axis=-1)
-    sign = np.take_along_axis(stack.real, index[..., None], axis=-1)[..., 0]
-    index.setflags(write=False)
-    sign.setflags(write=False)
-    return index, sign
+    entries = stack[np.arange(N_MODES)[:, None], ROWS, COLS]
+    if not (np.all((entries == 1) | (entries == -1)) and np.count_nonzero(stack) == ROWS.size):
+        raise ImportError("the mode operators do not pair the basis states n and n + 2^(s-1)")
 
 
-# the two stacks as signed gathers, (mode, 16) each
-ANNIHILATOR_INDEX, ANNIHILATOR_SIGN = _signed_permutation(ANNIHILATORS)
-CREATOR_INDEX, CREATOR_SIGN = _signed_permutation(CREATORS)
+_check_tables(ANNIHILATORS)
+
+
+def apply_creator(s: int, state: np.ndarray) -> np.ndarray:
+    """a_s^dagger state for a (16,) state: a signed copy of its ROWS entries onto COLS."""
+    out = np.zeros_like(state)
+    out[COLS[s - 1]] = SIGNS[s - 1] * state[ROWS[s - 1]]
+    return out
 
 
 def vacuum_state() -> np.ndarray:
@@ -110,12 +133,10 @@ def basis_state(occupied: Iterable[int]) -> np.ndarray:
     The result is a unit vector; the Jordan-Wigner strings fix its overall
     sign.  The 16 vectors over all subsets form an orthonormal basis.
     """
-    occupied = sorted(set(occupied))
-    for s in occupied:
-        _check_mode(s)
     state = vacuum_state()
-    for s in occupied:
-        state = CREATOR_SIGN[s - 1] * state[CREATOR_INDEX[s - 1]]
+    for s in sorted(set(occupied)):
+        _check_mode(s)
+        state = apply_creator(s, state)
     return state
 
 

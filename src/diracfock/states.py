@@ -49,6 +49,17 @@ def config_integer(value, name: str, minimum: int | None = None) -> int:
     return number
 
 
+def config_float(value, name: str) -> float:
+    """A config value read as a number: booleans, null, arrays and objects are refused."""
+    refused = ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, bool):
+        raise refused
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise refused from None
+
+
 @dataclass(frozen=True)
 class RhoStateFamily:
     """Two-component family with radial density rho and phases chi, xi."""
@@ -203,8 +214,8 @@ def family_from_config(config: dict) -> RhoStateFamily:
         raise ValueError("state config must be a mapping")
     profile = config.get("profile")
     occupied = config_integer(config.get("occupied", 1), "occupied")
-    chi0 = float(config.get("chi", 0.0))
-    xi0 = float(config.get("xi", 0.0))
+    chi0 = config_float(config.get("chi", 0.0), "chi")
+    xi0 = config_float(config.get("xi", 0.0), "xi")
     if not (np.isfinite(chi0) and np.isfinite(xi0)):
         raise ValueError(f"phases chi and xi must be finite, got {chi0}, {xi0}")
 
@@ -215,13 +226,15 @@ def family_from_config(config: dict) -> RhoStateFamily:
         return np.full_like(np.asarray(r, dtype=float), xi0)
 
     if profile in ("sech2", "gaussian"):
-        return PROFILE_LIBRARY[profile](float(config.get("a", 1.0)), occupied, chi, xi)
+        return PROFILE_LIBRARY[profile](config_float(config.get("a", 1.0), "a"), occupied, chi, xi)
     if profile == "step":
         if "kmax" not in config:
             raise ValueError("step profile needs kmax")
-        return step_family(float(config["kmax"]), occupied, chi, xi)
+        return step_family(config_float(config["kmax"], "kmax"), occupied, chi, xi)
     if profile == "tabulated":
-        if "k" not in config or "rho" not in config:
+        if not (isinstance(config.get("k"), list) and isinstance(config.get("rho"), list)):
             raise ValueError("tabulated profile needs k and rho arrays")
-        return tabulated_family(config["k"], config["rho"], occupied, chi, xi)
+        k = [config_float(v, f"k[{i}]") for i, v in enumerate(config["k"])]
+        rho = [config_float(v, f"rho[{i}]") for i, v in enumerate(config["rho"])]
+        return tabulated_family(k, rho, occupied, chi, xi)
     raise ValueError(f"unknown profile {profile!r}")

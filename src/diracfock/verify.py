@@ -133,8 +133,7 @@ def _fock_checks(consts: PhysicalConstants):
     )
     zero = max(np.max(np.abs(a[s] @ a[t] + a[t] @ a[s])) for s in range(4) for t in range(4))
     vac = max(np.max(np.abs(a[s] @ fock.vacuum_state())) for s in range(4))
-    # occupation numbers read off the binary index
-    counts = np.array([bin(i).count("1") for i in range(fock.DIM)], dtype=float)
+    counts = fock.OCCUPATION.sum(axis=1)
     ntot = fock.total_number_operator()
     number = max(
         np.max(np.abs(np.diag(ntot).real - counts)),
@@ -245,7 +244,7 @@ def _operator_checks(rng, n, consts: PhysicalConstants):
     xs = rng.normal(scale=1.5, size=(n, 4))
     ys = rng.normal(scale=1.5, size=(n, 4))
     # the diagonal of q_hat by parity sector, as the graded current blocks hold their rows
-    charges = np.diag(fock.charge_operator(consts))[fields._SECTORS]
+    charges = np.diag(fock.charge_operator(consts))[fock.SECTORS]
     # every check over one batch at a time, each batch reduced to its worst values
     worst = [
         _operator_batch(*batch, consts, charges)

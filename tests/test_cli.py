@@ -328,6 +328,35 @@ def test_configuration_errors(tmp_path, capsys):
         ("verify", {"n_spinor": -3}, "n_spinor must be at least 1, got -3"),
         ("sample-field", {"profile": "sech2", "occupied": 4.9}, "occupied must be an integer"),
         ("sample-field", {"profile": "sech2", "occupied": True}, "occupied must be an integer"),
+        # config numbers of the wrong JSON type, and the message names the key
+        ("verify", {"kappa": [1]}, "kappa must be a number, got [1]"),
+        ("verify", {"perturb": False}, "perturb must be a number, got False"),
+        ("sample-field", {"profile": "sech2", "a": {"x": 1}}, "a must be a number, got {'x': 1}"),
+        ("sample-field", {"profile": "sech2", "a": True}, "a must be a number, got True"),
+        ("sample-field", {"profile": "sech2", "chi": [1]}, "chi must be a number, got [1]"),
+        ("sample-field", {"profile": "sech2", "kappa": None}, "kappa must be a number, got None"),
+        ("sample-field", {"profile": "step", "kmax": "big"}, "kmax must be a number, got 'big'"),
+        (
+            "sample-field",
+            {"profile": "sech2", "grid": {"t": [[0], 1, 2]}},
+            "grid axis t end must be a number, got [0]",
+        ),
+        ("sample-field", {"profile": "sech2", "grid": {"y": [0]}}, "grid y must be a number"),
+        (
+            "sample-field",
+            {"profile": "tabulated", "k": [0.0, {"x": 1}], "rho": [0.5, 0.5]},
+            "k[1] must be a number, got {'x': 1}",
+        ),
+        (
+            "sample-field",
+            {"profile": "tabulated", "k": [0.0, 1.0], "rho": [0.5, None]},
+            "rho[1] must be a number, got None",
+        ),
+        (
+            "sample-field",
+            {"profile": "tabulated", "k": [0.0, 1.0], "rho": {"x": 1}},
+            "tabulated profile needs k and rho arrays",
+        ),
     ]:
         cfg = _write(tmp_path, "integer.json", payload)
         assert main([command, "--config", cfg]) == 2, payload

@@ -1,8 +1,15 @@
-"""Current operators: split identity, conservation, charge pattern."""
+"""Current operators: split identity, conservation, charge pattern.
+
+The symmetry residuals, (k - k')_mu J_diag^mu and (k + k')_mu J_off^mu, are
+oracles kept here: verify contracts the graded stacks it shares between
+checks, and these contract the public stacks the same way.  test_verify and
+test_operator_batches import them from this module.
+"""
 
 import numpy as np
 import pytest
 
+from diracfock import currents
 from diracfock.constants import natural_units
 from diracfock.currents import (
     _CHARGE_POINTS,
@@ -11,16 +18,26 @@ from diracfock.currents import (
     j_current_stack,
     j_diag_divergence,
     j_diag_stack,
-    j_diag_symmetry_residual,
     j_off_divergence,
     j_off_stack,
-    j_off_symmetry_residual,
     r_current_stack,
 )
-from diracfock.fields import fock_charge_conjugation
+from diracfock.fields import _EVEN, _blocks, fock_charge_conjugation
 from diracfock.fock import basis_state, charge_operator, vacuum_state
 
 KAPPA = 1.0
+
+
+def j_diag_symmetry_residual(k, kp, x, kappa: float):
+    """Frobenius norm, an upper bound on the operator norm, of (k - k')_mu J_diag^mu."""
+    p = currents._cov(k, kappa) - currents._cov(kp, kappa)
+    return currents._contraction_norm(p, _blocks(j_diag_stack(k, kp, x, kappa), _EVEN))
+
+
+def j_off_symmetry_residual(k, kp, x, kappa: float):
+    """Frobenius norm, an upper bound on the operator norm, of (k + k')_mu J_off^mu."""
+    p = currents._cov(k, kappa) + currents._cov(kp, kappa)
+    return currents._contraction_norm(p, _blocks(j_off_stack(k, kp, x, kappa), _EVEN))
 
 
 def _tuples(rng, n):

@@ -9,7 +9,6 @@ import pytest
 from diracfock import fields
 from diracfock.constants import PhysicalConstants, natural_units
 from diracfock.fields import (
-    AmbiguousSolutionError,
     NoSolutionError,
     _conjugation_relations,
     _intertwining_residual,
@@ -309,6 +308,10 @@ def _sector_systems(a: np.ndarray, b: np.ndarray):
         # A where a = b_c, -B where i = j_c, else the zero at the end of values
         src = np.where(ra == cb, a_entry, np.where(ri == cj, b_entry, -1))
         yield cols, values.take(src, axis=1).reshape(-1, cols.size)
+
+
+class AmbiguousSolutionError(RuntimeError):
+    """The intertwining system leaves more than a phase free."""
 
 
 def _sector_solve(

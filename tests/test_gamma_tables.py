@@ -17,8 +17,8 @@ import pytest
 
 from diracfock import currents, fields, gamma, spinors
 from diracfock.constants import natural_units
-from diracfock.fields import _EVEN, _ODD, _SECTORS, _dense
-from diracfock.fock import DIM
+from diracfock.fields import _EVEN, _ODD, _dense
+from diracfock.fock import DIM, SECTORS
 from diracfock.gamma import BILINEAR, CONJUGATION, GAMMA, GAMMA0
 
 NAT = natural_units()
@@ -254,4 +254,4 @@ def test_charge_diagonal_matches_dense():
     want = np.diagonal(0.5 * (first - second)[..., 0, :, :], axis1=-2, axis2=-1)
     got = currents._j0_diagonal(ks, xs, 1.3)
     assert got.shape == (8, 2, DIM // 2)
-    assert _relative(got, want[..., _SECTORS]) <= 1e-15
+    assert _relative(got, want[..., SECTORS]) <= 1e-15

@@ -5,6 +5,7 @@ import pytest
 
 from diracfock import currents, fields
 from diracfock.constants import natural_units
+from test_currents import j_diag_symmetry_residual, j_off_symmetry_residual
 
 NAT = natural_units()
 KAPPA = NAT.kappa
@@ -40,12 +41,8 @@ CALLS = {
     ),
     "j_diag_divergence": lambda k, kp, x, y: currents.j_diag_divergence(k, kp, x, KAPPA),
     "j_off_divergence": lambda k, kp, x, y: currents.j_off_divergence(k, kp, x, KAPPA),
-    "j_diag_symmetry_residual": (
-        lambda k, kp, x, y: currents.j_diag_symmetry_residual(k, kp, x, KAPPA)
-    ),
-    "j_off_symmetry_residual": (
-        lambda k, kp, x, y: currents.j_off_symmetry_residual(k, kp, x, KAPPA)
-    ),
+    "j_diag_symmetry_residual": lambda k, kp, x, y: j_diag_symmetry_residual(k, kp, x, KAPPA),
+    "j_off_symmetry_residual": lambda k, kp, x, y: j_off_symmetry_residual(k, kp, x, KAPPA),
     "integrated_charge_check": lambda k, kp, x, y: currents.integrated_charge_check(k, KAPPA, NAT),
 }
 

@@ -1,12 +1,13 @@
-"""The mode operators as signed gathers, against their dense 16 x 16 definition.
+"""The mode operators as signed copies, against their dense 16 x 16 definition.
 
 The engine never multiplies the dense stacks fock.ANNIHILATORS and
 fock.CREATORS; these tests keep the dense application as the oracle for
-every place that applies the gather tables instead.  They also keep the
-earlier layout of the spherical product rule as the oracle of its moment
-form: many spheres per block, the spinor columns and the mode measure
-evaluated at every node, and the spinor sandwich or the mode actions
-contracted with those columns node by node.
+every place that applies fock's basis tables instead, and show that the
+one import check on those tables trips on a corrupted stack.  They also
+keep the earlier layout of the spherical product rule as the oracle of
+its moment form: many spheres per block, the spinor columns and the mode
+measure evaluated at every node, and the spinor sandwich or the mode
+actions contracted with those columns node by node.
 """
 
 import itertools
@@ -23,9 +24,10 @@ from diracfock.states import GeneralStateFamily, RhoStateFamily
 
 NAT = natural_units()
 MODES = (1, 2, 3, 4)
+# (rows, cols, dense): each operator has the entries fock.SIGNS at (rows[s - 1], cols[s - 1])
 TABLES = {
-    "annihilators": (fock.ANNIHILATOR_INDEX, fock.ANNIHILATOR_SIGN, mode_annihilator),
-    "creators": (fock.CREATOR_INDEX, fock.CREATOR_SIGN, mode_creator),
+    "annihilators": (fock.ROWS, fock.COLS, mode_annihilator),
+    "creators": (fock.COLS, fock.ROWS, mode_creator),
 }
 
 
@@ -54,12 +56,13 @@ def _dense_sandwich(zT, work):
     return np.einsum("cn,scd,dn->sn", zT.conj(), ANNIHILATORS, zT)
 
 
-# the 32 nonzeros of the four annihilators as (row, column, sign) pairs, the
-# form the product rule's sandwich took before the bit slices:
+# the 32 nonzeros of the four annihilators as (row, column, sign) pairs, read off
+# the dense stack, the form the product rule's sandwich took before the bit slices:
 # <z| a_s |z> = sum_j conj(z[ROWS[j]]) z[COLS[j]] SIGNS[j, s]
-_PAIR_MODE, _PAIR_ROWS = np.nonzero(fock.ANNIHILATOR_SIGN)
-_PAIR_COLS = fock.ANNIHILATOR_INDEX[_PAIR_MODE, _PAIR_ROWS]
-_PAIR_SIGNS = fock.ANNIHILATOR_SIGN[_PAIR_MODE, _PAIR_ROWS, None] * (_PAIR_MODE[:, None] == range(4))
+_PAIR_MODE, _PAIR_ROWS, _PAIR_COLS = np.nonzero(ANNIHILATORS)
+_PAIR_SIGNS = ANNIHILATORS.real[_PAIR_MODE, _PAIR_ROWS, _PAIR_COLS, None] * (
+    _PAIR_MODE[:, None] == range(4)
+)
 
 
 def _pair_sandwich(z):
@@ -78,20 +81,46 @@ def _dense_psi_halves(k, x, kappa):
 
 @pytest.mark.parametrize("table", sorted(TABLES))
 def test_tables_rebuild_the_dense_operators(table):
-    index, sign, dense = TABLES[table]
-    assert not index.flags.writeable and not sign.flags.writeable
+    rows, cols, dense = TABLES[table]
+    assert not any(a.flags.writeable for a in (rows, cols, fock.SIGNS))
     for s in MODES:
-        rebuilt = sign[s - 1, :, None] * (index[s - 1, :, None] == np.arange(DIM))
+        rebuilt = np.zeros((DIM, DIM))
+        rebuilt[rows[s - 1], cols[s - 1]] = fock.SIGNS[s - 1]
         assert np.array_equal(rebuilt, dense(s))
-        assert np.count_nonzero(sign[s - 1]) == 8
+        assert np.array_equal(np.abs(fock.SIGNS[s - 1]), np.ones(8))
 
 
 @pytest.mark.parametrize("table", sorted(TABLES))
 def test_gather_applies_each_operator(table):
-    index, sign, dense = TABLES[table]
+    rows, cols, dense = TABLES[table]
     z = _random_z(7, 1)
     for s in MODES:
-        assert np.array_equal(z[:, index[s - 1]] * sign[s - 1], z @ dense(s).T)
+        got = np.zeros_like(z)
+        got[:, rows[s - 1]] = z[:, cols[s - 1]] * fock.SIGNS[s - 1]
+        assert np.array_equal(got, z @ dense(s).T)
+
+
+def test_apply_creator_matches_dense_creators():
+    z = _random_z(7, 8)
+    for s in MODES:
+        for state in z:
+            assert np.array_equal(fock.apply_creator(s, state), mode_creator(s) @ state)
+
+
+def test_bit_slices_are_the_table_rows_and_cols():
+    basis = np.arange(DIM).reshape((2,) * len(MODES))
+    for s in MODES:
+        assert np.array_equal(basis[fock.BIT_CLEAR[s - 1]].ravel(), fock.ROWS[s - 1])
+        assert np.array_equal(basis[fock.BIT_SET[s - 1]].ravel(), fock.COLS[s - 1])
+
+
+def test_occupation_is_the_diagonal_of_the_number_operators():
+    assert fock.OCCUPATION.shape == (DIM, len(MODES))
+    for s in MODES:
+        assert np.array_equal(fock.OCCUPATION[:, s - 1], np.diag(fock.number_operator(s)).real)
+        # a_s empties mode s: its rows hold the bit clear, its columns the bit set
+        assert not np.any(fock.OCCUPATION[fock.ROWS[s - 1], s - 1])
+        assert np.all(fock.OCCUPATION[fock.COLS[s - 1], s - 1])
 
 
 def test_basis_states_match_dense_creators():
@@ -171,11 +200,12 @@ def test_scattered_psi_matches_dense_halves(batched):
 
 
 def test_sectors_split_the_basis_by_occupation_parity():
-    sectors = fields._SECTORS
+    sectors = fock.SECTORS
     assert sorted(sectors.ravel()) == list(range(DIM))
     assert [[bin(n).count("1") % 2 for n in row] for row in sectors] == [[0] * 8, [1] * 8]
-    for row in sectors:
-        assert np.array_equal(fields._POSITION[row], np.arange(8))
+    for parity, row in enumerate(sectors):
+        assert np.array_equal(fock.POSITION[row], np.arange(8))
+        assert np.all(fock.PARITY[row] == parity)
 
 
 @pytest.mark.parametrize("table", sorted(TABLES))
@@ -192,21 +222,31 @@ def test_even_operators_survive_the_even_blocks():
         assert np.array_equal(fields._dense(fields._blocks(op, fields._EVEN), fields._EVEN), op)
 
 
-# two flipped occupation bits keep the parity; three change it, but no one mode acts
-@pytest.mark.parametrize("flip", [0b11, 0b111], ids=["parity_preserving", "three_bits"])
-def test_grading_check_rejects_a_support_entry_not_flipping_one_bit(flip):
-    rows, cols, signs = (a.copy() for a in fields._PLUS_SUPPORT)
-    fields._check_grading([(rows, cols, signs)], [])
-    cols[0, 3] = rows[0, 3] ^ flip
-    with pytest.raises(ImportError, match="does not flip exactly one occupation bit"):
-        fields._check_grading([fields._MINUS_SUPPORT, (rows, cols, signs)], [])
+# each sets entries (mode - 1, row, col) of a copy of the annihilator stack
+CORRUPTIONS = {
+    # two flipped occupation bits keep the parity, so an even product would gain
+    # an entry between the sectors; three change it, but no one mode acts
+    "parity_preserving": [((0, 0, 0b11), 1.0)],
+    "three_bits": [((2, 0, 0b111), -1.0)],
+    # a_2's entry in row 0 moved from column 2 to column 7: still 32 entries
+    "moved_entry": [((1, 0, 2), 0.0), ((1, 0, 7), 1.0)],
+    "scaled_entry": [((3, 0, 8), 0.5)],
+    "phased_entry": [((1, 1, 3), 1.0j)],
+}
 
 
-def test_grading_check_rejects_an_even_table_between_sectors():
-    even = fock.charge_operator(NAT)
-    fields._check_grading([], [even])
-    with pytest.raises(ImportError, match="an entry between the parity sectors"):
-        fields._check_grading([], [even, even + 1e-3 * mode_annihilator(2)])
+def test_table_check_accepts_the_annihilators():
+    fock._check_tables(ANNIHILATORS.copy())
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_table_check_rejects_a_corrupted_stack(corruption):
+    stack = ANNIHILATORS.copy()
+    for entry, value in CORRUPTIONS[corruption]:
+        stack[entry] = value
+    assert not np.array_equal(stack, ANNIHILATORS)
+    with pytest.raises(ImportError, match="do not pair the basis states"):
+        fock._check_tables(stack)
 
 
 # -- the product rule in moment form, against the earlier per-node layout --
@@ -364,7 +404,7 @@ def test_general_total_charge_matches_chunked_layout():
 
 
 def test_pair_tables_rebuild_the_dense_sandwich():
-    signs = expectation._BIT_SIGNS
+    signs = fock.SIGNS
     assert not signs.flags.writeable
     # eight pairs per mode, each signed +-1
     assert signs.shape == (4, 8)

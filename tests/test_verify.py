@@ -17,6 +17,7 @@ from diracfock.verify import (
     _spinor_checks,
     run_suite,
 )
+from test_currents import j_diag_symmetry_residual, j_off_symmetry_residual
 
 
 def test_small_suite_passes():
@@ -116,8 +117,8 @@ def test_operator_checks_match_a_per_sample_loop():
         keep("current.hermiticity_swap", forward.conj().transpose(0, 2, 1) - backward)
         parts = currents.j_diag_stack(k, kp, x, kappa) + currents.j_off_stack(k, kp, x, kappa)
         keep("current.split", currents.j_current_stack(k, kp, x, kappa) - parts)
-        keep("current.diag_contraction", currents.j_diag_symmetry_residual(k, kp, x, kappa))
-        keep("current.off_contraction", currents.j_off_symmetry_residual(k, kp, x, kappa))
+        keep("current.diag_contraction", j_diag_symmetry_residual(k, kp, x, kappa))
+        keep("current.off_contraction", j_off_symmetry_residual(k, kp, x, kappa))
         keep("current.divergence_free", currents.j_diag_divergence(k, kp, x, kappa))
         keep("current.divergence_free", currents.j_off_divergence(k, kp, x, kappa))
         j = currents.j_current_stack(k, k, x, kappa)
