@@ -164,8 +164,6 @@ def _axis(spec, name):
         raise ValueError(f"grid axis {name} must be [start, stop, count]")
     start, stop = (config_float(end, f"grid axis {name} end") for end in spec[:2])
     count = config_integer(spec[2], f"grid axis {name} count", minimum=1)
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError(f"grid axis {name} needs finite ends, got [{start}, {stop}]")
     return np.linspace(start, stop, count)
 
 
@@ -176,8 +174,6 @@ def _grid_points(config) -> np.ndarray:
     ts = _axis(grid.get("t", [0.0, 1.0, 5]), "t")
     xs = _axis(grid.get("x", [0.0, 1.0, 5]), "x")
     y, z = (config_float(grid.get(name, 0.0), f"grid {name}") for name in ("y", "z"))
-    if not (math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"grid y and z must be finite, got {y}, {z}")
     points = [(t, x, y, z) for t in ts for x in xs]
     return np.array(points, dtype=float)
 

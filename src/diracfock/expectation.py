@@ -37,12 +37,12 @@ number of points times nodes.
 
 The antiparticle sector of the two-point matrix and of the densities does
 not decay with |k|, so those values grow with the radial cutoff; they are
-reported at the configured truncation and their refinement check is off
-by default.  A general family's field integrals still get an angular
-check (_angular_guard): the same radial rule with n_theta doubled must
-agree.  Scalar integrals
-(energies, charge) are damped by the density profile and always pass a
-cutoff-doubling stability test.
+reported at the configured truncation, with no refinement check.  Every
+field integral runs through _field_guard (QuadratureNotConverged), which
+also reruns a general family's two-point matrix, densities and smeared
+currents with n_theta doubled.  Scalar integrals (energies, charge) are
+damped by the density profile and always pass the cutoff-doubling test
+of _doubling_guard (Diverged).
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -430,23 +430,20 @@ def _relative_tolerance(spec: QuadratureSpec, v) -> float:
     return max(spec.abs_tol, 1e-11 * float(np.max(np.abs(v))))
 
 
-def _converged(run, spec: QuadratureSpec, check: bool, label: str):
-    v1 = run(spec)
-    if not np.all(np.isfinite(v1)):
-        raise QuadratureNotConverged(f"{label}: non-finite result")
-    if check and (gap := _disagreement(v1, run(spec.doubled()), spec.abs_tol)):
-        raise QuadratureNotConverged(f"{label}: refinement moved the result {gap}")
-    return v1
+def _field_guard(run, spec: QuadratureSpec, label: str, check: bool = False, families=()):
+    """run(spec), provided it is finite and agrees with its refinements.
 
-
-def _angular_guard(run, spec: QuadratureSpec, v, families, label: str):
-    """v = run(spec), provided run with n_theta doubled agrees with it.
-
-    Only the product rule of a general family has angular nodes; when every
-    family is two-component the angles are exact and v is returned as is.
-    Otherwise the rerun must agree within _relative_tolerance of its value,
-    or QuadratureNotConverged names both values and the tolerance.
+    With check, run(spec.doubled()) must agree within abs_tol.  Only the
+    product rule of a general family has angular nodes, so when any of the
+    families is general, run with n_theta doubled must agree within
+    _relative_tolerance of its value.  Otherwise QuadratureNotConverged
+    names both values and the tolerance.
     """
+    v = run(spec)
+    if not np.all(np.isfinite(v)):
+        raise QuadratureNotConverged(f"{label}: non-finite result")
+    if check and (gap := _disagreement(v, run(spec.doubled()), spec.abs_tol)):
+        raise QuadratureNotConverged(f"{label}: refinement moved the result {gap}")
     if all(isinstance(f, RhoStateFamily) for f in families):
         return v
     finer = run(replace(spec, n_theta=2 * spec.n_theta))
@@ -475,8 +472,8 @@ def classical_spinor(
 ) -> np.ndarray:
     """The four classical field components at x (batched over leading axes)."""
     x = np.asarray(x, dtype=float)
-    out = _converged(
-        lambda sp: _overlap_spinor(family, x, sp, consts), spec, check, "classical spinor"
+    out = _field_guard(
+        lambda sp: _overlap_spinor(family, x, sp, consts), spec, "classical spinor", check
     )
     return out.reshape(x.shape[:-1] + (4,))
 
@@ -495,7 +492,7 @@ def classical_dirac_residual(
         lhs = 1.0j * np.einsum("mrp,xmp->xr", GAMMA, dphi) - consts.kappa * phi
         return np.abs(lhs)
 
-    vals = _converged(run, spec, check, "Dirac residual")
+    vals = _field_guard(run, spec, "Dirac residual", check)
     return float(np.max(vals))
 
 
@@ -510,12 +507,20 @@ def _doubling_guard(run, spec: QuadratureSpec, label: str) -> float:
     return v1
 
 
-def _stable_radial(integrand, family, spec: QuadratureSpec, label: str) -> float:
-    """4 pi integral of k^2 integrand(k), with a cutoff-doubling guard."""
+def _radial_sum(integrand, spec: QuadratureSpec, label: str, family=None) -> float:
+    """The radial-rule integral of integrand over [0, upper], through _doubling_guard.
+
+    For a family, upper is its _momentum_limit, the rule splits at its
+    breakpoints, and the integral is 4 pi integral dk k^2 integrand(k).
+    Without one it is the plain integral over the dimensionless profile
+    argument up to r_max, the integrand carrying its own measure.
+    """
 
     def run(sp):
-        upper = _momentum_limit(family, sp)
-        k, w = radial_rule(upper, sp.n_radial, family.breakpoints)
+        if family is None:
+            r, w = radial_rule(sp.r_max, sp.n_radial)
+            return float(np.sum(w * integrand(r)))
+        k, w = radial_rule(_momentum_limit(family, sp), sp.n_radial, family.breakpoints)
         return float(4.0 * np.pi * np.sum(w * k**2 * integrand(k)))
 
     return _doubling_guard(run, spec, label)
@@ -530,7 +535,7 @@ def quantum_energy(family: RhoStateFamily, spec: QuadratureSpec, consts: Physica
     def integrand(k):
         return consts.hbar * consts.c * np.sqrt(kap**2 + k**2) * family.radial_density(k)
 
-    return consts.ell**3 * _stable_radial(integrand, family, spec, "quantum energy")
+    return consts.ell**3 * _radial_sum(integrand, spec, "quantum energy", family)
 
 
 def classical_energy(
@@ -545,14 +550,14 @@ def classical_energy(
         rho = family.radial_density(k)
         return consts.hbar * consts.c * np.sqrt(kap**2 + k**2) * rho * (1.0 - rho)
 
-    return consts.ell**3 * _stable_radial(integrand, family, spec, "classical energy")
+    return consts.ell**3 * _radial_sum(integrand, spec, "classical energy", family)
 
 
 def total_charge(family: StateFamily, spec: QuadratureSpec, consts: PhysicalConstants) -> float:
     """l^3 integral of the charge expectation per wave vector."""
     if isinstance(family, RhoStateFamily):
         sign = family.charge_sign
-        value = _stable_radial(family.radial_density, family, spec, "total charge")
+        value = _radial_sum(family.radial_density, spec, "total charge", family)
         return sign * consts.q * consts.ell**3 * value
 
     qdiag = np.diag(charge_operator(consts)).real
@@ -575,14 +580,13 @@ def two_point(
     xp,
     spec: QuadratureSpec,
     consts: PhysicalConstants,
-    check: bool = False,
 ) -> np.ndarray:
     """Correlation matrix of adjoint field at x against field at x'.
 
     Indexed [r', r]: row is the field component at x', column the adjoint
     component at x.  The antiparticle sector scales with the radial
-    cutoff, so the refinement check is opt-in; a general family's angles
-    are always checked, see _angular_guard.
+    cutoff, so there is no refinement check; a general family's angles
+    are always checked, see _field_guard.
     """
 
     def run(sp):
@@ -591,8 +595,7 @@ def two_point(
         L = GAMMA0.real @ TA
         return np.einsum("rc,pc->pr", L.conj(), TB)
 
-    v = _converged(run, spec, check, "two-point matrix")
-    return _angular_guard(run, spec, v, (bra_family, ket_family), "two-point matrix")
+    return _field_guard(run, spec, "two-point matrix", families=(bra_family, ket_family))
 
 
 def two_point_dirac_residual(
@@ -622,10 +625,10 @@ def two_point_dirac_residual(
         lhs = 1.0j * consts.kappa * G
         rhs_ket = -np.einsum("mab,mbr->ar", GAMMA, Gd_ket)
         rhs_bra = np.einsum("mpb,mbr->pr", Gd_bra, GAMMA)
-        # one np.max, so a NaN on either side reaches _converged
+        # one np.max, so a NaN on either side reaches _field_guard
         return np.max(np.abs([lhs - rhs_ket, lhs - rhs_bra]))
 
-    return float(_converged(run, spec, False, "two-point field equations"))
+    return float(_field_guard(run, spec, "two-point field equations"))
 
 
 def r_density(
@@ -637,7 +640,7 @@ def r_density(
     by construction; imaginary parts vanish identically and can be audited
     with r_density_residuals.  The antiparticle sector grows with the
     radial cutoff, so there is no refinement check; a general family's
-    sphere rule is checked on its own by _angular_guard, and raises
+    sphere rule is checked on its own by _field_guard, and raises
     QuadratureNotConverged when it aliases.
     """
     x = np.asarray(x, dtype=float)
@@ -646,8 +649,7 @@ def r_density(
         T = _field_tensor(family, x, sp, consts)
         return np.einsum("xrc,mrq,xqc->xm", T.conj(), BILINEAR, T).real
 
-    v = _converged(run, spec, False, "local densities")
-    v = _angular_guard(run, spec, v, (family,), "local densities")
+    v = _field_guard(run, spec, "local densities", families=(family,))
     return v.reshape(x.shape[:-1] + (4,))
 
 
@@ -657,7 +659,7 @@ def r_density_residuals(
     """Reality, positivity, and continuity audits of the local densities.
 
     The densities and divergence must be finite, and a general family's
-    must pass _angular_guard, or QuadratureNotConverged is raised.
+    must pass _field_guard's angular check, or QuadratureNotConverged is raised.
     """
     x = np.asarray(x, dtype=float)
 
@@ -667,8 +669,7 @@ def r_density_residuals(
         div = 2.0 * np.einsum("xmrc,mrq,xqc->x", Td.conj(), BILINEAR, T).real
         return np.column_stack([vals, div])
 
-    out = _converged(run, spec, False, "density audits")
-    out = _angular_guard(run, spec, out, (family,), "density audits")
+    out = _field_guard(run, spec, "density audits", families=(family,))
     vals, div = out[:, :4], out[:, 4].real
     return {
         "imag_max": float(np.max(np.abs(vals.imag))),
@@ -689,7 +690,7 @@ def current_reality_residual(
     The smearing is the bare dk dk' double integral with the charge
     prefactor q c / (2 pi)^3; worst case over the four components.  The
     smeared currents must be finite, and those of general families must
-    pass _angular_guard.
+    pass _field_guard's angular check.
     """
 
     def halves(fam, sp):
@@ -710,8 +711,7 @@ def current_reality_residual(
         TB, DB = halves(family_b, sp)
         return np.stack([smeared(TA, DA, TB, DB), smeared(TB, DB, TA, DA)])
 
-    v = _converged(run, spec, False, "smeared currents")
-    X, Y = _angular_guard(run, spec, v, (family_a, family_b), "smeared currents")
+    X, Y = _field_guard(run, spec, "smeared currents", families=(family_a, family_b))
     return float(np.max(np.abs(X.conj() - Y)))
 
 
@@ -735,16 +735,6 @@ class ExampleReport:
         return asdict(self)
 
 
-def _stable_reduced(fn, spec: QuadratureSpec, label: str) -> float:
-    """1D integral over the dimensionless profile argument with doubling guard."""
-
-    def run(sp):
-        r, w = radial_rule(sp.r_max, sp.n_radial)
-        return float(np.sum(w * fn(r)))
-
-    return _doubling_guard(run, spec, label)
-
-
 def example_report(a: float, consts: PhysicalConstants, spec: QuadratureSpec) -> ExampleReport:
     """Energies, charge, and their ratio for rho = 1/cosh^2(a |k|), spin up.
 
@@ -761,11 +751,11 @@ def example_report(a: float, consts: PhysicalConstants, spec: QuadratureSpec) ->
     def sech2(r):
         return 1.0 / np.cosh(r) ** 2
 
-    I_Q = _stable_reduced(lambda r: r**2 * sech2(r), spec, "reduced charge")
-    I_E = _stable_reduced(
+    I_Q = _radial_sum(lambda r: r**2 * sech2(r), spec, "reduced charge")
+    I_E = _radial_sum(
         lambda r: r**2 * np.sqrt(ka**2 + r**2) * sech2(r), spec, "reduced energy"
     )
-    I_Ecl = _stable_reduced(
+    I_Ecl = _radial_sum(
         lambda r: r**2 * np.sqrt(ka**2 + r**2) * np.tanh(r) ** 2 * sech2(r),
         spec,
         "reduced classical energy",

@@ -36,9 +36,9 @@ def _check_positive(value: float, name: str):
 
 
 def config_integer(value, name: str, minimum: int | None = None) -> int:
-    """A config value read as an integer exactly: booleans and fractions are refused."""
+    """A config value read as an integer exactly: booleans, strings and fractions are refused."""
     refused = ValueError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise refused
     try:
         number = int(value)
@@ -50,9 +50,9 @@ def config_integer(value, name: str, minimum: int | None = None) -> int:
 
 
 def config_float(value, name: str) -> float:
-    """A config value read as a number: booleans, null, arrays and objects are refused."""
+    """A config value read as a number: booleans, strings, null, arrays and objects are refused."""
     refused = ValueError(f"{name} must be a number, got {value!r}")
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise refused
     try:
         return float(value)
@@ -168,10 +168,13 @@ def step_family(k_max: float, occupied: int = 1, chi=_zero, xi=_zero) -> RhoStat
 
 
 def tabulated_family(kpoints, values, occupied: int = 1, chi=_zero, xi=_zero) -> RhoStateFamily:
-    """Linear interpolation through (|k|, rho) samples, zero outside."""
-    kpoints = np.asarray(kpoints, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if kpoints.ndim != 1 or kpoints.shape != values.shape or len(kpoints) < 2:
+    """Linear interpolation through (|k|, rho) samples, zero outside.
+
+    Each sample is read by config_float, named k[i] or rho[i].
+    """
+    kpoints = np.array([config_float(v, f"k[{i}]") for i, v in enumerate(kpoints)])
+    values = np.array([config_float(v, f"rho[{i}]") for i, v in enumerate(values)])
+    if kpoints.shape != values.shape or len(kpoints) < 2:
         raise ValueError("need matching 1d arrays with at least two samples")
     if not np.isfinite(kpoints).all():
         raise ValueError("sample points must be finite")
@@ -234,7 +237,5 @@ def family_from_config(config: dict) -> RhoStateFamily:
     if profile == "tabulated":
         if not (isinstance(config.get("k"), list) and isinstance(config.get("rho"), list)):
             raise ValueError("tabulated profile needs k and rho arrays")
-        k = [config_float(v, f"k[{i}]") for i, v in enumerate(config["k"])]
-        rho = [config_float(v, f"rho[{i}]") for i, v in enumerate(config["rho"])]
-        return tabulated_family(k, rho, occupied, chi, xi)
+        return tabulated_family(config["k"], config["rho"], occupied, chi, xi)
     raise ValueError(f"unknown profile {profile!r}")

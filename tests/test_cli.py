@@ -280,9 +280,10 @@ def test_nan_grid_axis_is_a_configuration_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "grid, message",
     [
-        ({"x": [0.0, "inf", 2]}, "grid axis x needs finite ends"),
-        ({"t": ["nan", 1.0, 2]}, "grid axis t needs finite ends"),
-        ({"y": "-inf"}, "grid y and z must be finite"),
+        # a quoted number is not a number, so no string reaches the grid as infinite
+        ({"x": [0.0, "inf", 2]}, "grid axis x end must be a number, got 'inf'"),
+        ({"t": ["nan", 1.0, 2]}, "grid axis t end must be a number, got 'nan'"),
+        ({"y": "-inf"}, "grid y must be a number, got '-inf'"),
         # the count is read exactly, not truncated
         ({"t": [0.0, 1.0, 2.5]}, "grid axis t count must be an integer, got 2.5"),
         ({"x": [0.0, 1.0, True]}, "grid axis x count must be an integer, got True"),
@@ -336,6 +337,9 @@ def test_configuration_errors(tmp_path, capsys):
         ("sample-field", {"profile": "sech2", "chi": [1]}, "chi must be a number, got [1]"),
         ("sample-field", {"profile": "sech2", "kappa": None}, "kappa must be a number, got None"),
         ("sample-field", {"profile": "step", "kmax": "big"}, "kmax must be a number, got 'big'"),
+        # quoted numbers are refused, not parsed
+        ("verify", {"kappa": "1"}, "kappa must be a number, got '1'"),
+        ("verify", {"seed": "3"}, "seed must be an integer, got '3'"),
         (
             "sample-field",
             {"profile": "sech2", "grid": {"t": [[0], 1, 2]}},

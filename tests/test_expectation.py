@@ -5,18 +5,19 @@ no code with the engine's Gauss product rules.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
+from diracfock import expectation
 from diracfock.constants import PhysicalConstants, natural_units
 from diracfock.expectation import (
     _CHUNK_NODES,
-    _angular_guard,
-    _converged,
     _doubling_guard,
+    _field_guard,
     _field_tensor,
     _overlap_spinor,
     _spherical_bessel,
@@ -33,6 +34,7 @@ from diracfock.expectation import (
     two_point,
     two_point_dirac_residual,
 )
+from diracfock.fock import OCCUPATION
 from diracfock.quadrature import Diverged, QuadratureNotConverged, QuadratureSpec
 from diracfock.states import (
     GeneralStateFamily,
@@ -186,6 +188,68 @@ class TestRadialReduction:
         assert j2[0] == pytest.approx(spherical_jn(2, z), rel=1e-14, abs=1e-17)
 
 
+class TestTranslationOracle:
+    """Translated general families against the radial family at the shifted point.
+
+    A translation by (tau, a) multiplies each basis coefficient z(k)_n by
+    exp(i (c k0 tau + k.a) (N_a(n) - N_p(n))), with N_p and N_a the
+    occupied particle modes (1, 2) and antiparticle modes (3, 4) of basis
+    state n.  The classical spinor of the translated family at x is the
+    radial one's at x - (0, a), or at x + (tau, 0); the engine sees only a
+    direction-dependent coefficient map, integrated by the product rule.
+    """
+
+    xs = np.array([[0.1, 0.2, -0.3, 0.15], [-0.3, 0.05, 0.25, -0.1]])
+    # N_a - N_p for each basis state
+    charge = OCCUPATION[:, 2:].sum(axis=1) - OCCUPATION[:, :2].sum(axis=1)
+    families = {
+        "sech2": sech2_family(1.0),
+        "phased": sech2_family(
+            1.0, chi=lambda r: np.full_like(r, 0.4), xi=lambda r: np.full_like(r, -1.1)
+        ),
+    }
+
+    def _translated(self, radial, phase):
+        def z(kv):
+            return radial.coefficients(kv) * np.exp(1.0j * phase(kv)[:, None] * self.charge)
+
+        return GeneralStateFamily(z, radial.k_cutoff)
+
+    @staticmethod
+    def _relative_error(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    def _time_shifted(self, radial, tau):
+        return self._translated(
+            radial, lambda kv: NAT.c * tau * np.sqrt(NAT.kappa**2 + np.sum(kv**2, axis=1))
+        )
+
+    @pytest.mark.parametrize(
+        "name, a", [("sech2", [0.3, -0.2, 0.25]), ("phased", [0.6, 0.5, -0.55])]
+    )
+    def test_space_translation(self, name, a):
+        radial, a = self.families[name], np.array(a)
+        shifted = self._translated(radial, lambda kv: kv @ a)
+        got = classical_spinor(shifted, self.xs, SPEC, NAT, check=False)
+        want = classical_spinor(radial, self.xs - np.r_[0.0, a], SPEC, NAT, check=False)
+        assert self._relative_error(got, want) < 1e-13
+        assert classical_dirac_residual(shifted, self.xs, SPEC, NAT, check=False) < 1e-13
+
+    @pytest.mark.parametrize("name", sorted(families))
+    def test_time_translation(self, name):
+        radial, tau = self.families[name], 0.7
+        got = classical_spinor(self._time_shifted(radial, tau), self.xs, SPEC, NAT, check=False)
+        want = classical_spinor(radial, self.xs + [tau, 0.0, 0.0, 0.0], SPEC, NAT, check=False)
+        assert self._relative_error(got, want) < 1e-13
+
+    def test_wrong_sign_is_caught(self):
+        # the opposite phase moves the field to t - tau: off by order one
+        radial, tau = self.families["phased"], 0.7
+        got = classical_spinor(self._time_shifted(radial, -tau), self.xs, SPEC, NAT, check=False)
+        want = classical_spinor(radial, self.xs + [tau, 0.0, 0.0, 0.0], SPEC, NAT, check=False)
+        assert self._relative_error(got, want) > 0.1
+
+
 class TestScalars:
     def test_charge_closed_form_sech2(self):
         q = total_charge(sech2_family(1.0), SPEC, NAT)
@@ -275,7 +339,7 @@ class TestGuardsFailClosed:
     )
     def test_refinement_guard_trips_on_non_finite(self, run):
         with pytest.raises(QuadratureNotConverged):
-            _converged(run, SPEC, True, "non-finite run")
+            _field_guard(run, SPEC, "non-finite run", check=True)
 
     def test_doubling_guard_message_carries_its_numbers(self):
         run = lambda sp: 1.0 if sp == SPEC else 1.5
@@ -294,7 +358,7 @@ class TestGuardsFailClosed:
             r"\(base 2, doubled 2\.25, tolerance 1\.000e-09\)"
         )
         with pytest.raises(QuadratureNotConverged, match=message):
-            _converged(run, SPEC, True, "spinor")
+            _field_guard(run, SPEC, "spinor", check=True)
 
     def test_unchecked_integrals_reject_nan_density(self):
         # none has a refinement check by default, so only the finiteness test
@@ -315,7 +379,7 @@ class TestGuardsFailClosed:
 
 
 class TestAngularGuard:
-    """Every field integral of a general family reruns with n_theta doubled.
+    """A general family's two-point matrix, densities and currents rerun with n_theta doubled.
 
     At k |x| up to 6 * 1.97 the four polar nodes of the product rule alias,
     and so do eight, so the two disagree and every caller raises; the radial
@@ -344,14 +408,60 @@ class TestAngularGuard:
         self.calls[call](self.radial, self.x, self.xp, self.spec)
 
     def test_radial_families_are_not_rerun(self):
+        # the base run is the guard's own; only a general family adds the angular rerun
+        specs = []
+        run = lambda sp: specs.append(sp) or (np.zeros(2) if sp == self.spec else np.ones(2))
+        v = _field_guard(run, self.spec, "x", families=(self.radial, self.radial))
+        assert np.array_equal(v, np.zeros(2))
+        assert specs == [self.spec]
+        with pytest.raises(QuadratureNotConverged, match="tolerance 1.000e-09"):
+            _field_guard(run, self.spec, "x", families=(self.radial, self.general))
+        assert specs == [self.spec, self.spec, QuadratureSpec(n_radial=12, n_theta=8)]
+
+    @pytest.mark.parametrize("general", [False, True], ids=["two-component", "general"])
+    def test_run_order_with_check(self, general):
+        # base run, then the doubled one, then (general families only) n_theta doubled
         specs = []
         run = lambda sp: specs.append(sp) or np.ones(2)
-        v = np.zeros(2)
-        assert _angular_guard(run, self.spec, v, (self.radial, self.radial), "x") is v
-        assert specs == []
-        with pytest.raises(QuadratureNotConverged, match="tolerance 1.000e-09"):
-            _angular_guard(run, self.spec, v, (self.radial, self.general), "x")
-        assert specs == [QuadratureSpec(n_radial=12, n_theta=8)]
+        family = self.general if general else self.radial
+        _field_guard(run, self.spec, "x", check=True, families=(self.radial, family))
+        expect = [self.spec, self.spec.doubled()]
+        if general:
+            expect.append(replace(self.spec, n_theta=2 * self.spec.n_theta))
+        assert specs == expect
+
+    @pytest.mark.parametrize(
+        "call, families",
+        [
+            (lambda f, x, xp, sp: classical_spinor(f, x, sp, NAT, check=False), 0),
+            (lambda f, x, xp, sp: classical_dirac_residual(f, x, sp, NAT, check=False), 0),
+            (lambda f, x, xp, sp: two_point_dirac_residual(f, f, x, xp, sp, NAT), 0),
+            (lambda f, x, xp, sp: two_point(f, f, x, xp, sp, NAT), 2),
+            (lambda f, x, xp, sp: r_density(f, x, sp, NAT), 1),
+            (lambda f, x, xp, sp: r_density_residuals(f, x, sp, NAT), 1),
+            (lambda f, x, xp, sp: current_reality_residual(f, f, x, sp, NAT), 2),
+        ],
+        ids=[
+            "classical_spinor",
+            "classical_dirac_residual",
+            "two_point_dirac_residual",
+            "two_point",
+            "r_density",
+            "r_density_residuals",
+            "current_reality_residual",
+        ],
+    )
+    def test_each_field_integral_calls_the_guard_once(self, monkeypatch, call, families):
+        # the linear integrals and the two-point residual pass no family to the angular check
+        seen = []
+
+        def guard(run, spec, label, check=False, families=()):
+            seen.append(len(families))
+            return _field_guard(run, spec, label, check, families)
+
+        monkeypatch.setattr(expectation, "_field_guard", guard)
+        call(self.radial, self.x, self.xp, QuadratureSpec(n_radial=8, n_theta=4))
+        assert seen == [families]
 
 
 class TestBoundedMemory:

@@ -88,6 +88,16 @@ def test_tabulated_interpolates_and_records_breakpoints():
             tabulated_family([0.0, 1.0], [bad, 0.5])
 
 
+def test_tabulated_validates_each_entry():
+    # the same reading as a config's k and rho arrays, on the Python path
+    with pytest.raises(ValueError, match=r"k\[1\] must be a number, got \{'x': 1\}"):
+        tabulated_family([0, {"x": 1}], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"k\[0\] must be a number, got True"):
+        tabulated_family([True, 2.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"rho\[1\] must be a number, got '0.5'"):
+        tabulated_family([0.0, 1.0], [0.5, "0.5"])
+
+
 def test_general_family_validates_shape_and_norm():
     def good(kvecs):
         z = np.zeros((len(kvecs), 16), dtype=complex)
@@ -172,4 +182,4 @@ def test_factories_reject_non_finite_parameters(factory, value):
 
 def test_config_rejects_non_finite_phases():
     with pytest.raises(ValueError, match="chi and xi must be finite"):
-        family_from_config({"profile": "sech2", "xi": "nan"})
+        family_from_config({"profile": "sech2", "xi": float("nan")})
