@@ -27,13 +27,12 @@ of the basis index (fock's Jordan-Wigner order), so each mode operator,
 and each sandwich <z| a_s |z> the classical spinor needs, pairs two bit
 slices of the state, fock.BIT_CLEAR and BIT_SET with the signs
 fock.SIGNS (fock is the one source of these tables): row views, with no
-gather and no dense 16 x 16 product.  The product rule refills buffers
-allocated once per call, and reads its time derivative off the value
-contraction.  A block's moments
-are built for one slice of points at a time, at most _CHUNK_NODES
-points x nodes per slice (times the four moments and the derivatives;
-all that _CHUNK_NODES sizes), so peak memory follows the output, not the
-number of points times nodes.
+gather and no dense 16 x 16 product.  The product rule forms each
+sphere's state side and moments afresh, and reads its time derivative
+off the value contraction.  A block's moments are built for one slice of
+points at a time, at most _CHUNK_NODES points x nodes per slice (times
+the four moments and the derivatives; all that _CHUNK_NODES sizes), so
+peak memory follows the output, not the number of points times nodes.
 
 The antiparticle sector of the two-point matrix and of the densities does
 not decay with |k|, so those values grow with the radial cutoff; they are
@@ -95,57 +94,49 @@ def _sphere_rule(family: StateFamily, spec: QuadratureSpec):
 
 # a mode-major state (DIM, m) viewed as (2, 2, 2, 2, m), where fock's bit slices apply
 _BITS = (2,) * N_MODES
-# rows of _sandwich's scratch: the four sandwiches, the conjugate state, one mode's pairs
-_SANDWICH_ROWS = N_MODES + DIM + 8
 
 
-def _sandwich(zT, work):
-    """<z| a_s |z> (4, m) for s = 1..4 from the mode-major state zT (DIM, m), in work.
+def _sandwich(zT):
+    """<z| a_s |z> (4, m) for s = 1..4 from the mode-major state zT (DIM, m).
 
     Each is eight signed pair products of bit slices of zT.  It is the state
     side of _overlap_spinor: the creators of modes 3, 4 paired with v give
     the conjugate sandwiches, whose conjugates S holds (see _contraction).
     """
-    y, zc, pairs = work[:N_MODES], work[N_MODES : N_MODES + DIM], work[N_MODES + DIM :]
-    np.conjugate(zT, out=zc)
-    z5, zc5 = zT.reshape(*_BITS, -1), zc.reshape(*_BITS, -1)
+    z5, zc5 = zT.reshape(*_BITS, -1), zT.conj().reshape(*_BITS, -1)
+    y = np.empty((N_MODES, zT.shape[1]), dtype=np.complex128)
     for s in range(N_MODES):
-        np.multiply(zc5[BIT_CLEAR[s]], z5[BIT_SET[s]], out=pairs.reshape(2, 2, 2, -1))
-        np.matmul(SIGNS[s], pairs, out=y[s])
+        np.matmul(SIGNS[s], (zc5[BIT_CLEAR[s]] * z5[BIT_SET[s]]).reshape(8, -1), out=y[s])
     return y
 
 
-def _mode_actions(zT, work, dagger: bool = False):
+def _mode_actions(zT, dagger: bool = False):
     """The state side S (4 DIM, m) of _field_tensor from the mode-major state zT (DIM, m).
 
     Rows s DIM + c hold (O_s z)_c for the operators paired with (u, u, v, v):
     the annihilators of modes 1, 2 and the creators of modes 3, 4, or with
     dagger the creators of modes 1, 2 and the annihilators of modes 3, 4.
-    Each is a signed copy of one bit slice of zT into the other, written
-    into work; the rows paired with v are conjugated (see _contraction).
+    Each is a signed copy of one bit slice of zT into the other; the rows
+    paired with v are conjugated (see _contraction).
     """
-    z5, S = zT.reshape(*_BITS, -1), work.reshape(N_MODES, *_BITS, -1)
+    z5 = zT.reshape(*_BITS, -1)
+    S = np.empty((N_MODES, *_BITS, zT.shape[1]), dtype=np.complex128)
     for s in range(N_MODES):
         # a_s moves the bit-set rows onto the bit-clear ones; its adjoint the reverse
         dst, src = (BIT_CLEAR[s], BIT_SET[s]) if (s < 2) != dagger else (BIT_SET[s], BIT_CLEAR[s])
         np.multiply(z5[src], SIGNS[s].reshape(2, 2, 2, 1), out=S[s][dst])
         S[s][src] = 0.0
-    np.conjugate(work[2 * DIM :], out=work[2 * DIM :])
-    return work
+    np.conjugate(S[2:], out=S[2:])
+    return S.reshape(N_MODES * DIM, -1)
 
 
-def _plane_moments(kv, k0, w, dirs, derivatives, scratch, xs):
+def _plane_moments(kv, k0, w, dirs, derivatives, xs):
     """Direction moments of one product-rule sphere and their d/dx^j, see _blocks.
 
     W[x, 0, a, m] = w_m exp(-i k_m.x) (1, khat_m)_a at the nodes k_m of the
-    sphere; d/dx^j brings down i k_m^j for the spatial j.  Both live in
-    scratch, allocated for the first (largest) slice of points.
+    sphere; d/dx^j brings down i k_m^j for the spatial j.
     """
-    nx, m = len(xs), len(kv)
-    if not scratch or len(scratch[0]) < nx:
-        shapes = [(nx, 1, 4, m)] + [(nx, 3, 1, 4, m)] * derivatives
-        scratch[:] = [np.empty(shape, dtype=np.complex128) for shape in shapes]
-    W, *dW = (a[:nx] for a in scratch)
+    W = np.empty((len(xs), 1, 4, len(kv)), dtype=np.complex128)
     E, phase = W[:, 0, 0], W[:, 0, 0].imag  # the moment (1, khat)_0 is 1
     np.matmul(xs[:, 1:], kv.T, out=phase)
     phase -= xs[:, :1] * k0
@@ -155,24 +146,24 @@ def _plane_moments(kv, k0, w, dirs, derivatives, scratch, xs):
     np.multiply(E[:, None], dirs.T, out=W[:, 0, 1:])
     if not derivatives:
         return W, None
-    np.multiply(W[:, None], 1.0j * kv.T[:, None, None], out=dW[0])
-    return W, dW[0]
+    # C-contiguous, so _contraction's reshape takes a view and makes no copy
+    dW = np.empty((len(xs), 3, *W.shape[1:]), dtype=np.complex128)
+    np.multiply(W[:, None], 1.0j * kv.T[:, None, None], out=dW)
+    return W, dW
 
 
 def _product_blocks(family, spec, consts, weighted, derivatives):
     """Blocks of the spherical product rule, one sphere each, for any family; see _blocks.
 
-    k0, the mode measure and the spinor parts take one value per sphere;
-    the nodes, the state and the moments refill buffers allocated once.
+    k0, the mode measure and the spinor parts take one value per sphere.
     """
     r, wr, dirs, wo = _sphere_rule(family, spec)
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * (_weight(r, consts) if weighted else 1.0)
-    kv, zT, scratch = np.empty_like(dirs), np.empty((DIM, len(dirs)), dtype=np.complex128), []
     for rn, k0n, wn, un, vn in zip(r, k0, w, *_spinor_parts(r, consts.kappa)):
-        np.multiply(rn, dirs, out=kv)
-        zT[...] = family.coefficients(kv).T
-        phases = partial(_plane_moments, kv, k0n, wn * wo, dirs, derivatives, scratch)
+        kv = rn * dirs
+        zT = np.ascontiguousarray(family.coefficients(kv).T)
+        phases = partial(_plane_moments, kv, k0n, wn * wo, dirs, derivatives)
         yield phases, un[None], vn[None], zT, k0n
 
 
@@ -299,8 +290,7 @@ def _blocks(family, spec, consts, weighted=True, derivatives=False):
     conjugate, see _contraction.  Two-component families take the radial
     rule, one sphere per node (m = 1) with the moments in closed form, and
     k0 None; general ones the product rule, one block per sphere (i = 1)
-    with its k0, and dW without d/dt.  Their zT, W and dW are buffers,
-    valid until the next block and free to overwrite.
+    with its k0, and dW without d/dt.
     """
     source = _radial_blocks if isinstance(family, RhoStateFamily) else _product_blocks
     return source(family, spec, consts, weighted, derivatives)
@@ -344,36 +334,37 @@ def _contraction(u, v, S):
     return apply
 
 
-def _accumulate(family, xs, spec, consts, side, rows, cols, weighted, derivatives, dagger=False):
+def _accumulate(family, xs, spec, consts, side, cols, weighted, derivatives, dagger=False):
     """The k-integral T (nx, cols) of the field against the state side at the points xs.
 
-    side(zT, work) forms a block's state side S (cols, m) (see _contraction)
-    in work (rows, m), allocated once per call.  Td (nx, 4, cols) holds the
-    d/dx^mu, or is None.  The dagger variant applies the adjoint components,
-    which carry conjugate spinors and phases.
+    side(zT) forms a block's state side S (cols, m), see _contraction.  Td
+    (nx, 4, cols) holds the d/dx^mu, or is None.  The dagger variant applies
+    the adjoint components, which carry conjugate spinors and phases.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, 4)
+    bad = np.count_nonzero(~np.isfinite(xs).all(axis=1))
+    if bad or not len(xs):  # every public field integral comes here first
+        raise ValueError(f"points must be finite and nonempty: {len(xs)} given, {bad} non-finite")
     T = np.zeros((len(xs), cols), dtype=np.complex128)
     Td = np.zeros((len(xs), 4, cols), dtype=np.complex128) if derivatives else None
-    work = None
     for phases, u, v, zT, k0 in _blocks(family, spec, consts, weighted, derivatives):
-        if work is None or work.shape[1] != zT.shape[1]:
-            work = np.empty((rows, zT.shape[1]), dtype=np.complex128)
         if dagger:
             u, v = u.conj(), v.conj()
-        apply = _contraction(u, v, side(zT, work))
+        apply = _contraction(u, v, side(zT))
         # at most _CHUNK_NODES points x nodes per slice of points
         per = max(1, _CHUNK_NODES // zT.shape[1])
         for sl in (slice(i, i + per) for i in range(0, len(xs), per)):
             W, dW = phases(xs[sl])
             P, Q = apply(np.conjugate(W, out=W) if dagger else W)
             T[sl] += P + Q
-            if not derivatives:
-                continue
-            if k0 is not None:  # d/dt of a sphere: -i k0 on P, +i k0 on Q, conjugate for dagger
+            # d/dt of a sphere: -i k0 on P, +i k0 on Q, conjugate for dagger
+            if derivatives and k0 is not None:
                 Td[sl, 0] += (1.0j if dagger else -1.0j) * k0 * (P - Q)
-            del P, Q  # free before the larger derivative products
-            Td[sl, -dW.shape[1] :] += np.add(*apply(np.conjugate(dW, out=dW) if dagger else dW))
+            del W, P, Q  # free before the larger derivative products and the next slice
+            if derivatives:
+                Td[sl, -dW.shape[1] :] += np.add(*apply(np.conjugate(dW, out=dW) if dagger else dW))
+                del dW
+        del apply  # free this block's state side before the next block forms its own
     return T, Td
 
 
@@ -393,16 +384,15 @@ def _field_tensor(
     also the four d/dx^mu insertions as Td[x, mu, r, c].  The dagger
     variant applies the adjoint component operators instead.
     """
-    side, cols = partial(_mode_actions, dagger=dagger), 4 * DIM
-    T, Td = _accumulate(family, xs, spec, consts, side, cols, cols, weighted, derivatives, dagger)
+    side = partial(_mode_actions, dagger=dagger)
+    T, Td = _accumulate(family, xs, spec, consts, side, 4 * DIM, weighted, derivatives, dagger)
     T = T.reshape(-1, 4, DIM)
     return (T, Td.reshape(-1, 4, 4, DIM)) if derivatives else T
 
 
 def _overlap_spinor(family, xs, spec, consts, derivatives=False):
     """Same-k sandwich <state| field_r |state> integrated with the measure."""
-    rows = _SANDWICH_ROWS
-    phi, dphi = _accumulate(family, xs, spec, consts, _sandwich, rows, 4, True, derivatives)
+    phi, dphi = _accumulate(family, xs, spec, consts, _sandwich, 4, True, derivatives)
     return (phi, dphi) if derivatives else phi
 
 
@@ -470,7 +460,10 @@ def classical_spinor(
     consts: PhysicalConstants,
     check: bool = True,
 ) -> np.ndarray:
-    """The four classical field components at x (batched over leading axes)."""
+    """The four classical field components at x (batched over leading axes).
+
+    check=False runs no refinement for any family; a general family can then alias silently.
+    """
     x = np.asarray(x, dtype=float)
     out = _field_guard(
         lambda sp: _overlap_spinor(family, x, sp, consts), spec, "classical spinor", check
@@ -485,7 +478,7 @@ def classical_dirac_residual(
     consts: PhysicalConstants,
     check: bool = True,
 ) -> float:
-    """Max component of i gamma^mu d_mu phi - kappa phi at the points x."""
+    """Max component of i gamma^mu d_mu phi - kappa phi at x; check=False as in classical_spinor."""
 
     def run(sp):
         phi, dphi = _overlap_spinor(family, x, sp, consts, derivatives=True)

@@ -318,6 +318,31 @@ class TestScalars:
             total_charge(fam, SPEC, NAT)
 
 
+# every public field integral, each as call(family, x, xp, spec)
+FIELD_INTEGRALS = {
+    "classical_spinor": lambda f, x, xp, sp: classical_spinor(f, x, sp, NAT),
+    "classical_dirac_residual": lambda f, x, xp, sp: classical_dirac_residual(f, x, sp, NAT),
+    "two_point": lambda f, x, xp, sp: two_point(f, f, x, xp, sp, NAT),
+    "two_point_dirac_residual": lambda f, x, xp, sp: two_point_dirac_residual(f, f, x, xp, sp, NAT),
+    "r_density": lambda f, x, xp, sp: r_density(f, x, sp, NAT),
+    "r_density_residuals": lambda f, x, xp, sp: r_density_residuals(f, x, sp, NAT),
+    "current_reality_residual": lambda f, x, xp, sp: current_reality_residual(f, f, x, sp, NAT),
+}
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.zeros((0, 4)), np.array([0.1, np.nan, 0.2, 0.3]), [[0.0] * 4, [0.1, 0.2, np.inf, 0.3]]],
+    ids=["empty", "nan", "inf"],
+)
+@pytest.mark.parametrize("call", sorted(FIELD_INTEGRALS))
+def test_field_integrals_refuse_empty_or_non_finite_points(call, x):
+    # empty sets used to crash in _disagreement or return [], and a non-finite
+    # point to raise QuadratureNotConverged after RuntimeWarnings
+    with pytest.raises(ValueError, match="points must be finite and nonempty"):
+        FIELD_INTEGRALS[call](sech2_family(1.0), x, np.zeros(4), SPEC)
+
+
 class TestGuardsFailClosed:
     @pytest.mark.parametrize(
         "run",

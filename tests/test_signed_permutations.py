@@ -45,13 +45,13 @@ def _dense_mode_actions(z, dagger=False):
     return np.einsum("sij,nj->nsi", first, z), np.einsum("sij,nj->nsi", second, z)
 
 
-def _dense_mode_side(zT, work, dagger=False):
+def _dense_mode_side(zT, dagger=False):
     """expectation._mode_actions from the dense operators: rows (Z1, conj(Z2)), one column per node."""
     Z1, Z2 = _dense_mode_actions(zT.T, dagger)
     return np.concatenate([Z1, Z2.conj()], axis=1).reshape(len(Z1), -1).T
 
 
-def _dense_sandwich(zT, work):
+def _dense_sandwich(zT):
     """expectation._sandwich from the dense annihilators, over all 256 entries of each."""
     return np.einsum("cn,scd,dn->sn", zT.conj(), ANNIHILATORS, zT)
 
@@ -135,10 +135,8 @@ def test_basis_states_match_dense_creators():
 @pytest.mark.parametrize("dagger", [False, True])
 def test_mode_actions_match_dense_application(dagger):
     z = _random_z(50, 2)
-    work = np.empty((4 * DIM, 50), dtype=np.complex128)
-    got = expectation._mode_actions(np.ascontiguousarray(z.T), work, dagger)
-    want = _dense_mode_side(z.T, None, dagger)
-    assert got is work
+    got = expectation._mode_actions(np.ascontiguousarray(z.T), dagger)
+    want = _dense_mode_side(z.T, dagger)
     assert got.shape == want.shape == (4 * DIM, 50)
     assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -181,6 +179,34 @@ def test_integrals_match_dense_application(family, call, monkeypatch):
     dense = CALLS[call](FAMILIES[family], xs, spec)
     for a, b in zip(fast, dense):
         assert np.max(np.abs(a - b)) <= 1e-15 * max(1.0, np.max(np.abs(b)))
+
+
+class _PoisonedNumpy:
+    """numpy, except that np.empty returns NaN-filled arrays."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        fill = complex(np.nan, np.nan) if np.dtype(dtype).kind == "c" else np.nan
+        return np.full(shape, fill, dtype)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_integrals_write_every_allocated_entry(family, monkeypatch):
+    # fresh pages are zero, so an entry of an np.empty array that is never
+    # written (the source rows _mode_actions zeroes, say) can pass the dense
+    # oracles by luck; NaN-filled allocations must leave every bit unchanged
+    xs = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 0.5, -0.2, 0.4], [-0.7, 1.1, 0.6, -0.9]])
+    spec = QuadratureSpec(n_radial=12, n_theta=6)
+    plain = lambda f, xs, sp: (expectation._field_tensor(f, xs, sp, NAT),)
+    calls = {"tensor-plain": plain, **CALLS}
+    clean = {name: call(FAMILIES[family], xs, spec) for name, call in calls.items()}
+    monkeypatch.setattr(expectation, "np", _PoisonedNumpy())
+    for name, call in calls.items():
+        poisoned = call(FAMILIES[family], xs, spec)
+        assert [a.tobytes() for a in poisoned] == [a.tobytes() for a in clean[name]], name
 
 
 @pytest.mark.parametrize("batched", [False, True])
@@ -411,8 +437,7 @@ def test_pair_tables_rebuild_the_dense_sandwich():
     assert np.array_equal(np.abs(signs), np.ones((4, 8)))
     z = _random_z(40, 7)
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    work = np.empty((expectation._SANDWICH_ROWS, 40), dtype=np.complex128)
-    got = expectation._sandwich(np.ascontiguousarray(z.T), work).T
+    got = expectation._sandwich(np.ascontiguousarray(z.T)).T
     want = np.einsum("nc,scd,nd->ns", z.conj(), ANNIHILATORS, z)
     assert np.max(np.abs(got - want)) <= 1e-15
     # against the pair-product form it replaces, and the gather stack
