@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Byte-compare the default CLI outputs of two source trees (criterion 10).
+#
+#   bash .github/outputs-match.sh BASE_TREE HEAD_TREE
+#
+# Each tree is a checkout holding src/diracfock.  Five commands run on both:
+# example --json (default, and --a 0.7 --kappa 1.3), verify --json --seed 0,
+# and sample-field on the flat tabulated profile and on sech2 with occupied
+# mode 3 and constant phases; every output must match byte for byte.
+set -euo pipefail
+base=$(cd "$1" && pwd)
+head=$(cd "$2" && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+printf '%s\n' '{"profile": "tabulated", "k": [0.0, 1.0], "rho": [0.5, 0.5],
+  "grid": {"t": [0.0, 1.0, 3], "x": [0.0, 1.0, 3]}}' > flat.json
+printf '%s\n' '{"profile": "sech2", "occupied": 3, "chi": 0.4, "xi": -1.2}' > sech2.json
+commands=(
+  "example --json"
+  "example --json --a 0.7 --kappa 1.3"
+  "verify --json --seed 0"
+  "sample-field --config flat.json"
+  "sample-field --config sech2.json"
+)
+status=0
+for i in "${!commands[@]}"; do
+  for side in base head; do
+    # word splitting of the command string is intended
+    # shellcheck disable=SC2086
+    PYTHONPATH="${!side}/src" python -m diracfock ${commands[$i]} > "$side-$i.out"
+  done
+  if cmp "base-$i.out" "head-$i.out"; then
+    echo "same bytes: ${commands[$i]}"
+  else
+    echo "outputs differ: ${commands[$i]}"
+    status=1
+  fi
+done
+exit "$status"

@@ -9,9 +9,10 @@ so they cost one pass of quadrature per side instead of a node-squared
 sum.  Every field integral is a sum over spheres |k| = r.  On a sphere
 the spinors are affine in the direction: u(r khat) = even(r) +
 sum_j khat_j odd_j(r), both parts read off from six spinor evaluations
-per radius (_spinor_parts).  So each sphere contributes its spinor parts
-contracted with the direction moments (1, khat) of the weighted phases
-times the state side (_contraction).  For a two-component family the
+per radius (_spinor_parts, cached per radial rule and kappa, so repeated
+integrals on one rule evaluate no spinor).  So each sphere contributes
+its spinor parts contracted with the direction moments (1, khat) of the
+weighted phases times the state side (_contraction).  For a two-component family the
 state is constant on each sphere, and the moments are the Rayleigh
 plane-wave expansion 4 pi (j0(k |x|), i j1(k |x|) xhat), in closed form:
 a radial rule alone.  A general family gets the spherical product rule,
@@ -27,12 +28,16 @@ of the basis index (fock's Jordan-Wigner order), so each mode operator,
 and each sandwich <z| a_s |z> the classical spinor needs, pairs two bit
 slices of the state, fock.BIT_CLEAR and BIT_SET with the signs
 fock.SIGNS (fock is the one source of these tables): row views, with no
-gather and no dense 16 x 16 product.  The product rule forms each
-sphere's state side and moments afresh, and reads its time derivative
-off the value contraction.  A block's moments are built for one slice of
-points at a time, at most _CHUNK_NODES points x nodes per slice (times
-the four moments and the derivatives; all that _CHUNK_NODES sizes), so
-peak memory follows the output, not the number of points times nodes.
+gather and no dense 16 x 16 product.  The sandwich skips a dead mode,
+one whose bit-clear or bit-set slice is zero at every node of the block,
+and writes its row as zeros: a two-component state, wrapped as a general
+family or not, costs the pair products of its one mode.  The product
+rule forms each sphere's state side and moments afresh, and reads its
+time derivative off the value contraction.  A block's moments are built
+for one slice of points at a time, at most _CHUNK_NODES points x nodes
+per slice (times the four moments and the derivatives; all that
+_CHUNK_NODES sizes), so peak memory follows the output, not the number
+of points times nodes.
 
 The antiparticle sector of the two-point matrix and of the densities does
 not decay with |k|, so those values grow with the radial cutoff; they are
@@ -45,12 +50,12 @@ of _doubling_guard (Diverged).
 """
 
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fock import BIT_CLEAR, BIT_SET, DIM, N_MODES, SIGNS, charge_operator
+from .fock import BIT_CLEAR, BIT_SET, DIM, N_MODES, OCCUPATION, SIGNS, charge_operator
 from .gamma import BILINEAR, GAMMA, GAMMA0
 from .quadrature import (
     REFERENCE_R_MAX,
@@ -80,6 +85,11 @@ def _weight(kmag: np.ndarray, consts: PhysicalConstants) -> np.ndarray:
     return consts.ell**2.5 * np.sqrt(consts.c / ((2.0 * np.pi) ** 3 * 2.0 * omega))
 
 
+def _radial_key(family: StateFamily, spec: QuadratureSpec):
+    """The arguments (upper, n, breakpoints) of the family's radial_rule, hashable."""
+    return _momentum_limit(family, spec), spec.n_radial, tuple(family.breakpoints)
+
+
 def _sphere_rule(family: StateFamily, spec: QuadratureSpec):
     """The spherical product rule as (r, wr, dirs, wo), integrated one sphere at a time.
 
@@ -87,7 +97,7 @@ def _sphere_rule(family: StateFamily, spec: QuadratureSpec):
     wr[n] * wo; wr carries the k^2 measure, wo the angular weights.  The
     spheres are taken in a fixed order, so accumulation is deterministic.
     """
-    r, wr = radial_rule(_momentum_limit(family, spec), spec.n_radial, family.breakpoints)
+    r, wr = radial_rule(*_radial_key(family, spec))
     dirs, wo = angular_rule(spec.n_theta)
     return r, wr * r**2, dirs, wo
 
@@ -99,14 +109,25 @@ _BITS = (2,) * N_MODES
 def _sandwich(zT):
     """<z| a_s |z> (4, m) for s = 1..4 from the mode-major state zT (DIM, m).
 
-    Each is eight signed pair products of bit slices of zT.  It is the state
-    side of _overlap_spinor: the creators of modes 3, 4 paired with v give
-    the conjugate sandwiches, whose conjugates S holds (see _contraction).
+    Each is eight signed pair products of bit slices of zT, formed only for
+    the live modes, whose two slices are both nonzero somewhere in the
+    block; a dead mode's row is zero.  It is the state side of
+    _overlap_spinor: the creators of modes 3, 4 paired with v give the
+    conjugate sandwiches, whose conjugates S holds (see _contraction).
     """
-    z5, zc5 = zT.reshape(*_BITS, -1), zT.conj().reshape(*_BITS, -1)
+    z5 = zT.reshape(*_BITS, -1)
+    # the basis rows nonzero at some node (a NaN counts), then per mode those with its bit set
+    live = np.any(zT, axis=1)
+    bit_set = live @ OCCUPATION
+    bit_clear = np.count_nonzero(live) - bit_set
     y = np.empty((N_MODES, zT.shape[1]), dtype=np.complex128)
     for s in range(N_MODES):
-        np.matmul(SIGNS[s], (zc5[BIT_CLEAR[s]] * z5[BIT_SET[s]]).reshape(8, -1), out=y[s])
+        if not (bit_clear[s] and bit_set[s]):  # a slice zero at every node: every product is zero
+            y[s] = 0.0
+            continue
+        pairs = z5[BIT_CLEAR[s]].conj()
+        pairs *= z5[BIT_SET[s]]
+        np.matmul(SIGNS[s], pairs.reshape(8, -1), out=y[s])
     return y
 
 
@@ -160,7 +181,8 @@ def _product_blocks(family, spec, consts, weighted, derivatives):
     r, wr, dirs, wo = _sphere_rule(family, spec)
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * (_weight(r, consts) if weighted else 1.0)
-    for rn, k0n, wn, un, vn in zip(r, k0, w, *_spinor_parts(r, consts.kappa)):
+    parts = _spinor_parts(*_radial_key(family, spec), consts.kappa)
+    for rn, k0n, wn, un, vn in zip(r, k0, w, *parts):
         kv = rn * dirs
         zT = np.ascontiguousarray(family.coefficients(kv).T)
         phases = partial(_plane_moments, kv, k0n, wn * wo, dirs, derivatives)
@@ -245,21 +267,27 @@ def _sphere_weights(r, k0, w, derivatives: bool, xs):
 _SIGNED_AXES = np.stack([np.eye(3), -np.eye(3)])
 
 
-def _spinor_parts(r, kappa: float):
-    """(u, v) on the spheres |k| = r as direction parts, each (n, 4, 4, 2).
+# an entry holds (u, v), 2 x n x 512 bytes: about 0.2 MB at the default n = 200
+@lru_cache(maxsize=8)
+def _spinor_parts(upper: float, n: int, breakpoints: tuple, kappa: float):
+    """(u, v) on the spheres |k| = r of radial_rule(upper, n, breakpoints) as direction parts.
 
-    u and v are affine in (k0 + kappa, k), so at k = r khat they are
-    even(r) + sum_j khat_j odd_j(r), with both parts read off from the
-    columns at k = +-r e_j: six spinor evaluations per radius.  Part a
-    (even, odd_1, odd_2, odd_3) pairs with the direction moment (1, khat)_a.
+    Each is (n, 4, 4, 2).  u and v are affine in (k0 + kappa, k), so at
+    k = r khat they are even(r) + sum_j khat_j odd_j(r), with both parts
+    read off from the columns at k = +-r e_j: six spinor evaluations per
+    radius.  Part a (even, odd_1, odd_2, odd_3) pairs with the direction
+    moment (1, khat)_a.  Cached per rule and kappa, so the arrays are read-only.
     """
+    r, _ = radial_rule(upper, n, breakpoints)
     parts = []
     for columns in (u_columns, v_columns):
         c = columns(r[:, None, None, None] * _SIGNED_AXES, kappa)
         even = 0.5 * (c[:, 0, :1] + c[:, 1, :1])
         odd = 0.5 * (c[:, 0] - c[:, 1])
-        parts.append(np.concatenate([even, odd], axis=1))
-    return parts
+        part = np.concatenate([even, odd], axis=1)
+        part.setflags(write=False)
+        parts.append(part)
+    return tuple(parts)
 
 
 def _radial_blocks(family, spec, consts, weighted, derivatives):
@@ -269,12 +297,13 @@ def _radial_blocks(family, spec, consts, weighted, derivatives):
     sphere with one state vector, and its moments are the sphere integrals
     of the phase times (1, khat) in _sphere_weights.
     """
-    r, wr = radial_rule(_momentum_limit(family, spec), spec.n_radial, family.breakpoints)
+    key = _radial_key(family, spec)
+    r, wr = radial_rule(*key)
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * r**2 * (_weight(r, consts) if weighted else 1.0)
     phases = partial(_sphere_weights, r, k0, w, derivatives)
     z = family.coefficients(np.outer(r, [0.0, 0.0, 1.0]))
-    yield phases, *_spinor_parts(r, consts.kappa), z.T, None
+    yield phases, *_spinor_parts(*key, consts.kappa), z.T, None
 
 
 def _blocks(family, spec, consts, weighted=True, derivatives=False):
@@ -315,8 +344,9 @@ def _contraction(u, v, S):
     ni, nodes = len(u), S.shape[1]
     S = S.reshape(4, -1, nodes)
     if nodes == ni:  # one node per sphere; otherwise one sphere, ni == 1
-        K1 = np.einsum("iars,sci->iarc", u, S[:2]).reshape(4 * ni, -1)
-        K2 = np.einsum("iars,sci->iarc", v, S[2:].conj()).reshape(4 * ni, -1)
+        # (i, a r, s) @ (i, s, c): one batched product per side
+        K1 = np.matmul(u.reshape(ni, 16, 2), S[:2].transpose(2, 0, 1)).reshape(4 * ni, -1)
+        K2 = np.matmul(v.reshape(ni, 16, 2), S[2:].conj().transpose(2, 0, 1)).reshape(4 * ni, -1)
 
         def apply(W):
             W = W.reshape(*W.shape[:-3], 4 * ni)
@@ -513,7 +543,7 @@ def _radial_sum(integrand, spec: QuadratureSpec, label: str, family=None) -> flo
         if family is None:
             r, w = radial_rule(sp.r_max, sp.n_radial)
             return float(np.sum(w * integrand(r)))
-        k, w = radial_rule(_momentum_limit(family, sp), sp.n_radial, family.breakpoints)
+        k, w = radial_rule(*_radial_key(family, sp))
         return float(4.0 * np.pi * np.sum(w * k**2 * integrand(k)))
 
     return _doubling_guard(run, spec, label)

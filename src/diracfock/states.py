@@ -4,7 +4,10 @@ The two-component form superposes the empty state with one occupied mode,
 
     sqrt(1 - rho) e^{i chi} |empty>  +  sqrt(rho) e^{i xi} |{s}>,
 
-where rho, chi, xi depend on |k| only.  The general form supplies all
+where rho, chi, xi depend on |k| only.  A phase that is zero at every
+wave vector of a call takes no exponential: e^{i 0} = 1 + 0j changes no
+bit, and a NaN phase is not zero, so it still reaches the result.  The
+general form supplies all
 sixteen coefficients as a function of the wave vector and is checked for
 normalization at the sampled nodes.
 
@@ -25,6 +28,16 @@ _TAIL = 40.0  # profile argument beyond which exp(-2r) tails are negligible
 
 def _zero(r: np.ndarray) -> np.ndarray:
     return np.zeros_like(np.asarray(r, dtype=float))
+
+
+def _phased(amplitude: np.ndarray, phase) -> np.ndarray:
+    """amplitude e^{i phase}, with no exponential when the phase is zero at every node.
+
+    Multiplying by e^{i 0} = 1 + 0j changes no bit.  np.any is True on a NaN,
+    so a NaN phase still takes the exponential and stays NaN.
+    """
+    phase = np.asarray(phase, dtype=float)
+    return amplitude * np.exp(1.0j * phase) if np.any(phase) else amplitude
 
 
 def _check_positive(value: float, name: str):
@@ -93,13 +106,12 @@ class RhoStateFamily:
     def coefficients(self, kvecs: np.ndarray) -> np.ndarray:
         """Stack of 16-component state vectors, one per wave vector row."""
         kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))
-        r = np.linalg.norm(kvecs, axis=-1)
+        # np.linalg.norm's arithmetic on real input, without its conjugate copy
+        r = np.sqrt(np.add.reduce(kvecs * kvecs, axis=-1))
         rho = self.radial_density(r)
         z = np.zeros((len(r), DIM), dtype=np.complex128)
-        z[:, 0] = np.sqrt(1.0 - rho) * np.exp(1.0j * np.asarray(self.chi(r), dtype=float))
-        z[:, 1 << (self.occupied - 1)] = np.sqrt(rho) * np.exp(
-            1.0j * np.asarray(self.xi(r), dtype=float)
-        )
+        z[:, 0] = _phased(np.sqrt(1.0 - rho), self.chi(r))
+        z[:, 1 << (self.occupied - 1)] = _phased(np.sqrt(rho), self.xi(r))
         return z
 
 

@@ -402,6 +402,20 @@ class TestGuardsFailClosed:
         with pytest.raises(QuadratureNotConverged):
             two_point_dirac_residual(fam, fam, x, x, spec, NAT)
 
+    @pytest.mark.parametrize("phase", ["chi", "xi"])
+    def test_unchecked_integrals_reject_nan_phase(self, phase):
+        # a phase zero at every node skips its exponential; a NaN one must not
+        nan = {phase: lambda r: np.full_like(r, np.nan)}
+        fam = RhoStateFamily(1, rho=lambda r: np.full_like(r, 0.5), k_cutoff=1.0, **nan)
+        spec = QuadratureSpec(n_radial=8, n_theta=4)
+        x = np.zeros(4)
+        with pytest.raises(QuadratureNotConverged):
+            classical_spinor(fam, x, spec, NAT, check=False)
+        with pytest.raises(QuadratureNotConverged):
+            r_density(fam, x, spec, NAT)
+        with pytest.raises(QuadratureNotConverged):
+            two_point(fam, fam, x, x, spec, NAT)
+
 
 class TestAngularGuard:
     """A general family's two-point matrix, densities and currents rerun with n_theta doubled.

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from diracfock import expectation, fields, fock
-from diracfock.constants import natural_units
+from diracfock.constants import PhysicalConstants, natural_units
 from diracfock.fock import ANNIHILATORS, CREATORS, DIM, mode_annihilator, mode_creator
 from diracfock.quadrature import QuadratureSpec, angular_rule, radial_rule
 from diracfock.spinors import u_columns, v_columns
-from diracfock.states import GeneralStateFamily, RhoStateFamily
+from diracfock.states import GeneralStateFamily, RhoStateFamily, sech2_family
 
 NAT = natural_units()
 MODES = (1, 2, 3, 4)
@@ -149,7 +149,29 @@ def _random_general_family():
     )
 
 
+def _mixed_general_family():
+    # the live bit slices change from sphere to sphere: the vacuum alone inside
+    # |k| < 0.6, the vacuum and mode 3 up to 1.3, all sixteen states beyond
+    rng = np.random.default_rng(9)
+    amp = rng.uniform(0.2, 1.0, DIM)
+    amp /= np.linalg.norm(amp)
+    phases = rng.normal(size=(3, DIM))
+
+    def z(kv):
+        r = np.linalg.norm(kv, axis=-1)
+        out = amp * np.exp(1.0j * kv @ phases)
+        one_mode = np.zeros_like(out)
+        one_mode[:, 0], one_mode[:, 4] = np.sqrt(0.7), np.sqrt(0.3) * np.exp(1.0j * kv[:, 2])
+        out[r < 1.3] = one_mode[r < 1.3]
+        out[r < 0.6] = fock.vacuum_state()
+        return out
+
+    return GeneralStateFamily(z, k_cutoff=2.0, hard_cutoff=True)
+
+
+MIXED = _mixed_general_family()
 FAMILIES = {
+    "mixed": MIXED,
     "radial": RhoStateFamily(
         3,
         rho=lambda r: 1.0 / np.cosh(r) ** 2,
@@ -403,9 +425,8 @@ def test_field_tensor_variants_match_chunked_layout(variant):
     assert _relative_gap(got, want) <= 1e-14
 
 
-@pytest.mark.parametrize("call", sorted(CALLS))
-def test_product_rule_evaluates_six_spinors_per_radius(call, monkeypatch):
-    # the moment form reads u and v at k = +-r e_j only, never at the nodes
+def _count_spinors(monkeypatch):
+    """A list that grows by the number of wave vectors of each u_columns or v_columns call."""
     counted = []
     for name in ("u_columns", "v_columns"):
 
@@ -414,8 +435,111 @@ def test_product_rule_evaluates_six_spinors_per_radius(call, monkeypatch):
             return columns(k, kappa)
 
         monkeypatch.setattr(expectation, name, counting)
+    return counted
+
+
+@pytest.mark.parametrize("call", sorted(CALLS))
+def test_product_rule_evaluates_six_spinors_per_radius(call, monkeypatch):
+    # the moment form reads u and v at k = +-r e_j only, never at the nodes
+    expectation._spinor_parts.cache_clear()
+    counted = _count_spinors(monkeypatch)
     CALLS[call](PHASED, XS, PRODUCT_SPEC)
     assert sum(counted) == 2 * 6 * PRODUCT_SPEC.n_radial
+
+
+@pytest.mark.parametrize("family", ["general", "radial"])
+def test_spinor_parts_are_cached_per_rule(family, monkeypatch):
+    expectation._spinor_parts.cache_clear()
+    counted = _count_spinors(monkeypatch)
+    first = CALLS["spinor"](FAMILIES[family], XS, PRODUCT_SPEC)
+    assert sum(counted) == 2 * 6 * PRODUCT_SPEC.n_radial
+    # a second call on the same rule and kappa evaluates no spinor, with the same result
+    again = CALLS["spinor"](FAMILIES[family], XS, PRODUCT_SPEC)
+    assert sum(counted) == 2 * 6 * PRODUCT_SPEC.n_radial
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
+    key = expectation._radial_key(FAMILIES[family], PRODUCT_SPEC)
+    for part in expectation._spinor_parts(*key, NAT.kappa):
+        assert part.shape == (PRODUCT_SPEC.n_radial, 4, 4, 2)
+        assert not part.flags.writeable
+    # another kappa is another entry
+    expectation._overlap_spinor(FAMILIES[family], XS, PRODUCT_SPEC, PhysicalConstants(kappa=1.3))
+    assert sum(counted) == 2 * 2 * 6 * PRODUCT_SPEC.n_radial
+
+
+@pytest.mark.parametrize("derivatives", [False, True])
+def test_sandwich_skips_match_chunked_layout(derivatives):
+    got = expectation._overlap_spinor(MIXED, XS, PRODUCT_SPEC, NAT, derivatives=derivatives)
+    want = _chunked_overlap_spinor(MIXED, XS, PRODUCT_SPEC, NAT, derivatives=derivatives)
+    for a, b in zip(got, want) if derivatives else [(got, want)]:
+        assert _relative_gap(a, b) <= 1e-14
+
+
+class _SignsSpy:
+    """fock.SIGNS that records which modes' signs are read."""
+
+    def __init__(self):
+        self.modes = []
+
+    def __getitem__(self, s):
+        self.modes.append(s)
+        return fock.SIGNS[s]
+
+
+def test_sandwich_forms_one_mode_for_the_wrapped_two_component_family(monkeypatch):
+    # sech^2 wrapped as a general family, as the benchmark's field_audit has it,
+    # fills the vacuum and mode 1 only: of the four modes only mode 1 has both
+    # bit slices live, so each sphere forms the pair products of that mode alone
+    radial = sech2_family(1.0)
+    wrapped = GeneralStateFamily(radial.coefficients, radial.k_cutoff)
+    spy = _SignsSpy()
+    monkeypatch.setattr(expectation, "SIGNS", spy)
+    got = expectation._overlap_spinor(wrapped, XS, PRODUCT_SPEC, NAT)
+    assert spy.modes == [0] * PRODUCT_SPEC.n_radial
+    assert _relative_gap(got, _chunked_overlap_spinor(wrapped, XS, PRODUCT_SPEC, NAT)) <= 1e-14
+
+
+def _einsum_contraction(u, v, S):
+    """expectation._contraction's radial branch as the two einsums it replaced."""
+    ni = len(u)
+    S = S.reshape(4, -1, ni)
+    K1 = np.einsum("iars,sci->iarc", u, S[:2]).reshape(4 * ni, -1)
+    K2 = np.einsum("iars,sci->iarc", v, S[2:].conj()).reshape(4 * ni, -1)
+
+    def apply(W):
+        W = W.reshape(*W.shape[:-3], 4 * ni)
+        return W @ K1, W.conj() @ K2
+
+    return apply
+
+
+RADIAL_VARIANTS = {
+    "spinor": lambda f: (expectation._overlap_spinor(f, XS, PRODUCT_SPEC, NAT),),
+    "spinor-derivatives": lambda f: expectation._overlap_spinor(
+        f, XS, PRODUCT_SPEC, NAT, derivatives=True
+    ),
+    "tensor-plain": lambda f: (expectation._field_tensor(f, XS, PRODUCT_SPEC, NAT),),
+    "tensor-derivatives": lambda f: expectation._field_tensor(
+        f, XS, PRODUCT_SPEC, NAT, derivatives=True
+    ),
+    "tensor-unweighted": lambda f: (
+        expectation._field_tensor(f, XS, PRODUCT_SPEC, NAT, weighted=False),
+    ),
+    "tensor-dagger": lambda f: expectation._field_tensor(
+        f, XS, PRODUCT_SPEC, NAT, weighted=False, derivatives=True, dagger=True
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(RADIAL_VARIANTS))
+def test_radial_contraction_matches_einsum_bit_for_bit(variant, monkeypatch):
+    call = RADIAL_VARIANTS[variant]
+    constant_phase = sech2_family(1.0, occupied=2, chi=lambda r: np.full_like(r, 0.4))
+    for radial in (FAMILIES["radial"], constant_phase):
+        batched = call(radial)
+        with monkeypatch.context() as patch:
+            patch.setattr(expectation, "_contraction", _einsum_contraction)
+            oracle = call(radial)
+        assert [a.tobytes() for a in batched] == [a.tobytes() for a in oracle]
 
 
 def test_general_total_charge_matches_chunked_layout():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diracfock.fock import DIM
 from diracfock.states import (
     GeneralStateFamily,
     RhoStateFamily,
@@ -29,6 +30,40 @@ def test_coefficients_occupy_vacuum_and_one_basis_state():
     live[[0, 4]] = True
     assert np.all(z[:, ~live] == 0)
     assert np.allclose(np.sum(np.abs(z) ** 2, axis=1), 1.0)
+
+
+def _exp_coefficients(family, kvecs):
+    """RhoStateFamily.coefficients before the zero-phase rule: np.linalg.norm, one exp per phase."""
+    kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))
+    r = np.linalg.norm(kvecs, axis=-1)
+    rho = family.radial_density(r)
+    z = np.zeros((len(r), DIM), dtype=np.complex128)
+    z[:, 0] = np.sqrt(1.0 - rho) * np.exp(1.0j * np.asarray(family.chi(r), dtype=float))
+    z[:, 1 << (family.occupied - 1)] = np.sqrt(rho) * np.exp(
+        1.0j * np.asarray(family.xi(r), dtype=float)
+    )
+    return z
+
+
+PHASES = {
+    "zero": lambda r: np.zeros_like(r),
+    "negative-zero": lambda r: np.full_like(r, -0.0),
+    "constant": lambda r: np.full_like(r, -1.2),
+    "k-dependent": lambda r: 0.7 * r,
+    "partly-zero": lambda r: np.where(r > 1.0, 0.3 * r, 0.0),
+}
+
+
+@pytest.mark.parametrize("xi", sorted(PHASES))
+@pytest.mark.parametrize("chi", sorted(PHASES))
+def test_coefficients_match_the_exponential_formula_bit_for_bit(chi, xi):
+    # a phase zero at every node skips its exp, which multiplied by 1 + 0j
+    rng = np.random.default_rng(5)
+    kvecs = np.concatenate([np.zeros((1, 3)), rng.normal(size=(200, 3)) * rng.uniform(0.1, 5.0)])
+    for occupied in (1, 3):
+        fam = sech2_family(0.8, occupied, chi=PHASES[chi], xi=PHASES[xi])
+        for rows in (kvecs, kvecs[:1], kvecs[0]):
+            assert fam.coefficients(rows).tobytes() == _exp_coefficients(fam, rows).tobytes()
 
 
 def test_charge_sign_tracks_occupied_mode():
