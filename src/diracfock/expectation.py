@@ -9,10 +9,9 @@ so they cost one pass of quadrature per side instead of a node-squared
 sum.  Every field integral is a sum over spheres |k| = r.  On a sphere
 the spinors are affine in the direction: u(r khat) = even(r) +
 sum_j khat_j odd_j(r), both parts read off from six spinor evaluations
-per radius (_spinor_parts, cached per radial rule and kappa, so repeated
-integrals on one rule evaluate no spinor).  So each sphere contributes
-its spinor parts contracted with the direction moments (1, khat) of the
-weighted phases times the state side (_contraction).  For a two-component family the
+per radius (_spinor_parts).  So each sphere contributes its spinor parts
+contracted with the direction moments (1, khat) of the weighted phases
+times the state side (_contraction).  For a two-component family the
 state is constant on each sphere, and the moments are the Rayleigh
 plane-wave expansion 4 pi (j0(k |x|), i j1(k |x|) xhat), in closed form:
 a radial rule alone.  A general family gets the spherical product rule,
@@ -31,13 +30,13 @@ fock.SIGNS (fock is the one source of these tables): row views, with no
 gather and no dense 16 x 16 product.  The sandwich skips a dead mode,
 one whose bit-clear or bit-set slice is zero at every node of the block,
 and writes its row as zeros: a two-component state, wrapped as a general
-family or not, costs the pair products of its one mode.  The product
-rule forms each sphere's state side and moments afresh, and reads its
-time derivative off the value contraction.  A block's moments are built
-for one slice of points at a time, at most _CHUNK_NODES points x nodes
-per slice (times the four moments and the derivatives; all that
-_CHUNK_NODES sizes), so peak memory follows the output, not the number
-of points times nodes.
+family or not, costs the pair products of its one mode, and a NaN or
+inf in the state still reaches the result.  The product rule forms each
+sphere's state side and moments afresh, and reads its time derivative
+off the value contraction.  A block's moments are built for one slice of
+points at a time, at most _CHUNK_NODES points x nodes per slice (times
+the four moments and the derivatives; all that _CHUNK_NODES sizes), so
+peak memory follows the output, not the number of points times nodes.
 
 The antiparticle sector of the two-point matrix and of the densities does
 not decay with |k|, so those values grow with the radial cutoff; they are
@@ -50,7 +49,7 @@ of _doubling_guard (Diverged).
 """
 
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -85,11 +84,6 @@ def _weight(kmag: np.ndarray, consts: PhysicalConstants) -> np.ndarray:
     return consts.ell**2.5 * np.sqrt(consts.c / ((2.0 * np.pi) ** 3 * 2.0 * omega))
 
 
-def _radial_key(family: StateFamily, spec: QuadratureSpec):
-    """The arguments (upper, n, breakpoints) of the family's radial_rule, hashable."""
-    return _momentum_limit(family, spec), spec.n_radial, tuple(family.breakpoints)
-
-
 def _sphere_rule(family: StateFamily, spec: QuadratureSpec):
     """The spherical product rule as (r, wr, dirs, wo), integrated one sphere at a time.
 
@@ -97,7 +91,7 @@ def _sphere_rule(family: StateFamily, spec: QuadratureSpec):
     wr[n] * wo; wr carries the k^2 measure, wo the angular weights.  The
     spheres are taken in a fixed order, so accumulation is deterministic.
     """
-    r, wr = radial_rule(*_radial_key(family, spec))
+    r, wr = radial_rule(_momentum_limit(family, spec), spec.n_radial, family.breakpoints)
     dirs, wo = angular_rule(spec.n_theta)
     return r, wr * r**2, dirs, wo
 
@@ -111,13 +105,19 @@ def _sandwich(zT):
 
     Each is eight signed pair products of bit slices of zT, formed only for
     the live modes, whose two slices are both nonzero somewhere in the
-    block; a dead mode's row is zero.  It is the state side of
-    _overlap_spinor: the creators of modes 3, 4 paired with v give the
-    conjugate sandwiches, whose conjugates S holds (see _contraction).
+    block; a dead mode's row is zero.  A NaN or inf in zT still reaches
+    the result.  It is the state side of _overlap_spinor: the creators of
+    modes 3, 4 paired with v give the conjugate sandwiches, whose
+    conjugates S holds (see _contraction).
     """
     z5 = zT.reshape(*_BITS, -1)
     # the basis rows nonzero at some node (a NaN counts), then per mode those with its bit set
     live = np.any(zT, axis=1)
+    # a live mode pairs every row, so a NaN or inf anywhere reaches its result
+    # (0 * NaN is NaN); only a state with one nonzero row has no live mode, and
+    # a non-finite one is then paired all the same
+    if np.count_nonzero(live) == 1 and not np.isfinite(zT[live]).all():
+        live[:] = True
     bit_set = live @ OCCUPATION
     bit_clear = np.count_nonzero(live) - bit_set
     y = np.empty((N_MODES, zT.shape[1]), dtype=np.complex128)
@@ -181,8 +181,7 @@ def _product_blocks(family, spec, consts, weighted, derivatives):
     r, wr, dirs, wo = _sphere_rule(family, spec)
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * (_weight(r, consts) if weighted else 1.0)
-    parts = _spinor_parts(*_radial_key(family, spec), consts.kappa)
-    for rn, k0n, wn, un, vn in zip(r, k0, w, *parts):
+    for rn, k0n, wn, un, vn in zip(r, k0, w, *_spinor_parts(r, consts.kappa)):
         kv = rn * dirs
         zT = np.ascontiguousarray(family.coefficients(kv).T)
         phases = partial(_plane_moments, kv, k0n, wn * wo, dirs, derivatives)
@@ -267,27 +266,21 @@ def _sphere_weights(r, k0, w, derivatives: bool, xs):
 _SIGNED_AXES = np.stack([np.eye(3), -np.eye(3)])
 
 
-# an entry holds (u, v), 2 x n x 512 bytes: about 0.2 MB at the default n = 200
-@lru_cache(maxsize=8)
-def _spinor_parts(upper: float, n: int, breakpoints: tuple, kappa: float):
-    """(u, v) on the spheres |k| = r of radial_rule(upper, n, breakpoints) as direction parts.
+def _spinor_parts(r, kappa: float):
+    """(u, v) on the spheres |k| = r as direction parts, each (n, 4, 4, 2).
 
-    Each is (n, 4, 4, 2).  u and v are affine in (k0 + kappa, k), so at
-    k = r khat they are even(r) + sum_j khat_j odd_j(r), with both parts
-    read off from the columns at k = +-r e_j: six spinor evaluations per
-    radius.  Part a (even, odd_1, odd_2, odd_3) pairs with the direction
-    moment (1, khat)_a.  Cached per rule and kappa, so the arrays are read-only.
+    u and v are affine in (k0 + kappa, k), so at k = r khat they are
+    even(r) + sum_j khat_j odd_j(r), with both parts read off from the
+    columns at k = +-r e_j: six spinor evaluations per radius.  Part a
+    (even, odd_1, odd_2, odd_3) pairs with the direction moment (1, khat)_a.
     """
-    r, _ = radial_rule(upper, n, breakpoints)
     parts = []
     for columns in (u_columns, v_columns):
         c = columns(r[:, None, None, None] * _SIGNED_AXES, kappa)
         even = 0.5 * (c[:, 0, :1] + c[:, 1, :1])
         odd = 0.5 * (c[:, 0] - c[:, 1])
-        part = np.concatenate([even, odd], axis=1)
-        part.setflags(write=False)
-        parts.append(part)
-    return tuple(parts)
+        parts.append(np.concatenate([even, odd], axis=1))
+    return parts
 
 
 def _radial_blocks(family, spec, consts, weighted, derivatives):
@@ -297,13 +290,12 @@ def _radial_blocks(family, spec, consts, weighted, derivatives):
     sphere with one state vector, and its moments are the sphere integrals
     of the phase times (1, khat) in _sphere_weights.
     """
-    key = _radial_key(family, spec)
-    r, wr = radial_rule(*key)
+    r, wr = radial_rule(_momentum_limit(family, spec), spec.n_radial, family.breakpoints)
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * r**2 * (_weight(r, consts) if weighted else 1.0)
     phases = partial(_sphere_weights, r, k0, w, derivatives)
     z = family.coefficients(np.outer(r, [0.0, 0.0, 1.0]))
-    yield phases, *_spinor_parts(*key, consts.kappa), z.T, None
+    yield phases, *_spinor_parts(r, consts.kappa), z.T, None
 
 
 def _blocks(family, spec, consts, weighted=True, derivatives=False):
@@ -543,7 +535,7 @@ def _radial_sum(integrand, spec: QuadratureSpec, label: str, family=None) -> flo
         if family is None:
             r, w = radial_rule(sp.r_max, sp.n_radial)
             return float(np.sum(w * integrand(r)))
-        k, w = radial_rule(*_radial_key(family, sp))
+        k, w = radial_rule(_momentum_limit(family, sp), sp.n_radial, family.breakpoints)
         return float(4.0 * np.pi * np.sum(w * k**2 * integrand(k)))
 
     return _doubling_guard(run, spec, label)

@@ -343,6 +343,10 @@ def test_field_integrals_refuse_empty_or_non_finite_points(call, x):
         FIELD_INTEGRALS[call](sech2_family(1.0), x, np.zeros(4), SPEC)
 
 
+def _nan(r):
+    return np.full_like(r, np.nan)
+
+
 class TestGuardsFailClosed:
     @pytest.mark.parametrize(
         "run",
@@ -402,11 +406,21 @@ class TestGuardsFailClosed:
         with pytest.raises(QuadratureNotConverged):
             two_point_dirac_residual(fam, fam, x, x, spec, NAT)
 
-    @pytest.mark.parametrize("phase", ["chi", "xi"])
-    def test_unchecked_integrals_reject_nan_phase(self, phase):
-        # a phase zero at every node skips its exponential; a NaN one must not
-        nan = {phase: lambda r: np.full_like(r, np.nan)}
-        fam = RhoStateFamily(1, rho=lambda r: np.full_like(r, 0.5), k_cutoff=1.0, **nan)
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            RhoStateFamily(1, rho=lambda r: np.full_like(r, 0.5), chi=_nan, k_cutoff=1.0),
+            RhoStateFamily(1, rho=lambda r: np.full_like(r, 0.5), xi=_nan, k_cutoff=1.0),
+            # rho = 1 at every node: the vacuum row is zero, so every mode has a zero slice
+            step_family(1.0, xi=_nan),
+            # rho = 0: the occupied row is zero
+            RhoStateFamily(1, rho=np.zeros_like, chi=_nan, k_cutoff=1.0),
+        ],
+        ids=["chi", "xi", "full-xi", "empty-chi"],
+    )
+    def test_unchecked_integrals_reject_nan_phase(self, fam):
+        # a phase zero at every node skips its exponential, and the sandwich a
+        # mode with a zero slice; a NaN phase must skip neither (0 * NaN is NaN)
         spec = QuadratureSpec(n_radial=8, n_theta=4)
         x = np.zeros(4)
         with pytest.raises(QuadratureNotConverged):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from diracfock import expectation, fields, fock
-from diracfock.constants import PhysicalConstants, natural_units
+from diracfock.constants import natural_units
 from diracfock.fock import ANNIHILATORS, CREATORS, DIM, mode_annihilator, mode_creator
 from diracfock.quadrature import QuadratureSpec, angular_rule, radial_rule
 from diracfock.spinors import u_columns, v_columns
@@ -441,29 +441,9 @@ def _count_spinors(monkeypatch):
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_product_rule_evaluates_six_spinors_per_radius(call, monkeypatch):
     # the moment form reads u and v at k = +-r e_j only, never at the nodes
-    expectation._spinor_parts.cache_clear()
     counted = _count_spinors(monkeypatch)
     CALLS[call](PHASED, XS, PRODUCT_SPEC)
     assert sum(counted) == 2 * 6 * PRODUCT_SPEC.n_radial
-
-
-@pytest.mark.parametrize("family", ["general", "radial"])
-def test_spinor_parts_are_cached_per_rule(family, monkeypatch):
-    expectation._spinor_parts.cache_clear()
-    counted = _count_spinors(monkeypatch)
-    first = CALLS["spinor"](FAMILIES[family], XS, PRODUCT_SPEC)
-    assert sum(counted) == 2 * 6 * PRODUCT_SPEC.n_radial
-    # a second call on the same rule and kappa evaluates no spinor, with the same result
-    again = CALLS["spinor"](FAMILIES[family], XS, PRODUCT_SPEC)
-    assert sum(counted) == 2 * 6 * PRODUCT_SPEC.n_radial
-    assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
-    key = expectation._radial_key(FAMILIES[family], PRODUCT_SPEC)
-    for part in expectation._spinor_parts(*key, NAT.kappa):
-        assert part.shape == (PRODUCT_SPEC.n_radial, 4, 4, 2)
-        assert not part.flags.writeable
-    # another kappa is another entry
-    expectation._overlap_spinor(FAMILIES[family], XS, PRODUCT_SPEC, PhysicalConstants(kappa=1.3))
-    assert sum(counted) == 2 * 2 * 6 * PRODUCT_SPEC.n_radial
 
 
 @pytest.mark.parametrize("derivatives", [False, True])
@@ -472,6 +452,21 @@ def test_sandwich_skips_match_chunked_layout(derivatives):
     want = _chunked_overlap_spinor(MIXED, XS, PRODUCT_SPEC, NAT, derivatives=derivatives)
     for a, b in zip(got, want) if derivatives else [(got, want)]:
         assert _relative_gap(a, b) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("rows", [(0,), (5,), (0, 4), (3, 12), tuple(range(DIM))])
+def test_sandwich_skips_lose_no_nan_or_inf(rows, bad):
+    # a skipped mode's row is zero where the full product had 0 * NaN = NaN: a
+    # non-finite entry must still leave its node of the result non-finite
+    zT = np.zeros((DIM, 6), dtype=np.complex128)
+    zT[list(rows)] = _random_z(6, 3).T[: len(rows)]
+    zT[rows[-1], 2] = bad
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        got = expectation._sandwich(zT)
+        want = _pair_sandwich(zT.T).T
+    assert np.array_equal(np.isfinite(got).all(axis=0), np.isfinite(want).all(axis=0))
+    assert np.array_equal(np.isfinite(got).all(axis=0), np.arange(6) != 2)
 
 
 class _SignsSpy:
