@@ -193,14 +193,8 @@ def cmd_sample_field(args) -> int:
     header = ["x0", "x1", "x2", "x3"]
     header += [f"{part}_phi{r}" for r in range(1, 5) for part in ("re", "im")]
     header += ["r0", "r1", "r2", "r3"]
-    rows = []
-    for pt, ph, de in zip(points, phi, dens):
-        row = [repr(float(c)) for c in pt]
-        for r in range(4):
-            row.append(repr(float(ph[r].real)))
-            row.append(repr(float(ph[r].imag)))
-        row += [repr(float(c)) for c in de]
-        rows.append(row)
+    table = np.column_stack([points, phi.view(np.float64).reshape(len(points), 8), dens])
+    rows = [[repr(c) for c in row] for row in table.tolist()]
     with (
         open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
     ) as fh:

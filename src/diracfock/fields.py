@@ -42,19 +42,15 @@ from .constants import PhysicalConstants
 from .fock import (
     COLS,
     DIM,
-    N_MODES,
-    OCCUPATION,
     PARITY,
     POSITION,
     ROWS,
     SECTORS,
     SIGNS,
-    apply_creator,
-    basis_state,
     hamiltonian,
+    lift,
     mode_annihilator,
     mode_creator,
-    vacuum_state,
 )
 from .gamma import (
     CONJUGATION_INDEX,
@@ -374,25 +370,9 @@ def _intertwining_residual(chat: np.ndarray, ks: np.ndarray, kappa: float) -> fl
     return float(np.max(np.linalg.norm(chat @ a - b @ chat, axis=(-2, -1))))
 
 
-# mode s: (pi(s), eps_s) with C_hat a_s C_hat^dagger = eps_s a_pi(s)
-_MODE_MAP = {1: (4, -1.0), 2: (3, 1.0), 3: (2, 1.0), 4: (1, -1.0)}
-
-
-def _mode_map_conjugation() -> np.ndarray:
-    """C_hat as a read-only table: basis state to the mapped creators, same order, on the vacuum."""
-    chat = np.zeros((DIM, DIM), dtype=np.complex128)
-    for n in range(DIM):
-        modes = [s for s in range(1, N_MODES + 1) if OCCUPATION[n, s - 1]]
-        image = vacuum_state()
-        for s in modes:
-            p, eps = _MODE_MAP[s]
-            image = eps * apply_creator(p, image)
-        chat += np.outer(image, basis_state(modes).conj())
-    chat.setflags(write=False)
-    return chat
-
-
-_C_HAT = _mode_map_conjugation()
+# the mode map eps_s a_pi(s)^dagger of a_s^dagger, see fock_charge_conjugation
+_C_HAT = lift([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+_C_HAT.setflags(write=False)
 
 
 def fock_charge_conjugation(
@@ -408,8 +388,8 @@ def fock_charge_conjugation(
     C gamma^0T conj(u(1, k)) = -v(4, k) and C gamma^0T conj(u(2, k)) = v(3, k)
     at every k, so the field relations C_hat psi_r C_hat^dagger = (C psi_a)_r
     and C_hat psi_a_r C_hat^dagger = -(C psi)_r hold mode by mode.  They fix
-    C_hat up to a phase, which the fixed vacuum sets.  C_hat is a signed
-    permutation.
+    C_hat up to a phase, which the fixed vacuum sets.  C_hat is
+    fock.lift of the signed mode permutation, so a signed permutation too.
 
     Each call proves the map at the caller's wave vectors: the worst
     residual of both relations on sample_ks must be at most

@@ -12,6 +12,8 @@ clear with the state that has it set.  The dense stacks ANNIHILATORS and
 CREATORS are the definition.  This module is the one source of the basis
 tables every other module applies instead (occupations, bit slices, the
 entries of each a_s, parity sectors), checked against ANNIHILATORS once.
+So is lift(M), the Fock operator of a one-particle mode map M: charge
+conjugation, translations and rotations are all lifts of such maps.
 """
 
 from functools import cache
@@ -138,6 +140,28 @@ def basis_state(occupied: Iterable[int]) -> np.ndarray:
         _check_mode(s)
         state = apply_creator(s, state)
     return state
+
+
+def lift(M) -> np.ndarray:
+    """Gamma(M) of a 4 x 4 mode map M: a_s^dagger -> sum_t M[t, s] a_t^dagger, |0> fixed.
+
+    A basis state goes to the mapped creators of its modes, in basis_state's
+    order, on the vacuum, from the nonzero entries of M only.  For unitary M
+    and N, Gamma(M) is unitary and Gamma(M) Gamma(N) = Gamma(MN).
+    """
+    M = np.asarray(M, dtype=np.complex128)
+    if M.shape != (N_MODES, N_MODES):
+        raise ValueError(f"mode map must be {N_MODES} x {N_MODES}, got shape {M.shape}")
+    # (t, M[t - 1, s - 1]) per mode s; a zero column sends its mode's states to zero
+    columns = [[(t, e) for t, e in enumerate(col, 1) if e] or [(1, 0.0)] for col in M.T.tolist()]
+    out = np.zeros((DIM, DIM), dtype=np.complex128)
+    for occupied in OCCUPATION.tolist():
+        modes = [s for s, bit in enumerate(occupied, 1) if bit]
+        image = vacuum_state()
+        for s in modes:
+            image = sum(entry * apply_creator(t, image) for t, entry in columns[s - 1])
+        out += np.outer(image, basis_state(modes).conj())
+    return out
 
 
 @cache

@@ -106,8 +106,8 @@ class RhoStateFamily:
     def coefficients(self, kvecs: np.ndarray) -> np.ndarray:
         """Stack of 16-component state vectors, one per wave vector row."""
         kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))
-        # np.linalg.norm's arithmetic on real input, without its conjugate copy
-        r = np.sqrt(np.add.reduce(kvecs * kvecs, axis=-1))
+        kx, ky, kz = kvecs.T
+        r = np.sqrt((kx * kx + ky * ky) + kz * kz)
         rho = self.radial_density(r)
         z = np.zeros((len(r), DIM), dtype=np.complex128)
         z[:, 0] = _phased(np.sqrt(1.0 - rho), self.chi(r))

@@ -6,10 +6,12 @@ no code with the engine's Gauss product rules.
 
 import tracemalloc
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.special import spherical_jn
 
 from diracfock import expectation
@@ -34,8 +36,10 @@ from diracfock.expectation import (
     two_point,
     two_point_dirac_residual,
 )
-from diracfock.fock import OCCUPATION
+from diracfock.fock import OCCUPATION, lift
+from diracfock.gamma import GAMMA
 from diracfock.quadrature import Diverged, QuadratureNotConverged, QuadratureSpec
+from diracfock.spinors import u_columns, v_columns
 from diracfock.states import (
     GeneralStateFamily,
     RhoStateFamily,
@@ -209,9 +213,12 @@ class TestTranslationOracle:
         ),
     }
 
-    def _translated(self, radial, phase):
+    @classmethod
+    def _translated(cls, radial, phase):
         def z(kv):
-            return radial.coefficients(kv) * np.exp(1.0j * phase(kv)[:, None] * self.charge)
+            # one exp per charge -2..2, gathered onto the basis states that carry it
+            factors = np.exp(1.0j * phase(kv)[:, None] * np.arange(-2, 3))
+            return radial.coefficients(kv) * factors[:, cls.charge + 2]
 
         return GeneralStateFamily(z, radial.k_cutoff)
 
@@ -248,6 +255,112 @@ class TestTranslationOracle:
         got = classical_spinor(self._time_shifted(radial, -tau), self.xs, SPEC, NAT, check=False)
         want = classical_spinor(radial, self.xs + [tau, 0.0, 0.0, 0.0], SPEC, NAT, check=False)
         assert self._relative_error(got, want) > 0.1
+
+
+class TestRotationOracle:
+    """Rotated general families against the family at the rotated-back point.
+
+    A rotation R acts on spinors as S(R) = exp(-i theta n.Sigma / 2), and
+    u(Rk) = S u(k) D, v(Rk) = S v(k) D with one unitary 2 x 2 D for both
+    pairs and every k.  So the family z_R(k) = lift(M) z(R^-1 k), with
+    M = diag(D^dagger, D^T) in blocks on the particle and the antiparticle
+    pair, has the classical spinor S psi(R^-1 x), the densities (r0, R r)
+    at R^-1 x and the two-point matrix S G(R^-1 x, R^-1 x') S^dagger.  A
+    rotation keeps the cutoff ball, so even the antiparticle sector of the
+    quadratic integrals rotates; the product rule integrates two
+    orientations of one integrand.  The family is the space-translated
+    sech2 of TestTranslationOracle, so it is anisotropic.
+    """
+
+    xs = TestTranslationOracle.xs
+    theta, axis = 1.1, np.array([0.48, -0.6, 0.64])
+    R = expm(theta * np.cross(np.eye(3), axis))
+    # Sigma^i = (i/2) eps_ijk gamma^j gamma^k, eps_ijk = (e_i x e_j)_k
+    levi_civita = np.cross(np.eye(3)[:, None], np.eye(3)[None, :])
+    sigma = 0.5j * np.einsum("ijk,jab,kbc->iac", levi_civita, GAMMA[1:], GAMMA[1:])
+    S = expm(-0.5j * theta * np.einsum("i,iab->ab", axis, sigma))
+    # at k = 0, u = (e1, e2): D is the inverse of S's upper block
+    D = S[:2, :2].conj().T
+    blocks = {"D": D, "D^dagger": D.conj().T, "D^T": D.T, "conj(D)": D.conj()}
+
+    @staticmethod
+    @cache
+    def _family(occupied):
+        radial = sech2_family(1.0, occupied=occupied)
+        return TestTranslationOracle._translated(radial, lambda kv: kv @ [0.3, -0.2, 0.25])
+
+    @classmethod
+    def _rotated(cls, occupied, particle="D^dagger", antiparticle="D^T"):
+        family, m = cls._family(occupied), np.zeros((4, 4), dtype=complex)
+        m[:2, :2], m[2:, 2:] = cls.blocks[particle], cls.blocks[antiparticle]
+        gamma = lift(m)
+
+        def z(kv):
+            return family.coefficients(kv @ cls.R) @ gamma.T
+
+        return GeneralStateFamily(z, family.k_cutoff)
+
+    @classmethod
+    def _back(cls, x):
+        """(x0, R^-1 x) for rows x."""
+        return np.concatenate([x[..., :1], x[..., 1:] @ cls.R], axis=-1)
+
+    @classmethod
+    @cache
+    def _spinor_back(cls, occupied):
+        """S psi(R^-1 x) of the unrotated family at xs."""
+        psi = classical_spinor(cls._family(occupied), cls._back(cls.xs), SPEC, NAT, check=False)
+        return psi @ cls.S.T
+
+    _relative_error = staticmethod(TestTranslationOracle._relative_error)
+
+    def test_one_spin_matrix_for_both_pairs(self):
+        # the least-squares D at each k, for u and for v, is the rest-frame one
+        ks = np.random.default_rng(8).normal(size=(6, 3)) * np.geomspace(0.1, 20.0, 6)[:, None]
+        for columns in (u_columns, v_columns):
+            rotated_first, want = self.S @ columns(ks, 1.0), columns(ks @ self.R.T, 1.0)
+            fits = np.linalg.pinv(rotated_first) @ want
+            assert np.abs(fits - self.D).max() < 1e-14
+            assert np.abs(rotated_first @ fits - want).max() < 1e-14
+        assert np.abs(self.D.conj().T @ self.D - np.eye(2)).max() < 1e-15
+
+    @pytest.mark.parametrize("occupied", [1, 3])
+    def test_classical_spinor(self, occupied):
+        rotated = self._rotated(occupied)
+        got = classical_spinor(rotated, self.xs, SPEC, NAT, check=False)
+        assert self._relative_error(got, self._spinor_back(occupied)) < 1e-12
+        assert classical_dirac_residual(rotated, self.xs, SPEC, NAT, check=False) < 1e-13
+
+    @pytest.mark.parametrize("occupied", [1, 3])
+    def test_r_density(self, occupied):
+        got = r_density(self._rotated(occupied), self.xs, SPEC, NAT)
+        back = r_density(self._family(occupied), self._back(self.xs), SPEC, NAT)
+        want = np.concatenate([back[:, :1], back[:, 1:] @ self.R.T], axis=1)
+        assert self._relative_error(got, want) < 1e-12
+
+    @pytest.mark.parametrize("occupied", [1, 3])
+    def test_two_point(self, occupied):
+        rotated, family = self._rotated(occupied), self._family(occupied)
+        (x, xp), (bx, bxp) = self.xs, self._back(self.xs)
+        got = two_point(rotated, rotated, x, xp, SPEC, NAT)
+        want = self.S @ two_point(family, family, bx, bxp, SPEC, NAT) @ self.S.conj().T
+        assert self._relative_error(got, want) < 1e-12
+
+    @pytest.mark.parametrize(
+        "occupied, particle, antiparticle, caught",
+        [
+            (1, "D", "D^T", True),
+            (3, "D^dagger", "D^dagger", True),
+            (3, "D^dagger", "conj(D)", True),
+            # a particle family has no antiparticle amplitude to rotate
+            (1, "D^dagger", "D^dagger", False),
+        ],
+    )
+    def test_wrong_block_is_caught(self, occupied, particle, antiparticle, caught):
+        rotated = self._rotated(occupied, particle, antiparticle)
+        got = classical_spinor(rotated, self.xs, SPEC, NAT, check=False)
+        error = self._relative_error(got, self._spinor_back(occupied))
+        assert error > 0.1 if caught else error < 1e-12
 
 
 class TestScalars:

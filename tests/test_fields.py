@@ -24,7 +24,7 @@ from diracfock.fields import (
     psi_adjoint_matrices,
     psi_matrices,
 )
-from diracfock.fock import DIM, charge_operator, mode_annihilator, mode_creator
+from diracfock.fock import DIM, charge_operator, lift, mode_annihilator, mode_creator
 from diracfock.gamma import CONJUGATION, GAMMA0
 from diracfock.spinors import u_columns, v_columns
 from diracfock.verify import _sample_wave_vectors
@@ -227,11 +227,18 @@ class TestFockConjugation:
         chat[0, 0] = 7.0
         assert self.solve()[0][0, 0] == 1.0
 
+    # M[pi(s) - 1, s - 1] = eps_s: modes 1 <-> 4 with eps = -1, 2 <-> 3 with eps = +1
+    mode_map = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+
+    def test_is_the_lift_of_the_mode_map(self):
+        assert lift(self.mode_map).tobytes() == fields._C_HAT.tobytes()
+        assert not fields._C_HAT.flags.writeable
+
     @pytest.mark.parametrize("mode", [1, 2, 3, 4])
     def test_flipped_mode_sign_has_no_solution(self, mode, monkeypatch):
-        partner, eps = fields._MODE_MAP[mode]
-        monkeypatch.setitem(fields._MODE_MAP, mode, (partner, -eps))
-        monkeypatch.setattr(fields, "_C_HAT", fields._mode_map_conjugation())
+        flipped = self.mode_map.copy()
+        flipped[:, mode - 1] *= -1
+        monkeypatch.setattr(fields, "_C_HAT", lift(flipped))
         with pytest.raises(NoSolutionError, match="sample residual"):
             self.solve()
 

@@ -17,6 +17,7 @@ from diracfock.fock import (
     dispersion,
     hamiltonian,
     larmor_evolution_check,
+    lift,
     mode_annihilator,
     mode_creator,
     number_operator,
@@ -140,3 +141,43 @@ def test_mode_index_validation():
         mode_annihilator(0)
     with pytest.raises(ValueError):
         basis_state([5])
+
+
+def _random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestLift:
+    def test_identity_and_zero(self):
+        assert np.array_equal(lift(np.eye(4)), np.eye(DIM))
+        # the zero map keeps the vacuum alone: Gamma(0) = |0><0|
+        assert np.array_equal(lift(np.zeros((4, 4))), np.outer(vacuum_state(), vacuum_state()))
+
+    def test_homomorphism_and_unitarity(self):
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            m, n = _random_unitary(rng), _random_unitary(rng)
+            assert np.abs(lift(m) @ lift(n) - lift(m @ n)).max() < 1e-14
+            assert np.abs(lift(m).conj().T @ lift(m) - np.eye(DIM)).max() < 1e-14
+
+    def test_maps_each_creator(self):
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            m = _random_unitary(rng)
+            g = lift(m)
+            for s in MODES:
+                mapped = np.einsum("t,tij->ij", m[:, s - 1], fock.CREATORS)
+                assert np.abs(g @ fock.CREATORS[s - 1] @ g.conj().T - mapped).max() < 1e-14
+
+    def test_diagonal_map_is_the_translation_phase(self):
+        # a phase exp(-i k.a) per particle mode and exp(+i k.a) per antiparticle
+        # mode lifts to exp(i k.a (N_a - N_p)), the translation of a state family
+        phase = np.array([0.8, -1.3, 0.4]) @ np.array([0.3, -0.2, 0.25])
+        charge = fock.OCCUPATION[:, 2:].sum(axis=1) - fock.OCCUPATION[:, :2].sum(axis=1)
+        g = lift(np.diag(np.exp(1.0j * phase * np.array([-1, -1, 1, 1]))))
+        assert np.abs(g - np.diag(np.exp(1.0j * phase * charge))).max() < 1e-15
+
+    def test_rejects_a_map_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="4 x 4"):
+            lift(np.eye(3))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from diracfock.expectation import _sphere_rule
 from diracfock.fock import DIM
+from diracfock.quadrature import QuadratureSpec, radial_rule
 from diracfock.states import (
     GeneralStateFamily,
     RhoStateFamily,
@@ -64,6 +66,20 @@ def test_coefficients_match_the_exponential_formula_bit_for_bit(chi, xi):
         fam = sech2_family(0.8, occupied, chi=PHASES[chi], xi=PHASES[xi])
         for rows in (kvecs, kvecs[:1], kvecs[0]):
             assert fam.coefficients(rows).tobytes() == _exp_coefficients(fam, rows).tobytes()
+
+
+@pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec().doubled()])
+def test_wave_number_matches_the_reduction_bit_for_bit(spec):
+    # |k| is summed component by component; on every sphere of the product rule
+    # (and of its doubled guard) and on the radial nodes it keeps the bytes of
+    # the length-3 reduction it replaced
+    seen = []
+    fam = RhoStateFamily(1, lambda r: seen.append(r) or np.full_like(r, 0.5))
+    r, _, dirs, _ = _sphere_rule(sech2_family(1.0), spec)
+    radial = np.outer(radial_rule(40.0, spec.n_radial)[0], [0.0, 0.0, 1.0])
+    for kv in [rn * dirs for rn in r] + [radial]:
+        fam.coefficients(kv)
+        assert seen.pop().tobytes() == np.sqrt(np.add.reduce(kv * kv, axis=-1)).tobytes()
 
 
 def test_charge_sign_tracks_occupied_mode():
