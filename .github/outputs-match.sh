@@ -3,11 +3,12 @@
 #
 #   bash .github/outputs-match.sh BASE_TREE HEAD_TREE
 #
-# Each tree is a checkout holding src/diracfock.  Six commands run on both:
-# example --json (default, and --a 0.7 --kappa 1.3), verify --json (--seed 0,
-# and --seed 3 --kappa 1.7 for the charge conjugation at a second kappa),
-# and sample-field on the flat tabulated profile and on sech2 with occupied
-# mode 3 and constant phases; every output must match byte for byte.
+# Each tree is a checkout holding src/diracfock.  Fifteen commands run on
+# both: example --json (default, and --a 0.7 --kappa 1.3), verify --json
+# (--seed 0 to 9, and --seed 3 --kappa 1.7 for the charge conjugation at a
+# second kappa), and sample-field on the flat tabulated profile and on sech2
+# with occupied mode 3 and constant phases; every output must match byte
+# for byte.
 set -euo pipefail
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
@@ -20,7 +21,7 @@ printf '%s\n' '{"profile": "sech2", "occupied": 3, "chi": 0.4, "xi": -1.2}' > se
 commands=(
   "example --json"
   "example --json --a 0.7 --kappa 1.3"
-  "verify --json --seed 0"
+  "verify --json --seed "{0..9}
   "verify --json --seed 3 --kappa 1.7"
   "sample-field --config flat.json"
   "sample-field --config sech2.json"

@@ -4,23 +4,28 @@ Classical spinor fields, quantum and classical energies, total charge,
 the two-point correlation matrix, local densities, the smeared-current
 reality check, and the worked spin-up example.
 
-All double k-integrals factor through the 16-dimensional occupation index,
-so they cost one pass of quadrature per side instead of a node-squared
-sum.  Every field integral is a sum over spheres |k| = r.  On a sphere
-the spinors are affine in the direction: u(r khat) = even(r) +
-sum_j khat_j odd_j(r), both parts read off from six spinor evaluations
-per radius (_spinor_parts).  So each sphere contributes its spinor parts
-contracted with the direction moments (1, khat) of the weighted phases
-times the state side (_contraction).  For a two-component family the
-state is constant on each sphere, and the moments are the Rayleigh
-plane-wave expansion 4 pi (j0(k |x|), i j1(k |x|) xhat), in closed form:
-a radial rule alone.  A general family gets the spherical product rule,
-one sphere of 2 n_theta^2 directions per radial node at a time; there
-the moments meet the state first, node by node, and the spinor parts
-come last, so no spinor is formed at any node.  Derivatives of integrals
-are always analytic (phase insertions, or the derivatives of the Bessel
-terms), never finite differences; the field equations then hold at
-every node and the residual checks probe the algebra, not the step size.
+All double k-integrals factor through the 16-dimensional occupation
+index, so they cost one field-tensor pass per distinct family instead of
+a node-squared sum: with one family object on both sides, the two-point
+kernel _two_point (G and its derivatives) takes x and x' from one pass,
+and the smeared currents reuse its tensors.  The adjoint tensor is the
+conjugate of the plain contraction against a state side whose rows
+paired with u, not v, are conjugated.  Every field integral is a sum over
+spheres |k| = r.  On a sphere the spinors are affine in the direction:
+u(r khat) = even(r) + sum_j khat_j odd_j(r), both parts read off from
+six spinor evaluations per radius (_spinor_parts).  So each sphere
+contributes its spinor parts contracted with the direction moments
+(1, khat) of the weighted phases times the state side (_contraction).
+For a two-component family the state is constant on each sphere, and
+the moments are the Rayleigh plane-wave expansion
+4 pi (j0(k |x|), i j1(k |x|) xhat), in closed form: a radial rule alone.
+A general family gets the spherical product rule, one sphere of
+2 n_theta^2 directions per radial node at a time; there the moments meet
+the state first, node by node, and the spinor parts come last, so no
+spinor is formed at any node.  Derivatives of integrals are always
+analytic (phase insertions, or the derivatives of the Bessel terms),
+never finite differences; the field equations then hold at every node
+and the residual checks probe the algebra, not the step size.
 
 The state is held mode-major, one column per node.  Mode s is bit s - 1
 of the basis index (fock's Jordan-Wigner order), so each mode operator,
@@ -71,10 +76,10 @@ from .states import RhoStateFamily, StateFamily
 _CHUNK_NODES = 60_000
 
 
-def _momentum_limit(family: StateFamily, spec: QuadratureSpec) -> float:
-    if family.hard_cutoff:
-        return family.k_cutoff
-    return family.k_cutoff * (spec.r_max / REFERENCE_R_MAX)
+def _radial_nodes(family: StateFamily, spec: QuadratureSpec):
+    """The family's radial rule (r, w): to k_cutoff, times r_max / REFERENCE_R_MAX unless hard."""
+    upper = family.k_cutoff * (1.0 if family.hard_cutoff else spec.r_max / REFERENCE_R_MAX)
+    return radial_rule(upper, spec.n_radial, family.breakpoints)
 
 
 def _weight(kmag: np.ndarray, consts: PhysicalConstants) -> np.ndarray:
@@ -91,7 +96,7 @@ def _sphere_rule(family: StateFamily, spec: QuadratureSpec):
     wr[n] * wo; wr carries the k^2 measure, wo the angular weights.  The
     spheres are taken in a fixed order, so accumulation is deterministic.
     """
-    r, wr = radial_rule(_momentum_limit(family, spec), spec.n_radial, family.breakpoints)
+    r, wr = _radial_nodes(family, spec)
     dirs, wo = angular_rule(spec.n_theta)
     return r, wr * r**2, dirs, wo
 
@@ -138,7 +143,7 @@ def _mode_actions(zT, dagger: bool = False):
     the annihilators of modes 1, 2 and the creators of modes 3, 4, or with
     dagger the creators of modes 1, 2 and the annihilators of modes 3, 4.
     Each is a signed copy of one bit slice of zT into the other; the rows
-    paired with v are conjugated (see _contraction).
+    paired with v are conjugated (see _contraction), with dagger those with u.
     """
     z5 = zT.reshape(*_BITS, -1)
     S = np.empty((N_MODES, *_BITS, zT.shape[1]), dtype=np.complex128)
@@ -147,7 +152,8 @@ def _mode_actions(zT, dagger: bool = False):
         dst, src = (BIT_CLEAR[s], BIT_SET[s]) if (s < 2) != dagger else (BIT_SET[s], BIT_CLEAR[s])
         np.multiply(z5[src], SIGNS[s].reshape(2, 2, 2, 1), out=S[s][dst])
         S[s][src] = 0.0
-    np.conjugate(S[2:], out=S[2:])
+    conjugated = S[:2] if dagger else S[2:]
+    np.conjugate(conjugated, out=conjugated)
     return S.reshape(N_MODES * DIM, -1)
 
 
@@ -290,7 +296,7 @@ def _radial_blocks(family, spec, consts, weighted, derivatives):
     sphere with one state vector, and its moments are the sphere integrals
     of the phase times (1, khat) in _sphere_weights.
     """
-    r, wr = radial_rule(_momentum_limit(family, spec), spec.n_radial, family.breakpoints)
+    r, wr = _radial_nodes(family, spec)
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * r**2 * (_weight(r, consts) if weighted else 1.0)
     phases = partial(_sphere_weights, r, k0, w, derivatives)
@@ -356,58 +362,57 @@ def _contraction(u, v, S):
     return apply
 
 
-def _accumulate(family, xs, spec, consts, side, cols, weighted, derivatives, dagger=False):
-    """The k-integral T (nx, cols) of the field against the state side at the points xs.
-
-    side(zT) forms a block's state side S (cols, m), see _contraction.  Td
-    (nx, 4, cols) holds the d/dx^mu, or is None.  The dagger variant applies
-    the adjoint components, which carry conjugate spinors and phases.
-    """
+def _points(xs) -> np.ndarray:
+    """xs as an (nx, 4) float array; ValueError unless it holds points, all finite."""
     xs = np.asarray(xs, dtype=float).reshape(-1, 4)
     bad = np.count_nonzero(~np.isfinite(xs).all(axis=1))
     if bad or not len(xs):  # every public field integral comes here first
         raise ValueError(f"points must be finite and nonempty: {len(xs)} given, {bad} non-finite")
+    return xs
+
+
+def _accumulate(family, xs, spec, consts, side, cols, weighted, derivatives):
+    """The k-integral T (nx, cols) of the field against the state side at the points xs.
+
+    side(zT) forms a block's state side S (cols, m), see _contraction.  Td
+    (nx, 4, cols) holds the d/dx^mu, or is None.
+    """
+    xs = _points(xs)
     T = np.zeros((len(xs), cols), dtype=np.complex128)
     Td = np.zeros((len(xs), 4, cols), dtype=np.complex128) if derivatives else None
     for phases, u, v, zT, k0 in _blocks(family, spec, consts, weighted, derivatives):
-        if dagger:
-            u, v = u.conj(), v.conj()
         apply = _contraction(u, v, side(zT))
         # at most _CHUNK_NODES points x nodes per slice of points
         per = max(1, _CHUNK_NODES // zT.shape[1])
         for sl in (slice(i, i + per) for i in range(0, len(xs), per)):
             W, dW = phases(xs[sl])
-            P, Q = apply(np.conjugate(W, out=W) if dagger else W)
+            P, Q = apply(W)
             T[sl] += P + Q
-            # d/dt of a sphere: -i k0 on P, +i k0 on Q, conjugate for dagger
+            # d/dt of a sphere: -i k0 on P, +i k0 on Q
             if derivatives and k0 is not None:
-                Td[sl, 0] += (1.0j if dagger else -1.0j) * k0 * (P - Q)
+                Td[sl, 0] += -1.0j * k0 * (P - Q)
             del W, P, Q  # free before the larger derivative products and the next slice
             if derivatives:
-                Td[sl, -dW.shape[1] :] += np.add(*apply(np.conjugate(dW, out=dW) if dagger else dW))
+                Td[sl, -dW.shape[1] :] += np.add(*apply(dW))
                 del dW
         del apply  # free this block's state side before the next block forms its own
     return T, Td
 
 
-def _field_tensor(
-    family: StateFamily,
-    xs: np.ndarray,
-    spec: QuadratureSpec,
-    consts: PhysicalConstants,
-    weighted: bool = True,
-    derivatives: bool = False,
-    dagger: bool = False,
-):
+def _field_tensor(family, xs, spec, consts, weighted=True, derivatives=False, dagger=False):
     """Integral of the field applied to the family, resolved on the basis.
 
     T[x, r, c] = integral dk w(k) <basis c| field_r(k, x) state(k)>, with
     w the mode measure (or 1 when weighted is off).  With derivatives on,
-    also the four d/dx^mu insertions as Td[x, mu, r, c].  The dagger
-    variant applies the adjoint component operators instead.
+    also the four d/dx^mu insertions as Td[x, mu, r, c].  The adjoint (dagger)
+    is the plain contraction against _mode_actions' dagger side, conjugated.
     """
     side = partial(_mode_actions, dagger=dagger)
-    T, Td = _accumulate(family, xs, spec, consts, side, 4 * DIM, weighted, derivatives, dagger)
+    T, Td = _accumulate(family, xs, spec, consts, side, 4 * DIM, weighted, derivatives)
+    if dagger:  # conjugate as 0 - imag, so a zero stays +0.0 as the sums leave it
+        np.subtract(0.0, T.imag, out=T.imag)
+        if derivatives:
+            np.subtract(0.0, Td.imag, out=Td.imag)
     T = T.reshape(-1, 4, DIM)
     return (T, Td.reshape(-1, 4, 4, DIM)) if derivatives else T
 
@@ -523,49 +528,46 @@ def _doubling_guard(run, spec: QuadratureSpec, label: str) -> float:
 
 
 def _radial_sum(integrand, spec: QuadratureSpec, label: str, family=None) -> float:
-    """The radial-rule integral of integrand over [0, upper], through _doubling_guard.
+    """The radial-rule integral of integrand, through _doubling_guard.
 
-    For a family, upper is its _momentum_limit, the rule splits at its
-    breakpoints, and the integral is 4 pi integral dk k^2 integrand(k).
-    Without one it is the plain integral over the dimensionless profile
-    argument up to r_max, the integrand carrying its own measure.
+    For a family: 4 pi integral dk k^2 integrand(k) on its _radial_nodes.
+    Without one: the plain integral over the dimensionless profile argument
+    up to r_max, the integrand carrying its own measure.
     """
 
     def run(sp):
         if family is None:
             r, w = radial_rule(sp.r_max, sp.n_radial)
             return float(np.sum(w * integrand(r)))
-        k, w = radial_rule(_momentum_limit(family, sp), sp.n_radial, family.breakpoints)
+        k, w = _radial_nodes(family, sp)
         return float(4.0 * np.pi * np.sum(w * k**2 * integrand(k)))
 
     return _doubling_guard(run, spec, label)
 
 
-def quantum_energy(family: RhoStateFamily, spec: QuadratureSpec, consts: PhysicalConstants) -> float:
-    """l^3 integral of hbar omega(k) rho(k)."""
+def _energy(family: RhoStateFamily, spec, consts, label: str, classical: bool) -> float:
+    """l^3 integral of hbar omega(k) rho(k), times (1 - rho(k)) when classical."""
     if not isinstance(family, RhoStateFamily):
         raise ValueError("energy formulas need the two-component family")
-    kap = consts.kappa
 
     def integrand(k):
-        return consts.hbar * consts.c * np.sqrt(kap**2 + k**2) * family.radial_density(k)
+        rho = family.radial_density(k)
+        quantum = consts.hbar * consts.c * np.sqrt(consts.kappa**2 + k**2) * rho
+        return quantum * (1.0 - rho) if classical else quantum
 
-    return consts.ell**3 * _radial_sum(integrand, spec, "quantum energy", family)
+    return consts.ell**3 * _radial_sum(integrand, spec, label, family)
+
+
+def quantum_energy(family: RhoStateFamily, spec: QuadratureSpec, consts: PhysicalConstants) -> float:
+    """l^3 integral of hbar omega(k) rho(k)."""
+    return _energy(family, spec, consts, "quantum energy", classical=False)
 
 
 def classical_energy(
     family: RhoStateFamily, spec: QuadratureSpec, consts: PhysicalConstants
 ) -> float:
     """l^3 integral of hbar omega(k) rho(k) (1 - rho(k)); never above quantum_energy."""
-    if not isinstance(family, RhoStateFamily):
-        raise ValueError("energy formulas need the two-component family")
-    kap = consts.kappa
-
-    def integrand(k):
-        rho = family.radial_density(k)
-        return consts.hbar * consts.c * np.sqrt(kap**2 + k**2) * rho * (1.0 - rho)
-
-    return consts.ell**3 * _radial_sum(integrand, spec, "classical energy", family)
+    return _energy(family, spec, consts, "classical energy", classical=True)
 
 
 def total_charge(family: StateFamily, spec: QuadratureSpec, consts: PhysicalConstants) -> float:
@@ -588,6 +590,28 @@ def total_charge(family: StateFamily, spec: QuadratureSpec, consts: PhysicalCons
     return consts.ell**3 * _doubling_guard(run, spec, "total charge")
 
 
+def _two_point(bra_family, ket_family, x, xp, spec, consts, derivatives=False):
+    """G[r', r] = sum_c conj(gamma^0 T(x))[r, c] T'(x')[r', c], T of the bra, T' of the ket.
+
+    With derivatives also (d'G, dG) [mu, r', r], the d/dx'^mu and d/dx^mu.
+    One family object on both sides takes one _field_tensor pass for both points.
+    """
+    xs = np.concatenate([_points(x)[:1], _points(xp)[:1]])
+    if bra_family is ket_family:
+        bra = ket = _field_tensor(bra_family, xs, spec, consts, derivatives=derivatives)
+    else:
+        bra = _field_tensor(bra_family, xs[:1], spec, consts, derivatives=derivatives)
+        ket = _field_tensor(ket_family, xs[1:], spec, consts, derivatives=derivatives)
+    # x is the first point of the bra's pass, x' the last of the ket's
+    (TA, TAd), (TB, TBd) = (bra, ket) if derivatives else ((bra, None), (ket, None))
+    L = (GAMMA0.real @ TA[0]).conj()
+    G = np.einsum("rc,pc->pr", L, TB[-1])
+    if not derivatives:
+        return G
+    Ld = np.einsum("ab,mbc->mac", GAMMA0.real, TAd[0]).conj()
+    return G, np.einsum("rc,mpc->mpr", L, TBd[-1]), np.einsum("mrc,pc->mpr", Ld, TB[-1])
+
+
 def two_point(
     bra_family: StateFamily,
     ket_family: StateFamily,
@@ -603,13 +627,7 @@ def two_point(
     cutoff, so there is no refinement check; a general family's angles
     are always checked, see _field_guard.
     """
-
-    def run(sp):
-        TA = _field_tensor(bra_family, [x], sp, consts)[0]
-        TB = _field_tensor(ket_family, [xp], sp, consts)[0]
-        L = GAMMA0.real @ TA
-        return np.einsum("rc,pc->pr", L.conj(), TB)
-
+    run = partial(_two_point, bra_family, ket_family, x, xp, consts=consts)
     return _field_guard(run, spec, "two-point matrix", families=(bra_family, ket_family))
 
 
@@ -629,14 +647,7 @@ def two_point_dirac_residual(
     """
 
     def run(sp):
-        TA, TAd = _field_tensor(bra_family, [x], sp, consts, derivatives=True)
-        TB, TBd = _field_tensor(ket_family, [xp], sp, consts, derivatives=True)
-        TA, TAd, TB, TBd = TA[0], TAd[0], TB[0], TBd[0]
-        L = GAMMA0.real @ TA
-        Ld = np.einsum("ab,mbc->mac", GAMMA0.real, TAd)
-        G = np.einsum("rc,pc->pr", L.conj(), TB)
-        Gd_ket = np.einsum("rc,mpc->mpr", L.conj(), TBd)
-        Gd_bra = np.einsum("mrc,pc->mpr", Ld.conj(), TB)
+        G, Gd_ket, Gd_bra = _two_point(bra_family, ket_family, x, xp, sp, consts, derivatives=True)
         lhs = 1.0j * consts.kappa * G
         rhs_ket = -np.einsum("mab,mbr->ar", GAMMA, Gd_ket)
         rhs_bra = np.einsum("mpb,mbr->pr", Gd_bra, GAMMA)
@@ -676,7 +687,6 @@ def r_density_residuals(
     The densities and divergence must be finite, and a general family's
     must pass _field_guard's angular check, or QuadratureNotConverged is raised.
     """
-    x = np.asarray(x, dtype=float)
 
     def run(sp):
         T, Td = _field_tensor(family, x, sp, consts, derivatives=True)
@@ -694,11 +704,7 @@ def r_density_residuals(
 
 
 def current_reality_residual(
-    family_a: StateFamily,
-    family_b: StateFamily,
-    x,
-    spec: QuadratureSpec,
-    consts: PhysicalConstants,
+    family_a: StateFamily, family_b: StateFamily, x, spec: QuadratureSpec, consts: PhysicalConstants
 ) -> float:
     """Smeared-current reality: conj of <a| j b> equals <b| j a>.
 
@@ -708,10 +714,9 @@ def current_reality_residual(
     pass _field_guard's angular check.
     """
 
-    def halves(fam, sp):
-        T = _field_tensor(fam, [x], sp, consts, weighted=False)[0]
-        D = _field_tensor(fam, [x], sp, consts, weighted=False, dagger=True)[0]
-        return T, D
+    def halves(fam, sp):  # the unweighted field and adjoint tensors (T, D) at x
+        tensor = partial(_field_tensor, fam, [x], sp, consts, weighted=False)
+        return tensor()[0], tensor(dagger=True)[0]
 
     pref = 0.5 * consts.q * consts.c / (2.0 * np.pi) ** 3
     g0 = GAMMA0.real
@@ -723,7 +728,7 @@ def current_reality_residual(
 
     def run(sp):
         TA, DA = halves(family_a, sp)
-        TB, DB = halves(family_b, sp)
+        TB, DB = (TA, DA) if family_b is family_a else halves(family_b, sp)
         return np.stack([smeared(TA, DA, TB, DB), smeared(TB, DB, TA, DA)])
 
     X, Y = _field_guard(run, spec, "smeared currents", families=(family_a, family_b))

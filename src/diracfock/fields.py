@@ -171,12 +171,6 @@ def psi_adjoint_matrices(k: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarr
     return _dense(_adjoint(_scattered_psi(k, x, kappa)), _ODD)
 
 
-def _psi_pair(k, x, kappa: float):
-    """(psi_matrices, psi_adjoint_matrices) at (k, x) from one psi."""
-    p = _scattered_psi(k, x, kappa)
-    return _dense(p, _ODD), _dense(_adjoint(p), _ODD)
-
-
 def _dagger(stack: np.ndarray) -> np.ndarray:
     """The adjoint of each odd operator in a graded stack: block s is block 1 - s, daggered."""
     return stack[..., ::-1, :, :].conj().swapaxes(-1, -2)
@@ -355,7 +349,8 @@ def conjugation_mix(stack: np.ndarray) -> np.ndarray:
 
 def _conjugation_relations(ks: np.ndarray, kappa: float):
     """(A, B), each (..., 4, 2, 16, 16), with C_hat A = B C_hat: psi, then psi_a, at x = 0."""
-    p, pa = _psi_pair(ks, np.zeros(4), kappa)
+    scattered = _scattered_psi(ks, np.zeros(4), kappa)
+    p, pa = _dense(scattered, _ODD), _dense(_adjoint(scattered), _ODD)
     mixed = [conjugation_mix(pa), -conjugation_mix(p)]
     return np.stack([p, pa], axis=-3), np.stack(mixed, axis=-3)
 

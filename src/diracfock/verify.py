@@ -266,9 +266,8 @@ def _conjugation_checks(rng, consts: PhysicalConstants):
     heldout = _sample_wave_vectors(rng, 5, kappa, lo=-1.0, hi=1.0)
     chat, residual = fields.fock_charge_conjugation(kappa, sample, heldout)
     unitary = np.max(np.abs(chat.conj().T @ chat - np.eye(fock.DIM)))
-    p, pa = fields._psi_pair(heldout, np.zeros(4), kappa)
-    target = -fields.conjugation_mix(p)
-    adjoint = _amax(chat @ pa - target @ chat)
+    a, b = fields._conjugation_relations(heldout, kappa)  # relation 1: C_hat psi_a = -(C psi) C_hat
+    adjoint = _amax(chat @ a[..., 1, :, :] - b[..., 1, :, :] @ chat)
     qhat = fock.charge_operator(consts)
     flip = np.max(np.abs(chat @ qhat @ chat.conj().T + qhat))
     # ten (k, k', x) triples drawn one at a time, so a seed keeps its samples

@@ -5,6 +5,7 @@ no code with the engine's Gauss product rules.
 """
 
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from functools import cache
 
@@ -454,6 +455,9 @@ def test_field_integrals_refuse_empty_or_non_finite_points(call, x):
     # point to raise QuadratureNotConverged after RuntimeWarnings
     with pytest.raises(ValueError, match="points must be finite and nonempty"):
         FIELD_INTEGRALS[call](sech2_family(1.0), x, np.zeros(4), SPEC)
+    if call.startswith("two_point"):  # the second point too; one pass holds both points
+        with pytest.raises(ValueError, match="points must be finite and nonempty"):
+            FIELD_INTEGRALS[call](sech2_family(1.0), np.zeros(4), x, SPEC)
 
 
 def _nan(r):
@@ -722,6 +726,79 @@ class TestTwoPoint:
         xp = np.array([0.0, -0.4, 0.2, 0.6])
         assert two_point_dirac_residual(fam, vac, x, xp, SPEC, NAT) < 1e-8
         assert two_point_dirac_residual(fam, fam, x, xp, SPEC, NAT) < 1e-8
+
+
+class TestOnePassPerFamily:
+    """One family object on both sides is integrated once per spec, not once per side.
+
+    The two-point kernel takes x and x' from one _field_tensor pass, and the
+    smeared currents reuse the bra's tensors for the ket.  A dataclasses.replace
+    copy is a distinct object and keeps one pass per side: the same values
+    from twice the passes.
+    """
+
+    radial = RhoStateFamily(
+        3, rho=lambda r: 1.0 / np.cosh(r) ** 2, xi=lambda r: 0.7 * r, k_cutoff=6.0, hard_cutoff=True
+    )
+    families = {
+        "radial": radial,
+        "general": GeneralStateFamily(radial.coefficients, radial.k_cutoff, hard_cutoff=True),
+    }
+    spec = QuadratureSpec(n_radial=12, n_theta=8)
+    x = np.array([0.2, 0.3, -0.1, 0.2])
+    xp = np.array([0.0, -0.2, 0.1, 0.3])
+    # each call(bra, ket, x, x', spec) with its passes per spec for one family object
+    calls = {
+        "two_point": (lambda a, b, x, xp, sp: two_point(a, b, x, xp, sp, NAT), 1),
+        "two_point_dirac_residual": (
+            lambda a, b, x, xp, sp: two_point_dirac_residual(a, b, x, xp, sp, NAT),
+            1,
+        ),
+        "current_reality_residual": (
+            lambda a, b, x, xp, sp: current_reality_residual(a, b, x, sp, NAT),
+            2,
+        ),
+    }
+
+    @pytest.mark.parametrize("same", [True, False], ids=["same-object", "copy"])
+    @pytest.mark.parametrize("family", sorted(families))
+    @pytest.mark.parametrize("call", sorted(calls))
+    def test_passes_per_spec(self, monkeypatch, call, family, same):
+        specs = []
+        accumulate = expectation._accumulate
+
+        def counting(fam, xs, spec, *args):
+            specs.append(spec)
+            return accumulate(fam, xs, spec, *args)
+
+        monkeypatch.setattr(expectation, "_accumulate", counting)
+        fn, passes = self.calls[call]
+        bra = self.families[family]
+        fn(bra, bra if same else replace(bra), self.x, self.xp, self.spec)
+        # a general family's two-point matrix and currents rerun with n_theta doubled
+        reruns = family == "general" and call != "two_point_dirac_residual"
+        counts = Counter(specs)
+        assert len(counts) == 1 + reruns
+        assert set(counts.values()) == {passes if same else 2 * passes}
+
+    @pytest.mark.parametrize("family", sorted(families))
+    def test_one_pass_matches_a_pass_per_side(self, family):
+        fam = self.families[family]
+        copy = replace(fam)
+        assert copy is not fam and copy == fam
+        kernel = lambda b: expectation._two_point(
+            fam, b, self.x, self.xp, self.spec, NAT, derivatives=True
+        )
+        pairs = [
+            (two_point(fam, fam, self.x, self.xp, self.spec, NAT),
+             two_point(fam, copy, self.x, self.xp, self.spec, NAT)),
+            *zip(kernel(fam), kernel(copy)),
+        ]
+        for one, two in pairs:
+            assert np.max(np.abs(one - two)) <= 1e-14 * np.max(np.abs(two))
+        # the reused tensors are the ones a second pass would form, bit for bit
+        currents = [current_reality_residual(fam, b, self.x, self.spec, NAT) for b in (fam, copy)]
+        assert currents[0] == currents[1]
 
 
 class TestLocalDensities:

@@ -18,7 +18,7 @@ import pytest
 from diracfock import expectation, fields, fock
 from diracfock.constants import natural_units
 from diracfock.fock import ANNIHILATORS, CREATORS, DIM, mode_annihilator, mode_creator
-from diracfock.quadrature import QuadratureSpec, angular_rule, radial_rule
+from diracfock.quadrature import QuadratureSpec, angular_rule
 from diracfock.spinors import u_columns, v_columns
 from diracfock.states import GeneralStateFamily, RhoStateFamily, sech2_family
 
@@ -46,9 +46,13 @@ def _dense_mode_actions(z, dagger=False):
 
 
 def _dense_mode_side(zT, dagger=False):
-    """expectation._mode_actions from the dense operators: rows (Z1, conj(Z2)), one column per node."""
+    """expectation._mode_actions from the dense operators, one column per node.
+
+    Rows (Z1, conj(Z2)), or with dagger (conj(Z1), Z2): the rows paired with u conjugated.
+    """
     Z1, Z2 = _dense_mode_actions(zT.T, dagger)
-    return np.concatenate([Z1, Z2.conj()], axis=1).reshape(len(Z1), -1).T
+    rows = [Z1.conj(), Z2] if dagger else [Z1, Z2.conj()]
+    return np.concatenate(rows, axis=1).reshape(len(Z1), -1).T
 
 
 def _dense_sandwich(zT):
@@ -302,8 +306,7 @@ def test_table_check_rejects_a_corrupted_stack(corruption):
 
 def _chunked_product_rule(family, spec):
     """The product rule in blocks of whole spheres holding up to 60,000 nodes together."""
-    upper = expectation._momentum_limit(family, spec)
-    r, wr = radial_rule(upper, spec.n_radial, family.breakpoints)
+    r, wr = expectation._radial_nodes(family, spec)
     dirs, wo = angular_rule(spec.n_theta)
     per = max(1, 60_000 // len(wo))
     for i in range(0, len(r), per):
