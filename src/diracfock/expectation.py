@@ -5,15 +5,17 @@ the two-point correlation matrix, local densities, the smeared-current
 reality check, and the worked spin-up example.
 
 All double k-integrals factor through the 16-dimensional occupation
-index, so they cost one field-tensor pass per distinct family instead of
-a node-squared sum: with one family object on both sides, the two-point
-kernel _two_point (G and its derivatives) takes x and x' from one pass,
-and the smeared currents reuse its tensors.  The adjoint tensor is the
-conjugate of the plain contraction against a state side whose rows
-paired with u, not v, are conjugated.  Every field integral is a sum over
-spheres |k| = r.  On a sphere the spinors are affine in the direction:
-u(r khat) = even(r) + sum_j khat_j odd_j(r), both parts read off from
-six spinor evaluations per radius (_spinor_parts).  So each sphere
+index, so each side costs one field-tensor pass instead of a node-squared
+sum.  The two-point kernel _two_point (G and its derivatives) takes x
+and x' from one pass when one family object sits on both sides; the
+smeared currents take a plain and an adjoint pass per family.  Both
+evaluate single points (_point): a batch is refused, not cut to its
+first point.  The adjoint tensor is the conjugate of the plain
+contraction against a state side whose rows paired with u, not v, are
+conjugated.  Every field integral is a sum over spheres |k| = r.  On a
+sphere the spinors are affine in the direction: u(r khat) = even(r) +
+sum_j khat_j odd_j(r), both parts read off from six spinor evaluations
+per radius (_spinor_parts).  So each sphere
 contributes its spinor parts contracted with the direction moments
 (1, khat) of the weighted phases times the state side (_contraction).
 For a two-component family the state is constant on each sphere, and
@@ -371,6 +373,14 @@ def _points(xs) -> np.ndarray:
     return xs
 
 
+def _point(x) -> np.ndarray:
+    """x as one point (1, 4), see _points; ValueError for a batch of them."""
+    xs = _points(x)
+    if len(xs) != 1:
+        raise ValueError(f"a single point is needed here: {len(xs)} given")
+    return xs
+
+
 def _accumulate(family, xs, spec, consts, side, cols, weighted, derivatives):
     """The k-integral T (nx, cols) of the field against the state side at the points xs.
 
@@ -399,7 +409,15 @@ def _accumulate(family, xs, spec, consts, side, cols, weighted, derivatives):
     return T, Td
 
 
-def _field_tensor(family, xs, spec, consts, weighted=True, derivatives=False, dagger=False):
+def _field_tensor(
+    family: StateFamily,
+    xs: np.ndarray,
+    spec: QuadratureSpec,
+    consts: PhysicalConstants,
+    weighted: bool = True,
+    derivatives: bool = False,
+    dagger: bool = False,
+):
     """Integral of the field applied to the family, resolved on the basis.
 
     T[x, r, c] = integral dk w(k) <basis c| field_r(k, x) state(k)>, with
@@ -545,29 +563,28 @@ def _radial_sum(integrand, spec: QuadratureSpec, label: str, family=None) -> flo
     return _doubling_guard(run, spec, label)
 
 
-def _energy(family: RhoStateFamily, spec, consts, label: str, classical: bool) -> float:
-    """l^3 integral of hbar omega(k) rho(k), times (1 - rho(k)) when classical."""
+def _energy(family: RhoStateFamily, spec, consts, label: str, factor) -> float:
+    """l^3 integral of factor(hbar omega(k) rho(k), rho(k)) for a two-component family."""
     if not isinstance(family, RhoStateFamily):
         raise ValueError("energy formulas need the two-component family")
 
     def integrand(k):
         rho = family.radial_density(k)
-        quantum = consts.hbar * consts.c * np.sqrt(consts.kappa**2 + k**2) * rho
-        return quantum * (1.0 - rho) if classical else quantum
+        return factor(consts.hbar * consts.c * np.sqrt(consts.kappa**2 + k**2) * rho, rho)
 
     return consts.ell**3 * _radial_sum(integrand, spec, label, family)
 
 
 def quantum_energy(family: RhoStateFamily, spec: QuadratureSpec, consts: PhysicalConstants) -> float:
     """l^3 integral of hbar omega(k) rho(k)."""
-    return _energy(family, spec, consts, "quantum energy", classical=False)
+    return _energy(family, spec, consts, "quantum energy", lambda e, rho: e)
 
 
 def classical_energy(
     family: RhoStateFamily, spec: QuadratureSpec, consts: PhysicalConstants
 ) -> float:
     """l^3 integral of hbar omega(k) rho(k) (1 - rho(k)); never above quantum_energy."""
-    return _energy(family, spec, consts, "classical energy", classical=True)
+    return _energy(family, spec, consts, "classical energy", lambda e, rho: e * (1.0 - rho))
 
 
 def total_charge(family: StateFamily, spec: QuadratureSpec, consts: PhysicalConstants) -> float:
@@ -594,9 +611,10 @@ def _two_point(bra_family, ket_family, x, xp, spec, consts, derivatives=False):
     """G[r', r] = sum_c conj(gamma^0 T(x))[r, c] T'(x')[r', c], T of the bra, T' of the ket.
 
     With derivatives also (d'G, dG) [mu, r', r], the d/dx'^mu and d/dx^mu.
-    One family object on both sides takes one _field_tensor pass for both points.
+    One family object on both sides takes one _field_tensor pass for both
+    points; x and x' are one point each, never a batch (ValueError).
     """
-    xs = np.concatenate([_points(x)[:1], _points(xp)[:1]])
+    xs = np.concatenate([_point(x), _point(xp)])
     if bra_family is ket_family:
         bra = ket = _field_tensor(bra_family, xs, spec, consts, derivatives=derivatives)
     else:
@@ -704,19 +722,25 @@ def r_density_residuals(
 
 
 def current_reality_residual(
-    family_a: StateFamily, family_b: StateFamily, x, spec: QuadratureSpec, consts: PhysicalConstants
+    family_a: StateFamily,
+    family_b: StateFamily,
+    x,
+    spec: QuadratureSpec,
+    consts: PhysicalConstants,
 ) -> float:
     """Smeared-current reality: conj of <a| j b> equals <b| j a>.
 
     The smearing is the bare dk dk' double integral with the charge
     prefactor q c / (2 pi)^3; worst case over the four components.  The
     smeared currents must be finite, and those of general families must
-    pass _field_guard's angular check.
+    pass _field_guard's angular check.  x is one point; a batch raises ValueError.
     """
+    x = _point(x)
 
-    def halves(fam, sp):  # the unweighted field and adjoint tensors (T, D) at x
-        tensor = partial(_field_tensor, fam, [x], sp, consts, weighted=False)
-        return tensor()[0], tensor(dagger=True)[0]
+    def halves(fam, sp):
+        T = _field_tensor(fam, x, sp, consts, weighted=False)[0]
+        D = _field_tensor(fam, x, sp, consts, weighted=False, dagger=True)[0]
+        return T, D
 
     pref = 0.5 * consts.q * consts.c / (2.0 * np.pi) ** 3
     g0 = GAMMA0.real
@@ -728,7 +752,7 @@ def current_reality_residual(
 
     def run(sp):
         TA, DA = halves(family_a, sp)
-        TB, DB = (TA, DA) if family_b is family_a else halves(family_b, sp)
+        TB, DB = halves(family_b, sp)
         return np.stack([smeared(TA, DA, TB, DB), smeared(TB, DB, TA, DA)])
 
     X, Y = _field_guard(run, spec, "smeared currents", families=(family_a, family_b))

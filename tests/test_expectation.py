@@ -443,6 +443,14 @@ FIELD_INTEGRALS = {
     "current_reality_residual": lambda f, x, xp, sp: current_reality_residual(f, f, x, sp, NAT),
 }
 
+_ONE, _BATCH = np.zeros(4), np.zeros((2, 4))
+# the (x, x') with a batch that each single-point field integral must refuse
+SINGLE_POINT = {
+    "two_point": [(_BATCH, _ONE), (_ONE, _BATCH)],
+    "two_point_dirac_residual": [(_BATCH, _ONE), (_ONE, _BATCH)],
+    "current_reality_residual": [(_BATCH, _ONE)],  # it takes no x'
+}
+
 
 @pytest.mark.parametrize(
     "x",
@@ -458,6 +466,10 @@ def test_field_integrals_refuse_empty_or_non_finite_points(call, x):
     if call.startswith("two_point"):  # the second point too; one pass holds both points
         with pytest.raises(ValueError, match="points must be finite and nonempty"):
             FIELD_INTEGRALS[call](sech2_family(1.0), np.zeros(4), x, SPEC)
+    # one point each: a batch used to be cut to its first point, without an error
+    for points in SINGLE_POINT.get(call, []):
+        with pytest.raises(ValueError, match="a single point is needed here: 2 given"):
+            FIELD_INTEGRALS[call](sech2_family(1.0), *points, SPEC)
 
 
 def _nan(r):
@@ -729,12 +741,11 @@ class TestTwoPoint:
 
 
 class TestOnePassPerFamily:
-    """One family object on both sides is integrated once per spec, not once per side.
+    """One family object on both sides of a two-point integral is integrated once per spec.
 
-    The two-point kernel takes x and x' from one _field_tensor pass, and the
-    smeared currents reuse the bra's tensors for the ket.  A dataclasses.replace
-    copy is a distinct object and keeps one pass per side: the same values
-    from twice the passes.
+    The two-point kernel takes x and x' from one _field_tensor pass.  A
+    dataclasses.replace copy is a distinct object and keeps one pass per
+    side: the same values from twice the passes.
     """
 
     radial = RhoStateFamily(
@@ -754,10 +765,6 @@ class TestOnePassPerFamily:
             lambda a, b, x, xp, sp: two_point_dirac_residual(a, b, x, xp, sp, NAT),
             1,
         ),
-        "current_reality_residual": (
-            lambda a, b, x, xp, sp: current_reality_residual(a, b, x, sp, NAT),
-            2,
-        ),
     }
 
     @pytest.mark.parametrize("same", [True, False], ids=["same-object", "copy"])
@@ -775,8 +782,8 @@ class TestOnePassPerFamily:
         fn, passes = self.calls[call]
         bra = self.families[family]
         fn(bra, bra if same else replace(bra), self.x, self.xp, self.spec)
-        # a general family's two-point matrix and currents rerun with n_theta doubled
-        reruns = family == "general" and call != "two_point_dirac_residual"
+        # a general family's two-point matrix reruns with n_theta doubled
+        reruns = family == "general" and call == "two_point"
         counts = Counter(specs)
         assert len(counts) == 1 + reruns
         assert set(counts.values()) == {passes if same else 2 * passes}
@@ -796,9 +803,6 @@ class TestOnePassPerFamily:
         ]
         for one, two in pairs:
             assert np.max(np.abs(one - two)) <= 1e-14 * np.max(np.abs(two))
-        # the reused tensors are the ones a second pass would form, bit for bit
-        currents = [current_reality_residual(fam, b, self.x, self.spec, NAT) for b in (fam, copy)]
-        assert currents[0] == currents[1]
 
 
 class TestLocalDensities:
