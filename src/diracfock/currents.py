@@ -32,7 +32,7 @@ from .constants import PhysicalConstants
 from .fields import (
     _EVEN, _HALF, _adjoint, _blocks, _dense, _k0, _norm, _per_sample, _scattered_psi, plane_phase,
 )
-from .fock import ANNIHILATORS, CREATORS, SECTORS, charge_operator
+from .fock import ANNIHILATORS, CHARGE_CONJUGATION, CREATORS, SECTORS, charge_operator
 # unused here, but perfbench/tracer.py wraps these four names at this call site
 from .fields import psi_adjoint_matrices, psi_matrices  # noqa: F401
 from .fock import mode_annihilator, mode_creator  # noqa: F401
@@ -131,14 +131,14 @@ def _j_current(r: np.ndarray, field: np.ndarray, adjoint: np.ndarray) -> np.ndar
     return 0.5 * (r - _field_bilinear(field, _GAMMA_T_ROWS, adjoint))
 
 
-def j_current_conjugated_stack(k, kp, x, kappa: float, chat: np.ndarray) -> np.ndarray:
-    """Electric current as the conjugation-odd part of the r-current.
+def j_current_conjugated_stack(k, kp, x, kappa: float) -> np.ndarray:
+    """Electric current as the conjugation-odd part 1/2 (r - C_hat r C_hat^dagger) of the r-current.
 
-    chat must be the unitary Fock-space conjugation for this kappa; the
-    result then agrees with j_current_stack as an exact matrix identity.
+    C_hat is fock.CHARGE_CONJUGATION, the same at every kappa; the result
+    agrees with j_current_stack as an exact matrix identity.
     """
     r = r_current_stack(k, kp, x, kappa)
-    return 0.5 * (r - chat @ r @ chat.conj().T)
+    return 0.5 * (r - CHARGE_CONJUGATION @ r @ CHARGE_CONJUGATION.conj().T)
 
 
 def _diag_half(k, kp, x, kappa: float) -> np.ndarray:

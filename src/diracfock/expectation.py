@@ -7,12 +7,12 @@ reality check, and the worked spin-up example.
 All double k-integrals factor through the 16-dimensional occupation
 index, so each side costs one field-tensor pass instead of a node-squared
 sum.  The two-point kernel _two_point (G and its derivatives) takes x
-and x' from one pass when one family object sits on both sides; the
-smeared currents take a plain and an adjoint pass per family.  Both
-evaluate single points (_point): a batch is refused, not cut to its
-first point.  The adjoint tensor is the conjugate of the plain
-contraction against a state side whose rows paired with u, not v, are
-conjugated.  Every field integral is a sum over spheres |k| = r.  On a
+and x' from one pass when one family object sits on both sides.  The
+smeared currents read the current as the charge-conjugation-odd part of
+the pair correlation, so they take a pass of z and one of C_hat z per
+family, C_hat (fock.CHARGE_CONJUGATION) applied to the state as a signed
+row gather.  Both evaluate single points (_point): a batch is refused,
+not cut to its first point.  Every field integral is a sum over spheres |k| = r.  On a
 sphere the spinors are affine in the direction: u(r khat) = even(r) +
 sum_j khat_j odd_j(r), both parts read off from six spinor evaluations
 per radius (_spinor_parts).  So each sphere
@@ -61,7 +61,8 @@ from functools import partial
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fock import BIT_CLEAR, BIT_SET, DIM, N_MODES, OCCUPATION, SIGNS, charge_operator
+from .fock import BIT_CLEAR, BIT_SET, CHARGE_CONJUGATION, DIM, N_MODES, OCCUPATION, SIGNS
+from .fock import charge_operator
 from .gamma import BILINEAR, GAMMA, GAMMA0
 from .quadrature import (
     REFERENCE_R_MAX,
@@ -138,25 +139,28 @@ def _sandwich(zT):
     return y
 
 
-def _mode_actions(zT, dagger: bool = False):
+def _mode_actions(zT):
     """The state side S (4 DIM, m) of _field_tensor from the mode-major state zT (DIM, m).
 
     Rows s DIM + c hold (O_s z)_c for the operators paired with (u, u, v, v):
-    the annihilators of modes 1, 2 and the creators of modes 3, 4, or with
-    dagger the creators of modes 1, 2 and the annihilators of modes 3, 4.
-    Each is a signed copy of one bit slice of zT into the other; the rows
-    paired with v are conjugated (see _contraction), with dagger those with u.
+    the annihilators of modes 1, 2 and the creators of modes 3, 4.  Each is
+    a signed copy of one bit slice of zT into the other; the rows paired
+    with v are conjugated (see _contraction).
     """
     z5 = zT.reshape(*_BITS, -1)
     S = np.empty((N_MODES, *_BITS, zT.shape[1]), dtype=np.complex128)
     for s in range(N_MODES):
         # a_s moves the bit-set rows onto the bit-clear ones; its adjoint the reverse
-        dst, src = (BIT_CLEAR[s], BIT_SET[s]) if (s < 2) != dagger else (BIT_SET[s], BIT_CLEAR[s])
+        dst, src = (BIT_CLEAR[s], BIT_SET[s]) if s < 2 else (BIT_SET[s], BIT_CLEAR[s])
         np.multiply(z5[src], SIGNS[s].reshape(2, 2, 2, 1), out=S[s][dst])
         S[s][src] = 0.0
-    conjugated = S[:2] if dagger else S[2:]
-    np.conjugate(conjugated, out=conjugated)
+    np.conjugate(S[2:], out=S[2:])
     return S.reshape(N_MODES * DIM, -1)
+
+
+# C_hat, a signed permutation, as a row gather: (C_hat z)[c] = _C_SIGNS[c] z[_C_ROWS[c]]
+_C_ROWS = np.argmax(np.abs(CHARGE_CONJUGATION), axis=1)
+_C_SIGNS = CHARGE_CONJUGATION.real[np.arange(DIM), _C_ROWS, None]
 
 
 def _plane_moments(kv, k0, w, dirs, derivatives, xs):
@@ -414,23 +418,15 @@ def _field_tensor(
     xs: np.ndarray,
     spec: QuadratureSpec,
     consts: PhysicalConstants,
-    weighted: bool = True,
     derivatives: bool = False,
-    dagger: bool = False,
 ):
     """Integral of the field applied to the family, resolved on the basis.
 
     T[x, r, c] = integral dk w(k) <basis c| field_r(k, x) state(k)>, with
-    w the mode measure (or 1 when weighted is off).  With derivatives on,
-    also the four d/dx^mu insertions as Td[x, mu, r, c].  The adjoint (dagger)
-    is the plain contraction against _mode_actions' dagger side, conjugated.
+    w the mode measure.  With derivatives on, also the four d/dx^mu
+    insertions as Td[x, mu, r, c].
     """
-    side = partial(_mode_actions, dagger=dagger)
-    T, Td = _accumulate(family, xs, spec, consts, side, 4 * DIM, weighted, derivatives)
-    if dagger:  # conjugate as 0 - imag, so a zero stays +0.0 as the sums leave it
-        np.subtract(0.0, T.imag, out=T.imag)
-        if derivatives:
-            np.subtract(0.0, Td.imag, out=Td.imag)
+    T, Td = _accumulate(family, xs, spec, consts, _mode_actions, 4 * DIM, True, derivatives)
     T = T.reshape(-1, 4, DIM)
     return (T, Td.reshape(-1, 4, 4, DIM)) if derivatives else T
 
@@ -732,28 +728,28 @@ def current_reality_residual(
 
     The smearing is the bare dk dk' double integral with the charge
     prefactor q c / (2 pi)^3; worst case over the four components.  The
-    smeared currents must be finite, and those of general families must
+    current is the conjugation-odd part 1/2 (r - C_hat r C_hat) of the pair
+    correlation r, C_hat its own inverse: half of r(a, b) - r(C_hat a, C_hat b).
+    The smeared currents must be finite, and those of general families must
     pass _field_guard's angular check.  x is one point; a batch raises ValueError.
     """
     x = _point(x)
-
-    def halves(fam, sp):
-        T = _field_tensor(fam, x, sp, consts, weighted=False)[0]
-        D = _field_tensor(fam, x, sp, consts, weighted=False, dagger=True)[0]
-        return T, D
-
     pref = 0.5 * consts.q * consts.c / (2.0 * np.pi) ** 3
-    g0 = GAMMA0.real
 
-    def smeared(Tbra, Dbra, Tket, Dket):
-        first = np.einsum("mrq,rc,qc->m", GAMMA, (g0 @ Tbra).conj(), Tket)
-        second = np.einsum("mqr,rc,qc->m", GAMMA, Dbra.conj(), g0 @ Dket)
-        return pref * (first - second)
+    def tensors(fam, sp):
+        """The unweighted field tensors of z and of C_hat z at x, as (2, 4, DIM)."""
+        sides = (_mode_actions, lambda zT: _mode_actions(_C_SIGNS * zT[_C_ROWS]))
+        T = [_accumulate(fam, x, sp, consts, s, 4 * DIM, False, False)[0] for s in sides]
+        return np.reshape(T, (2, 4, DIM))
+
+    def smeared(bra, ket):
+        # r_density's contraction, of (a, b) and of (C_hat a, C_hat b)
+        normal, conjugate = np.einsum("nrc,mrq,nqc->nm", bra.conj(), BILINEAR, ket)
+        return pref * (normal - conjugate)
 
     def run(sp):
-        TA, DA = halves(family_a, sp)
-        TB, DB = halves(family_b, sp)
-        return np.stack([smeared(TA, DA, TB, DB), smeared(TB, DB, TA, DA)])
+        A, B = tensors(family_a, sp), tensors(family_b, sp)
+        return np.stack([smeared(A, B), smeared(B, A)])
 
     X, Y = _field_guard(run, spec, "smeared currents", families=(family_a, family_b))
     return float(np.max(np.abs(X.conj() - Y)))

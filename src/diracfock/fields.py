@@ -40,6 +40,7 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .fock import (
+    CHARGE_CONJUGATION,
     COLS,
     DIM,
     PARITY,
@@ -48,7 +49,6 @@ from .fock import (
     SECTORS,
     SIGNS,
     hamiltonian,
-    lift,
     mode_annihilator,
     mode_creator,
 )
@@ -365,9 +365,7 @@ def _intertwining_residual(chat: np.ndarray, ks: np.ndarray, kappa: float) -> fl
     return float(np.max(np.linalg.norm(chat @ a - b @ chat, axis=(-2, -1))))
 
 
-# the mode map eps_s a_pi(s)^dagger of a_s^dagger, see fock_charge_conjugation
-_C_HAT = lift([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
-_C_HAT.setflags(write=False)
+_C_HAT = CHARGE_CONJUGATION  # fock's C_hat, proved by fock_charge_conjugation below
 
 
 def fock_charge_conjugation(

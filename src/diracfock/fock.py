@@ -12,8 +12,8 @@ clear with the state that has it set.  The dense stacks ANNIHILATORS and
 CREATORS are the definition.  This module is the one source of the basis
 tables every other module applies instead (occupations, bit slices, the
 entries of each a_s, parity sectors), checked against ANNIHILATORS once.
-So is lift(M), the Fock operator of a one-particle mode map M: charge
-conjugation, translations and rotations are all lifts of such maps.
+So is lift(M), the Fock operator of a one-particle mode map M: the charge
+conjugation CHARGE_CONJUGATION, translations and rotations all lift such maps.
 """
 
 from functools import cache
@@ -162,6 +162,11 @@ def lift(M) -> np.ndarray:
             image = sum(entry * apply_creator(t, image) for t, entry in columns[s - 1])
         out += np.outer(image, basis_state(modes).conj())
     return out
+
+
+# C_hat, the lift of a_s^dagger -> eps_s a_pi(s)^dagger (see fields.fock_charge_conjugation)
+CHARGE_CONJUGATION = lift([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+CHARGE_CONJUGATION.setflags(write=False)
 
 
 @cache

@@ -281,7 +281,7 @@ def _conjugation_checks(rng, consts: PhysicalConstants):
     ]
     k, kp, x = (np.array(a) for a in zip(*draws))
     normal = currents.j_diag_stack(k, kp, x, kappa) + currents.j_off_stack(k, kp, x, kappa)
-    conj_split = _amax(currents.j_current_conjugated_stack(k, kp, x, kappa, chat) - normal)
+    conj_split = _amax(currents.j_current_conjugated_stack(k, kp, x, kappa) - normal)
     return [
         _check("conjugation.solver_unitary", tag, unitary, _LOOSE),
         _check("conjugation.intertwining_heldout", tag, residual, fields.INTERTWINING_TOL),

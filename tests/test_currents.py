@@ -23,7 +23,7 @@ from diracfock.currents import (
     r_current_stack,
 )
 from diracfock.fields import _EVEN, _blocks, fock_charge_conjugation
-from diracfock.fock import basis_state, charge_operator, vacuum_state
+from diracfock.fock import CHARGE_CONJUGATION, basis_state, charge_operator, vacuum_state
 
 KAPPA = 1.0
 
@@ -117,10 +117,12 @@ def test_integrated_charge_matches_full_current_per_point():
 
 def test_conjugation_odd_part_matches_expansion():
     sample = np.array([[0.3, -0.5, 0.8], [1.2, 0.1, -0.4], [-0.7, 0.9, 0.2]])
+    # the conjugation the stack applies is the one the intertwining solve proves
     chat, _ = fock_charge_conjugation(KAPPA, sample)
+    assert np.array_equal(chat, CHARGE_CONJUGATION)
     rng = np.random.default_rng(36)
     for k, kp, x in _tuples(rng, 5):
-        odd = j_current_conjugated_stack(k, kp, x, KAPPA, chat)
+        odd = j_current_conjugated_stack(k, kp, x, KAPPA)
         full = j_current_stack(k, kp, x, KAPPA)
         assert np.max(np.abs(odd - full)) < 1e-8
 

@@ -37,8 +37,8 @@ from diracfock.expectation import (
     two_point,
     two_point_dirac_residual,
 )
-from diracfock.fock import OCCUPATION, lift
-from diracfock.gamma import GAMMA
+from diracfock.fock import CHARGE_CONJUGATION, OCCUPATION, lift
+from diracfock.gamma import CONJUGATION, GAMMA, GAMMA0
 from diracfock.quadrature import Diverged, QuadratureNotConverged, QuadratureSpec
 from diracfock.spinors import u_columns, v_columns
 from diracfock.states import (
@@ -50,6 +50,7 @@ from diracfock.states import (
     tabulated_family,
     vacuum_family,
 )
+from test_signed_permutations import adjoint_tensor, unweighted_tensor
 
 NAT = natural_units()
 SPEC = QuadratureSpec()
@@ -130,10 +131,8 @@ class TestRadialReduction:
     calls = {
         "spinor": lambda f, xs, sp: _overlap_spinor(f, xs, sp, NAT, derivatives=True),
         "tensor": lambda f, xs, sp: _field_tensor(f, xs, sp, NAT, derivatives=True),
-        "tensor-unweighted": lambda f, xs, sp: _field_tensor(f, xs, sp, NAT, weighted=False),
-        "tensor-dagger": lambda f, xs, sp: _field_tensor(
-            f, xs, sp, NAT, weighted=False, derivatives=True, dagger=True
-        ),
+        "tensor-unweighted": unweighted_tensor,
+        "tensor-dagger": adjoint_tensor,
     }
 
     @staticmethod
@@ -745,7 +744,8 @@ class TestOnePassPerFamily:
 
     The two-point kernel takes x and x' from one _field_tensor pass.  A
     dataclasses.replace copy is a distinct object and keeps one pass per
-    side: the same values from twice the passes.
+    side: the same values from twice the passes.  The smeared currents take
+    a pass of z and one of C_hat z per family, four per spec.
     """
 
     radial = RhoStateFamily(
@@ -767,10 +767,9 @@ class TestOnePassPerFamily:
         ),
     }
 
-    @pytest.mark.parametrize("same", [True, False], ids=["same-object", "copy"])
-    @pytest.mark.parametrize("family", sorted(families))
-    @pytest.mark.parametrize("call", sorted(calls))
-    def test_passes_per_spec(self, monkeypatch, call, family, same):
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """A list that grows by the spec of each _accumulate pass."""
         specs = []
         accumulate = expectation._accumulate
 
@@ -779,6 +778,13 @@ class TestOnePassPerFamily:
             return accumulate(fam, xs, spec, *args)
 
         monkeypatch.setattr(expectation, "_accumulate", counting)
+        return specs
+
+    @pytest.mark.parametrize("same", [True, False], ids=["same-object", "copy"])
+    @pytest.mark.parametrize("family", sorted(families))
+    @pytest.mark.parametrize("call", sorted(calls))
+    def test_passes_per_spec(self, monkeypatch, call, family, same):
+        specs = self._count_passes(monkeypatch)
         fn, passes = self.calls[call]
         bra = self.families[family]
         fn(bra, bra if same else replace(bra), self.x, self.xp, self.spec)
@@ -787,6 +793,16 @@ class TestOnePassPerFamily:
         counts = Counter(specs)
         assert len(counts) == 1 + reruns
         assert set(counts.values()) == {passes if same else 2 * passes}
+
+    @pytest.mark.parametrize("family", sorted(families))
+    def test_smeared_currents_take_two_passes_per_family(self, monkeypatch, family):
+        # a pass of z and one of C_hat z per family; a general family reruns at 2 n_theta
+        specs = self._count_passes(monkeypatch)
+        fam = self.families[family]
+        current_reality_residual(fam, replace(fam), self.x, self.spec, NAT)
+        counts = Counter(specs)
+        assert len(counts) == 1 + (family == "general")
+        assert set(counts.values()) == {4}
 
     @pytest.mark.parametrize("family", sorted(families))
     def test_one_pass_matches_a_pass_per_side(self, family):
@@ -803,6 +819,78 @@ class TestOnePassPerFamily:
         ]
         for one, two in pairs:
             assert np.max(np.abs(one - two)) <= 1e-14 * np.max(np.abs(two))
+
+
+class TestChargeConjugationOracles:
+    """Global identities that tie the field integrals to C_hat, fock.CHARGE_CONJUGATION.
+
+    The C_hat family of z is z(k) C_hat^T at every k.  The classical spinor
+    is linear in the state's sandwich, so psi_cl(C_hat z) = C gamma^0T
+    conj(psi_cl(z)).  The C-odd charge density 1/2 (r0(z) - r0(C_hat z))
+    integrates over all space to the charge sign times
+    (2 pi)^3 integral d^3k w(k)^2 rho(k), Plancherel on the particle rows
+    (natural units, w the mode measure).  Each identity keeps a control
+    that must miss it.
+    """
+
+    def test_classical_spinor_of_the_conjugate_family(self):
+        # z on the radial path, C_hat z on the product rule: the identity ties both paths
+        fam = sech2_family(1.0, chi=lambda r: np.full_like(r, 0.4), xi=lambda r: 0.3 * r)
+        conj = GeneralStateFamily(
+            lambda k: fam.coefficients(k) @ CHARGE_CONJUGATION.T, fam.k_cutoff
+        )
+        xs = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 0.5, -0.2, 0.4], [-0.7, 1.1, 0.6, -0.9]])
+        spec = QuadratureSpec(n_theta=32)
+        got = classical_spinor(conj, xs, spec, NAT, check=False)
+        phi = classical_spinor(fam, xs, spec, NAT, check=False).conj()
+        want = phi @ (CONJUGATION @ GAMMA0.T).T
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        control = phi @ CONJUGATION.T  # C without gamma^0T
+        assert np.max(np.abs(got - control)) > 0.1 * np.max(np.abs(control))
+
+    # (z, the partner family that is C_hat z up to the sign of the occupied row)
+    partners = {
+        "gaussian-2": (gaussian_family(1.0, occupied=2), gaussian_family(1.0, occupied=3)),
+        "gaussian-3": (gaussian_family(1.0, occupied=3), gaussian_family(1.0, occupied=2)),
+        "sech2-1": (sech2_family(1.0, occupied=1), sech2_family(1.0, occupied=4)),
+    }
+
+    @pytest.mark.parametrize("R", [15.0, 25.0])
+    @pytest.mark.parametrize("pair", sorted(partners))
+    def test_conjugation_odd_charge(self, pair, R):
+        """The C-odd charge to |x| = R against its k-space value.
+
+        4 pi int_0^R x^2 1/2 (r0(z) - r0(C_hat z)) dx = +-(2 pi)^3 4 pi int k^2 w^2 rho dk,
+        with 300 Gauss nodes in |x| on the z axis at t = 0, n_radial 400.  The radial
+        rule resolves j0(k |x|) to about k_max |x| = 4 n_radial, and here
+        k_max R <= 40 * 25 = 1000 < 1600: the test stays inside the resolved
+        band, so the radial aliasing beyond it cannot hide behind the test.
+        """
+        fam, partner = self.partners[pair]
+        k = np.array([[0.3, -0.4, 1.2], [2.0, 0.1, 0.0]])
+        z, zc = fam.coefficients(k), partner.coefficients(k)
+        # C_hat fixes the vacuum and maps mode s to pi(s) with sign eps_s, -1 for modes 1 and 4
+        eps = -1.0 if fam.occupied in (1, 4) else 1.0
+        zc[:, 1 << (partner.occupied - 1)] *= eps
+        assert np.array_equal(z @ CHARGE_CONJUGATION.T, zc)
+        nodes, weights = np.polynomial.legendre.leggauss(300)
+        x, w = 0.5 * R * (nodes + 1.0), 0.5 * R * weights
+        points = np.zeros((len(x), 4))
+        points[:, 3] = x
+        spec = QuadratureSpec(n_radial=400)
+        odd = r_density(fam, points, spec, NAT)[:, 0] - r_density(partner, points, spec, NAT)[:, 0]
+        charge = lambda d: 4.0 * np.pi * np.sum(w * x**2 * d)
+
+        def integrand(kk):
+            return kk * kk * expectation._weight(kk, NAT) ** 2 * fam.radial_density(kk)
+
+        density, err = quad(integrand, 0.0, fam.k_cutoff, limit=200, epsabs=0.0, epsrel=1e-13)
+        want = fam.charge_sign * (2.0 * np.pi) ** 3 * 4.0 * np.pi * density
+        assert err <= 1e-13 * abs(density)
+        assert abs(charge(0.5 * odd) - want) <= 1e-12 * abs(want)
+        # controls: without the 1/2, or with the pair swapped
+        for control in (charge(odd), charge(-0.5 * odd)):
+            assert abs(control - want) > 0.5 * abs(want)
 
 
 class TestLocalDensities:

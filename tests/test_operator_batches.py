@@ -9,8 +9,6 @@ from test_currents import j_diag_symmetry_residual, j_off_symmetry_residual
 
 NAT = natural_units()
 KAPPA = NAT.kappa
-SAMPLE = np.array([[0.3, -0.5, 0.8], [1.2, 0.1, -0.4], [-0.7, 0.9, 0.2]])
-CHAT, _ = fields.fock_charge_conjugation(KAPPA, SAMPLE)
 
 # each entry maps (k, k', x, y) to one operator-layer result
 CALLS = {
@@ -37,7 +35,7 @@ CALLS = {
     "j_diag_stack": lambda k, kp, x, y: currents.j_diag_stack(k, kp, x, KAPPA),
     "j_off_stack": lambda k, kp, x, y: currents.j_off_stack(k, kp, x, KAPPA),
     "j_current_conjugated_stack": (
-        lambda k, kp, x, y: currents.j_current_conjugated_stack(k, kp, x, KAPPA, CHAT)
+        lambda k, kp, x, y: currents.j_current_conjugated_stack(k, kp, x, KAPPA)
     ),
     "j_diag_divergence": lambda k, kp, x, y: currents.j_diag_divergence(k, kp, x, KAPPA),
     "j_off_divergence": lambda k, kp, x, y: currents.j_off_divergence(k, kp, x, KAPPA),

@@ -7,10 +7,13 @@ one import check on those tables trips on a corrupted stack.  They also
 keep the earlier layout of the spherical product rule as the oracle of
 its moment form: many spheres per block, the spinor columns and the mode
 measure evaluated at every node, and the spinor sandwich or the mode
-actions contracted with those columns node by node.
+actions contracted with those columns node by node.  The engine forms
+the adjoint field tensor as gamma^0 C^-1 T(C_hat z) C_hat; its oracle
+here contracts a state side of the adjoint operators and conjugates.
 """
 
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,9 +21,10 @@ import pytest
 from diracfock import expectation, fields, fock
 from diracfock.constants import natural_units
 from diracfock.fock import ANNIHILATORS, CREATORS, DIM, mode_annihilator, mode_creator
+from diracfock.gamma import CONJUGATION, GAMMA, GAMMA0
 from diracfock.quadrature import QuadratureSpec, angular_rule
 from diracfock.spinors import u_columns, v_columns
-from diracfock.states import GeneralStateFamily, RhoStateFamily, sech2_family
+from diracfock.states import GeneralStateFamily, RhoStateFamily, gaussian_family, sech2_family
 
 NAT = natural_units()
 MODES = (1, 2, 3, 4)
@@ -53,6 +57,37 @@ def _dense_mode_side(zT, dagger=False):
     Z1, Z2 = _dense_mode_actions(zT.T, dagger)
     rows = [Z1.conj(), Z2] if dagger else [Z1, Z2.conj()]
     return np.concatenate(rows, axis=1).reshape(len(Z1), -1).T
+
+
+CHAT = fock.CHARGE_CONJUGATION
+# gamma^0 C^-1: the adjoint field tensor is D = ADJOINT T(C_hat z) C_hat
+ADJOINT = GAMMA0 @ CONJUGATION.conj().T
+
+
+def _conjugate_side(zT):
+    """expectation._mode_actions of C_hat z, C_hat applied as expectation's signed row gather."""
+    return expectation._mode_actions(expectation._C_SIGNS * zT[expectation._C_ROWS])
+
+
+def unweighted_tensor(family, xs, spec, derivatives=False, conjugate=False):
+    """The field tensor of z, or of C_hat z, without the mode measure: a smeared-current pass."""
+    side = _conjugate_side if conjugate else expectation._mode_actions
+    T, Td = expectation._accumulate(family, xs, spec, NAT, side, 4 * DIM, False, derivatives)
+    T = T.reshape(-1, 4, DIM)
+    return (T, Td.reshape(-1, 4, 4, DIM)) if derivatives else T
+
+
+def adjoint_tensor(family, xs, spec):
+    """The unweighted adjoint field tensor D = ADJOINT T(C_hat z) C_hat and its d/dx^mu."""
+    return tuple(ADJOINT @ T @ CHAT for T in unweighted_tensor(family, xs, spec, True, True))
+
+
+def _dense_adjoint_tensor(family, xs, spec, derivatives=True):
+    """adjoint_tensor's oracle: the contraction against the dense dagger side, conjugated."""
+    side = partial(_dense_mode_side, dagger=True)
+    T, Td = expectation._accumulate(family, xs, spec, NAT, side, 4 * DIM, False, derivatives)
+    T = T.conj().reshape(-1, 4, DIM)
+    return (T, Td.conj().reshape(-1, 4, 4, DIM)) if derivatives else T
 
 
 def _dense_sandwich(zT):
@@ -136,13 +171,20 @@ def test_basis_states_match_dense_creators():
             assert np.array_equal(fock.basis_state(occupied), state)
 
 
-@pytest.mark.parametrize("dagger", [False, True])
-def test_mode_actions_match_dense_application(dagger):
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_mode_actions_match_dense_application(conjugate):
+    # with conjugate, the state side of C_hat z: the row gather against the dense C_hat
     z = _random_z(50, 2)
-    got = expectation._mode_actions(np.ascontiguousarray(z.T), dagger)
-    want = _dense_mode_side(z.T, dagger)
+    zT = np.ascontiguousarray(z.T)
+    got = _conjugate_side(zT) if conjugate else expectation._mode_actions(zT)
+    want = _dense_mode_side(CHAT @ zT if conjugate else zT)
     assert got.shape == want.shape == (4 * DIM, 50)
     assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_conjugation_gather_is_the_dense_charge_conjugation():
+    z = _random_z(7, 5).T
+    assert np.array_equal(expectation._C_SIGNS * z[expectation._C_ROWS], CHAT @ z)
 
 
 def _random_general_family():
@@ -188,9 +230,7 @@ FAMILIES = {
 CALLS = {
     "spinor": lambda f, xs, sp: expectation._overlap_spinor(f, xs, sp, NAT, derivatives=True),
     "tensor": lambda f, xs, sp: expectation._field_tensor(f, xs, sp, NAT, derivatives=True),
-    "tensor-dagger": lambda f, xs, sp: expectation._field_tensor(
-        f, xs, sp, NAT, weighted=False, derivatives=True, dagger=True
-    ),
+    "tensor-dagger": adjoint_tensor,
 }
 
 
@@ -404,17 +444,24 @@ def test_overlap_spinor_matches_chunked_layout(derivatives):
         assert _relative_gap(a, b) <= 1e-14
 
 
+# each (engine call, options of _chunked_field_tensor)
 TENSOR_VARIANTS = {
-    "plain": {},
-    "unweighted": {"weighted": False},
-    "dagger": {"weighted": False, "dagger": True},
+    "plain": (lambda: expectation._field_tensor(PHASED, XS, PRODUCT_SPEC, NAT), {}),
+    "unweighted": (lambda: unweighted_tensor(PHASED, XS, PRODUCT_SPEC), {"weighted": False}),
+    "dagger": (
+        lambda: adjoint_tensor(PHASED, XS, PRODUCT_SPEC)[0],
+        {"weighted": False, "dagger": True},
+    ),
 }
 
 
 @pytest.mark.parametrize("dagger", [False, True])
 def test_field_tensor_matches_chunked_layout(dagger):
     options = {"weighted": not dagger, "derivatives": True, "dagger": dagger}
-    got = expectation._field_tensor(PHASED, XS, PRODUCT_SPEC, NAT, **options)
+    if dagger:
+        got = adjoint_tensor(PHASED, XS, PRODUCT_SPEC)
+    else:
+        got = expectation._field_tensor(PHASED, XS, PRODUCT_SPEC, NAT, derivatives=True)
     want = _chunked_field_tensor(PHASED, XS, PRODUCT_SPEC, NAT, **options)
     for a, b in zip(got, want):
         assert _relative_gap(a, b) <= 1e-14
@@ -422,10 +469,68 @@ def test_field_tensor_matches_chunked_layout(dagger):
 
 @pytest.mark.parametrize("variant", sorted(TENSOR_VARIANTS))
 def test_field_tensor_variants_match_chunked_layout(variant):
-    options = TENSOR_VARIANTS[variant]
-    got = expectation._field_tensor(PHASED, XS, PRODUCT_SPEC, NAT, **options)
+    call, options = TENSOR_VARIANTS[variant]
     want = _chunked_field_tensor(PHASED, XS, PRODUCT_SPEC, NAT, **options)
-    assert _relative_gap(got, want) <= 1e-14
+    assert _relative_gap(call(), want) <= 1e-14
+
+
+ADJOINT_FAMILIES = {
+    **FAMILIES,
+    "phased": PHASED,
+    "sech2-phased": sech2_family(1.0, chi=lambda r: np.full_like(r, 0.4), xi=lambda r: 0.3 * r),
+    "gaussian-3": gaussian_family(1.0, occupied=3),
+    "sech2-wrapped": GeneralStateFamily(sech2_family(1.0).coefficients, 40.0),
+}
+
+
+@pytest.mark.parametrize("derivatives", [False, True])
+@pytest.mark.parametrize("family", sorted(ADJOINT_FAMILIES))
+def test_adjoint_tensor_is_the_conjugate_pass_bit_for_bit(family, derivatives):
+    # C_hat psi C_hat^dagger = C psi_a: the adjoint side's contraction, conjugated,
+    # is gamma^0 C^-1 T(C_hat z) C_hat, not only to roundoff but in every bit
+    fam, spec = ADJOINT_FAMILIES[family], QuadratureSpec(n_radial=12, n_theta=6)
+    want = _dense_adjoint_tensor(fam, XS, spec, derivatives)
+    T = unweighted_tensor(fam, XS, spec, derivatives, conjugate=True)
+    for a, b in zip(T, want) if derivatives else [(T, want)]:
+        assert np.array_equal(ADJOINT @ a @ CHAT, b)
+
+
+def _normal_and_antinormal(bra, ket, x, spec):
+    """The normal and antinormal terms of the smeared <a| j b>, from T and the adjoint D."""
+    g0 = GAMMA0.real
+    Ta, Tb = (unweighted_tensor(f, x, spec)[0] for f in (bra, ket))
+    Da, Db = (_dense_adjoint_tensor(f, x, spec, derivatives=False)[0] for f in (bra, ket))
+    first = np.einsum("mrq,rc,qc->m", GAMMA, (g0 @ Ta).conj(), Tb)
+    second = np.einsum("mqr,rc,qc->m", GAMMA, Da.conj(), g0 @ Db)
+    return first, second
+
+
+SMEARED_PAIRS = {
+    "radial": (FAMILIES["radial"], gaussian_family(1.0, occupied=2, xi=lambda r: 0.3 * r)),
+    "general": (FAMILIES["general"], FAMILIES["radial"]),
+    "mixed": (MIXED, PHASED),
+}
+SMEARED_SPEC = QuadratureSpec(n_radial=24, n_theta=8)
+
+
+@pytest.mark.parametrize("pair", sorted(SMEARED_PAIRS))
+def test_smeared_currents_match_normal_minus_antinormal(pair, monkeypatch):
+    # X = <a| j b> and Y = <b| j a> as current_reality_residual forms them, at spec alone
+    values = []
+
+    def first_run(run, spec, *args, **kwargs):
+        values.append(run(spec))
+        return values[-1]
+
+    monkeypatch.setattr(expectation, "_field_guard", first_run)
+    fa, fb = SMEARED_PAIRS[pair]
+    x = XS[2]
+    expectation.current_reality_residual(fa, fb, x, SMEARED_SPEC, NAT)
+    pref = 0.5 * NAT.q * NAT.c / (2.0 * np.pi) ** 3
+    for got, (bra, ket) in zip(values[0], [(fa, fb), (fb, fa)]):
+        first, second = _normal_and_antinormal(bra, ket, x, SMEARED_SPEC)
+        scale = pref * max(np.max(np.abs(first)), np.max(np.abs(second)))
+        assert np.max(np.abs(got - pref * (first - second))) <= 1e-14 * scale
 
 
 def _count_spinors(monkeypatch):
@@ -519,12 +624,8 @@ RADIAL_VARIANTS = {
     "tensor-derivatives": lambda f: expectation._field_tensor(
         f, XS, PRODUCT_SPEC, NAT, derivatives=True
     ),
-    "tensor-unweighted": lambda f: (
-        expectation._field_tensor(f, XS, PRODUCT_SPEC, NAT, weighted=False),
-    ),
-    "tensor-dagger": lambda f: expectation._field_tensor(
-        f, XS, PRODUCT_SPEC, NAT, weighted=False, derivatives=True, dagger=True
-    ),
+    "tensor-unweighted": lambda f: (unweighted_tensor(f, XS, PRODUCT_SPEC),),
+    "tensor-dagger": lambda f: adjoint_tensor(f, XS, PRODUCT_SPEC),
 }
 
 
