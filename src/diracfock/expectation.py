@@ -22,12 +22,13 @@ For a two-component family the state is constant on each sphere, and
 the moments are the Rayleigh plane-wave expansion
 4 pi (j0(k |x|), i j1(k |x|) xhat), in closed form: a radial rule alone.
 A general family gets the spherical product rule, one sphere of
-2 n_theta^2 directions per radial node at a time; there the moments meet
-the state first, node by node, and the spinor parts come last, so no
-spinor is formed at any node.  Derivatives of integrals are always
-analytic (phase insertions, or the derivatives of the Bessel terms),
-never finite differences; the field equations then hold at every node
-and the residual checks probe the algebra, not the step size.
+2 n_theta^2 directions per radial node, taken in blocks of consecutive
+spheres; there the moments meet the state first, node by node, and the
+spinor parts come last, so no spinor is formed at any node.  Derivatives
+of integrals are always analytic (phase insertions, or the derivatives
+of the Bessel terms), never finite differences; the field equations then
+hold at every node and the residual checks probe the algebra, not the
+step size.
 
 The state is held mode-major, one column per node.  Mode s is bit s - 1
 of the basis index (fock's Jordan-Wigner order), so each mode operator,
@@ -38,9 +39,12 @@ gather and no dense 16 x 16 product.  The sandwich skips a dead mode,
 one whose bit-clear or bit-set slice is zero at every node of the block,
 and writes its row as zeros: a two-component state, wrapped as a general
 family or not, costs the pair products of its one mode, and a NaN or
-inf in the state still reaches the result.  The product rule forms each
-sphere's state side and moments afresh, and reads its time derivative
-off the value contraction.  A block's moments are built for one slice of
+inf in the state still reaches the result.  The product rule takes as
+many spheres per block as keep the block's state and state side within
+_BLOCK_BYTES, so each block costs one coefficient call, one state side
+and one moment build; each sphere still reaches the sum on its own, in
+the order of the rule, with its time derivative read off the value
+contraction.  A block's moments are built for one slice of
 points at a time, at most _CHUNK_NODES points x nodes per slice (times
 the four moments and the derivatives; all that _CHUNK_NODES sizes), so
 peak memory follows the output, not the number of points times nodes.
@@ -77,6 +81,11 @@ from .states import RhoStateFamily, StateFamily
 
 # points x nodes per slice of a block's phase matrices
 _CHUNK_NODES = 60_000
+# bytes of a product-rule block's state and state side: four default spheres
+# for the 4-row sandwich, one for the 64-row mode actions
+_BLOCK_BYTES = 1_500_000
+# +1 on the (part, mode) pairs of P, -1 on those of Q, see _contraction
+_P_MINUS_Q = np.tile([1.0, 1.0, -1.0, -1.0], 4)
 
 
 def _radial_nodes(family: StateFamily, spec: QuadratureSpec):
@@ -93,7 +102,7 @@ def _weight(kmag: np.ndarray, consts: PhysicalConstants) -> np.ndarray:
 
 
 def _sphere_rule(family: StateFamily, spec: QuadratureSpec):
-    """The spherical product rule as (r, wr, dirs, wo), integrated one sphere at a time.
+    """The spherical product rule as (r, wr, dirs, wo), integrated in blocks of spheres.
 
     Sphere n has the nodes r[n] * dirs (2 n_theta^2 of them) and the weights
     wr[n] * wo; wr carries the k^2 measure, wo the angular weights.  The
@@ -119,8 +128,10 @@ def _sandwich(zT):
     conjugates S holds (see _contraction).
     """
     z5 = zT.reshape(*_BITS, -1)
-    # the basis rows nonzero at some node (a NaN counts), then per mode those with its bit set
-    live = np.any(zT, axis=1)
+    # the basis rows nonzero at some node (a NaN counts), then per mode those with its bit set;
+    # np.any takes k = gcd(nodes, 64) nodes side by side, a long inner loop on a node-major state
+    live = np.any(zT.T.reshape(-1, DIM * np.gcd(zT.shape[1], 64)), axis=0)
+    live = live.reshape(-1, DIM).any(axis=0)
     # a live mode pairs every row, so a NaN or inf anywhere reaches its result
     # (0 * NaN is NaN); only a state with one nonzero row has no live mode, and
     # a non-finite one is then paired all the same
@@ -129,13 +140,16 @@ def _sandwich(zT):
     bit_set = live @ OCCUPATION
     bit_clear = np.count_nonzero(live) - bit_set
     y = np.empty((N_MODES, zT.shape[1]), dtype=np.complex128)
+    # row-major whatever the layout of zT, so each signed sum is one product
+    pairs = np.empty((8, zT.shape[1]), dtype=np.complex128)
+    products = pairs.reshape(2, 2, 2, -1)  # shaped as a bit slice
     for s in range(N_MODES):
         if not (bit_clear[s] and bit_set[s]):  # a slice zero at every node: every product is zero
             y[s] = 0.0
             continue
-        pairs = z5[BIT_CLEAR[s]].conj()
-        pairs *= z5[BIT_SET[s]]
-        np.matmul(SIGNS[s], pairs.reshape(8, -1), out=y[s])
+        np.conjugate(z5[BIT_CLEAR[s]], out=products)
+        products *= z5[BIT_SET[s]]
+        np.matmul(SIGNS[s], pairs, out=y[s])
     return y
 
 
@@ -163,41 +177,50 @@ _C_ROWS = np.argmax(np.abs(CHARGE_CONJUGATION), axis=1)
 _C_SIGNS = CHARGE_CONJUGATION.real[np.arange(DIM), _C_ROWS, None]
 
 
-def _plane_moments(kv, k0, w, dirs, derivatives, xs):
-    """Direction moments of one product-rule sphere and their d/dx^j, see _blocks.
+def _plane_moments(kvT, k0, w, dirs, derivatives, xs):
+    """Direction moments of a block of product-rule spheres and their d/dx^j, see _blocks.
 
-    W[x, 0, a, m] = w_m exp(-i k_m.x) (1, khat_m)_a at the nodes k_m of the
-    sphere; d/dx^j brings down i k_m^j for the spatial j.
+    W[x, i, a, m] = w[i, m] exp(-i k.x) (1, khat_m)_a at the nodes k =
+    kvT[i, :, m] of sphere i; d/dx^j brings down i k^j for the spatial j.
+    Both are built sphere-major, W as (i, x, 4, m) and dW as (i, j, x, 4,
+    m), and returned as views in the order of _blocks, so swapaxes(0, -3)
+    gives _contraction each sphere's moments as one matrix with no copy.
     """
-    W = np.empty((len(xs), 1, 4, len(kv)), dtype=np.complex128)
-    E, phase = W[:, 0, 0], W[:, 0, 0].imag  # the moment (1, khat)_0 is 1
-    np.matmul(xs[:, 1:], kv.T, out=phase)
-    phase -= xs[:, :1] * k0
+    ni, m = w.shape
+    W = np.empty((ni, len(xs), 4, m), dtype=np.complex128)
+    E = W[:, :, 0]  # the moment (1, khat)_0 is 1
+    phase = np.matmul(xs[:, 1:], kvT)
+    phase -= xs[:, :1] * k0[:, None, None]
     np.cos(phase, out=E.real)
-    np.sin(phase, out=phase)
-    E *= w
-    np.multiply(E[:, None], dirs.T, out=W[:, 0, 1:])
+    np.sin(phase, out=E.imag)
+    E *= w[:, None]
+    np.multiply(E[:, :, None], dirs.T, out=W[:, :, 1:])
     if not derivatives:
-        return W, None
-    # C-contiguous, so _contraction's reshape takes a view and makes no copy
-    dW = np.empty((len(xs), 3, *W.shape[1:]), dtype=np.complex128)
-    np.multiply(W[:, None], 1.0j * kv.T[:, None, None], out=dW)
-    return W, dW
+        return W.swapaxes(0, 1), None
+    dW = np.empty((ni, 3, len(xs), 4, m), dtype=np.complex128)
+    np.multiply(W[:, None], 1.0j * kvT[:, :, None, None], out=dW)
+    return W.swapaxes(0, 1), dW.swapaxes(0, 2)
 
 
-def _product_blocks(family, spec, consts, weighted, derivatives):
-    """Blocks of the spherical product rule, one sphere each, for any family; see _blocks.
+def _product_blocks(family, spec, consts, weighted, derivatives, rows):
+    """Blocks of the spherical product rule, of whole spheres, for any family; see _blocks.
 
-    k0, the mode measure and the spinor parts take one value per sphere.
+    Each block takes as many consecutive spheres as keep its state and a
+    state side of `rows` rows within _BLOCK_BYTES, at least one.  k0, the
+    mode measure and the spinor parts take one value per sphere.
     """
     r, wr, dirs, wo = _sphere_rule(family, spec)
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * (_weight(r, consts) if weighted else 1.0)
-    for rn, k0n, wn, un, vn in zip(r, k0, w, *_spinor_parts(r, consts.kappa)):
-        kv = rn * dirs
-        zT = np.ascontiguousarray(family.coefficients(kv).T)
-        phases = partial(_plane_moments, kv, k0n, wn * wo, dirs, derivatives)
-        yield phases, un[None], vn[None], zT, k0n
+    u, v = _spinor_parts(r, consts.kappa)
+    per = max(1, _BLOCK_BYTES // ((DIM + rows) * 16 * len(dirs)))
+    for sl in (slice(n, n + per) for n in range(0, len(r), per)):
+        kv = r[sl, None, None] * dirs
+        zT = family.coefficients(kv.reshape(-1, 3)).T
+        phases = partial(
+            _plane_moments, kv.transpose(0, 2, 1), k0[sl], w[sl, None] * wo, dirs, derivatives
+        )
+        yield phases, u[sl], v[sl], zT, k0[sl]
 
 
 # series below this argument, closed forms above; both sides agree to roundoff
@@ -310,7 +333,7 @@ def _radial_blocks(family, spec, consts, weighted, derivatives):
     yield phases, *_spinor_parts(r, consts.kappa), z.T, None
 
 
-def _blocks(family, spec, consts, weighted=True, derivatives=False):
+def _blocks(family, spec, consts, weighted, derivatives, rows):
     """Yield (phases, u, v, zT, k0) blocks whose contractions sum to the k-integral.
 
     A block covers i spheres of m nodes each.  zT (DIM, i * m) holds the
@@ -322,55 +345,75 @@ def _blocks(family, spec, consts, weighted=True, derivatives=False):
     particle parts u pair with W and the antiparticle parts v with its
     conjugate, see _contraction.  Two-component families take the radial
     rule, one sphere per node (m = 1) with the moments in closed form, and
-    k0 None; general ones the product rule, one block per sphere (i = 1)
-    with its k0, and dW without d/dt.
+    k0 None; general ones the product rule, blocks of whole spheres sized
+    for a state side of `rows` rows, with k0 per sphere and dW without d/dt.
     """
-    source = _radial_blocks if isinstance(family, RhoStateFamily) else _product_blocks
-    return source(family, spec, consts, weighted, derivatives)
+    if isinstance(family, RhoStateFamily):
+        return _radial_blocks(family, spec, consts, weighted, derivatives)
+    return _product_blocks(family, spec, consts, weighted, derivatives, rows)
 
 
 def _contraction(u, v, S):
     """The k-integral of a block as a function of its moments W, see _blocks.
 
-    apply(W) returns (P, Q), the integral being P + Q; P[..., r * c + d]
-    sums over the block's spheres i, parts a, spin s and nodes m of one sphere
+    apply(W) returns the integral P + Q as parts to add in order; P[...,
+    r * c + d] sums over the block's spheres i, parts a, spin s and nodes m
+    of one sphere
 
         u[i, a, r, s] W[..., i, a, m] Z1[s, d, i m],
 
     and Q the same with v, conj(W) and Z2.  The state side S (4 c, nodes)
     holds Z1 (modes s = 0, 1) and then conj(Z2), one column per node.  On
     the radial path (m = 1) the spinor parts meet the state first, once per
-    block, and the moments take one matrix product.  On a sphere of the
-    product rule (i = 1) the moments meet the state first, in one product
-    W S^T for all four modes since conj(W) Z2 = conj(W conj(Z2)), and the
-    spinor parts come last: no spinor is formed at any node.
+    block, and the moments take one matrix product: one part.  On the
+    product rule the moments meet the state first, one product W S^T per
+    sphere for all four modes since conj(W) Z2 = conj(W conj(Z2)), and the
+    spinor parts come last: no spinor is formed at any node.  There each
+    sphere is one part, so the spheres reach the sum in the order of the
+    rule, whatever the block size, and apply(W, k0), given the spheres' k0,
+    also returns the parts of d/dt, -i k0 (P - Q) sphere by sphere.
     """
     ni, nodes = len(u), S.shape[1]
-    S = S.reshape(4, -1, nodes)
-    if nodes == ni:  # one node per sphere; otherwise one sphere, ni == 1
+    if nodes == ni:  # one node per sphere: the radial rule
+        S = S.reshape(4, -1, nodes)
         # (i, a r, s) @ (i, s, c): one batched product per side
         K1 = np.matmul(u.reshape(ni, 16, 2), S[:2].transpose(2, 0, 1)).reshape(4 * ni, -1)
         K2 = np.matmul(v.reshape(ni, 16, 2), S[2:].conj().transpose(2, 0, 1)).reshape(4 * ni, -1)
 
         def apply(W):
             W = W.reshape(*W.shape[:-3], 4 * ni)
-            return W @ K1, W.conj() @ K2
+            return [W @ K1 + W.conj() @ K2]
 
         return apply
 
-    def apply(W):
-        A = (W.reshape(-1, nodes) @ S.reshape(-1, nodes).T).reshape(-1, 4, 4, S.shape[1])
-        np.conjugate(A[:, :, 2:], out=A[:, :, 2:])
-        P = np.einsum("ars,xasc->xrc", u[0], A[:, :, :2])
-        Q = np.einsum("ars,xasc->xrc", v[0], A[:, :, 2:])
-        return P.reshape(*W.shape[:-3], -1), Q.reshape(*W.shape[:-3], -1)
+    m, c = nodes // ni, S.shape[0] // 4
+    St = S.reshape(-1, ni, m).transpose(1, 2, 0)  # sphere i's S^T, a view
+    # each sphere's spinor parts by (r, a s): u on the modes s = 0, 1 and v on 2, 3
+    M = np.concatenate([u, v], axis=-1).transpose(0, 2, 1, 3).reshape(ni, 4, 16)
+
+    def apply(W, k0=None):
+        W = W.swapaxes(0, -3)  # sphere-major, as _plane_moments builds it
+        lead = W.shape[1:-2]
+        A = np.matmul(W.reshape(ni, -1, m), St).reshape(ni, -1, 4, 4, c)
+        np.conjugate(A[:, :, :, 2:], out=A[:, :, :, 2:])
+        # (i, rows, a s) @ (i, x, a s, c): P + Q, and P - Q below it if asked
+        rows = M if k0 is None else np.concatenate([M, M * _P_MINUS_Q], axis=1)
+        out = rows[:, None] @ A.reshape(ni, -1, 16, c)
+        # (sphere, *W's lead axes in their order, P + Q or P - Q, r c)
+        out = out.reshape(ni, *lead, -1, 4 * c).swapaxes(1, len(lead))
+        if k0 is None:
+            return out[..., 0, :]
+        return out[..., 0, :], out[..., 1, :] * (-1.0j * k0[:, None, None])
 
     return apply
 
 
 def _points(xs) -> np.ndarray:
-    """xs as an (nx, 4) float array; ValueError unless it holds points, all finite."""
-    xs = np.asarray(xs, dtype=float).reshape(-1, 4)
+    """xs as an (nx, 4) float array; ValueError unless its last axis holds points, all finite."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape[-1:] != (4,):  # never regroup, say, a (2, 2) array as one point
+        raise ValueError(f"points need a last axis of length 4 (t, x, y, z): shape {xs.shape} given")
+    xs = xs.reshape(-1, 4)
     bad = np.count_nonzero(~np.isfinite(xs).all(axis=1))
     if bad or not len(xs):  # every public field integral comes here first
         raise ValueError(f"points must be finite and nonempty: {len(xs)} given, {bad} non-finite")
@@ -394,20 +437,24 @@ def _accumulate(family, xs, spec, consts, side, cols, weighted, derivatives):
     xs = _points(xs)
     T = np.zeros((len(xs), cols), dtype=np.complex128)
     Td = np.zeros((len(xs), 4, cols), dtype=np.complex128) if derivatives else None
-    for phases, u, v, zT, k0 in _blocks(family, spec, consts, weighted, derivatives):
+    for phases, u, v, zT, k0 in _blocks(family, spec, consts, weighted, derivatives, cols):
         apply = _contraction(u, v, side(zT))
         # at most _CHUNK_NODES points x nodes per slice of points
         per = max(1, _CHUNK_NODES // zT.shape[1])
         for sl in (slice(i, i + per) for i in range(0, len(xs), per)):
             W, dW = phases(xs[sl])
-            P, Q = apply(W)
-            T[sl] += P + Q
-            # d/dt of a sphere: -i k0 on P, +i k0 on Q
-            if derivatives and k0 is not None:
-                Td[sl, 0] += -1.0j * k0 * (P - Q)
-            del W, P, Q  # free before the larger derivative products and the next slice
+            if derivatives and k0 is not None:  # the product rule's d/dt, off the value moments
+                parts, time_parts = apply(W, k0)
+                for part in time_parts:
+                    Td[sl, 0] += part
+            else:
+                parts = apply(W)
+            for part in parts:
+                T[sl] += part
+            del W, parts  # free before the larger derivative products and the next slice
             if derivatives:
-                Td[sl, -dW.shape[1] :] += np.add(*apply(dW))
+                for part in apply(dW):
+                    Td[sl, -dW.shape[1] :] += part
                 del dW
         del apply  # free this block's state side before the next block forms its own
     return T, Td

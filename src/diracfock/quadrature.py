@@ -7,10 +7,10 @@ expectation).  Integrands of general families, whose angular structure is
 arbitrary, get a spherical product rule: Gauss-Legendre in cos(theta) and
 a trapezoid in phi, which is spectrally accurate for the plane-wave
 phases that appear here.  n_theta sets only that product rule, which
-expectation integrates one sphere (one radial node) at a time, in moment
-form: the directions enter through the moments (1, khat) of the weighted
-phases, the spinors through six evaluations per radius.  Its
-_CHUNK_NODES bounds only the slices of points.
+expectation integrates in blocks of consecutive spheres (one radial node
+each), in moment form: the directions enter through the moments (1, khat)
+of the weighted phases, the spinors through six evaluations per radius.
+Its _BLOCK_BYTES sizes the blocks and _CHUNK_NODES the slices of points.
 
 The reference truncation 40 is in units of the profile argument; the
 built-in densities decay at least like exp(-2r), leaving a tail below

@@ -4,6 +4,7 @@ The oracle integrals are evaluated with scipy.integrate.quad, which shares
 no code with the engine's Gauss product rules.
 """
 
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -471,6 +472,20 @@ def test_field_integrals_refuse_empty_or_non_finite_points(call, x):
             FIELD_INTEGRALS[call](sech2_family(1.0), *points, SPEC)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (8,), (4, 2), (2, 8), (3,), ()])
+@pytest.mark.parametrize("call", sorted(FIELD_INTEGRALS))
+def test_field_integrals_refuse_arrays_whose_last_axis_is_not_a_point(call, shape):
+    # any array whose size divides by 4 used to be regrouped as points: a (2, 2)
+    # x made two_point a 4 x 4 matrix and current_reality_residual read 0.0; the
+    # others failed in a bare numpy reshape
+    message = rf"last axis of length 4 \(t, x, y, z\): shape {re.escape(str(shape))} given"
+    with pytest.raises(ValueError, match=message):
+        FIELD_INTEGRALS[call](sech2_family(1.0), np.zeros(shape), np.zeros(4), SPEC)
+    if call.startswith("two_point"):
+        with pytest.raises(ValueError, match=message):
+            FIELD_INTEGRALS[call](sech2_family(1.0), np.zeros(4), np.zeros(shape), SPEC)
+
+
 def _nan(r):
     return np.full_like(r, np.nan)
 
@@ -652,8 +667,10 @@ class TestBoundedMemory:
     time, at most _CHUNK_NODES points x nodes per slice, four angular parts
     each on the radial path.  Whole-grid phase matrices at these 20,000
     points and 16 radial nodes would take 20 MB on their own.  The product
-    rule of a general family runs one sphere of 2 n_theta^2 nodes at a time,
-    and builds its four direction moments one slice of points at a time.
+    rule of a general family runs blocks of spheres of 2 n_theta^2 nodes
+    each, as many as keep a block's state and state side within the fixed
+    _BLOCK_BYTES, and builds their four direction moments one slice of
+    points at a time.
     """
 
     xs = np.random.default_rng(5).uniform(-2.0, 2.0, size=(20_000, 4))
@@ -675,8 +692,8 @@ class TestBoundedMemory:
         assert peak < 6 * self.slice_mb
 
     def test_general_spinor_peak(self):
-        # one default sphere is 1152 nodes, its 32 sandwich pairs 0.6 MB; the
-        # 230,400 nodes of the whole rule would take 112 MB for those pairs alone
+        # a default block is four spheres of 1152 nodes, its state 1.2 MB; the
+        # 230,400 nodes of the whole rule would take 59 MB for the state alone
         radial = sech2_family(1.0)
         fam = GeneralStateFamily(radial.coefficients, radial.k_cutoff)
         x = np.array([0.3, 0.5, -0.2, 0.4])
@@ -829,8 +846,9 @@ class TestChargeConjugationOracles:
     conj(psi_cl(z)).  The C-odd charge density 1/2 (r0(z) - r0(C_hat z))
     integrates over all space to the charge sign times
     (2 pi)^3 integral d^3k w(k)^2 rho(k), Plancherel on the particle rows
-    (natural units, w the mode measure).  Each identity keeps a control
-    that must miss it.
+    (natural units, w the mode measure).  The classical spinor's norm
+    integrates likewise to (2 pi)^3 integral d^3k w(k)^2 rho (1 - rho).  Each
+    identity keeps a control that must miss it.
     """
 
     def test_classical_spinor_of_the_conjugate_family(self):
@@ -891,6 +909,51 @@ class TestChargeConjugationOracles:
         # controls: without the 1/2, or with the pair swapped
         for control in (charge(odd), charge(-0.5 * odd)):
             assert abs(control - want) > 0.5 * abs(want)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [sech2_family(1.0), gaussian_family(1.0, occupied=2), sech2_family(1.0, occupied=3)],
+        ids=["sech2-1", "gaussian-2", "sech2-3"],
+    )
+    def test_classical_spinor_norm(self, fam):
+        """int d^3x |psi_cl|^2 to |x| = R against (2 pi)^3 int d^3k w^2 rho (1 - rho).
+
+        The spinor's amplitude sqrt(rho (1 - rho)) goes as |k| at k = 0, a cone
+        that is not smooth, so psi_cl decays as a power, |x|^-4, and the norm
+        beyond R as R^-5.  Measured with 300 Gauss nodes in |x| on the z axis
+        at t = 0 (|psi_cl|^2 is radial) and n_radial 400, the missing tail is
+        2.4e-6 (sech2) and 4.2e-6 (gaussian) of the total at R = 15, and 1.7e-7
+        and 3.0e-7 at R = 25.  So the test asserts a positive tail below
+        1e-5 (15 / R)^5 at both radii, and the R^-5 law between them: their
+        ratio (25 / 15)^5 = 12.9 within [10, 16].  An error of fixed relative
+        size above 1e-8 would break that ratio.  As for the C-odd charge,
+        k_max R <= 40 * 25 = 1000 < 4 n_radial, inside the resolved band.
+        """
+        spec = QuadratureSpec(n_radial=400)
+        assert fam.k_cutoff * 25.0 < 4 * spec.n_radial
+
+        def k_space(profile):
+            def integrand(kk):
+                return kk * kk * expectation._weight(kk, NAT) ** 2 * profile(fam.radial_density(kk))
+
+            value, err = quad(integrand, 0.0, fam.k_cutoff, limit=200, epsabs=0.0, epsrel=1e-13)
+            assert err <= 1e-12 * value
+            return (2.0 * np.pi) ** 3 * 4.0 * np.pi * value
+
+        want = k_space(lambda rho: rho * (1.0 - rho))
+        nodes, weights = np.polynomial.legendre.leggauss(300)
+        tails = {}
+        for R in (15.0, 25.0):
+            x, w = 0.5 * R * (nodes + 1.0), 0.5 * R * weights
+            points = np.zeros((len(x), 4))
+            points[:, 3] = x
+            psi = classical_spinor(fam, points, spec, NAT, check=False)
+            norm = 4.0 * np.pi * np.sum(w * x**2 * np.sum(np.abs(psi) ** 2, axis=1))
+            tails[R] = (want - norm) / want
+            assert 0.0 < tails[R] < 1e-5 * (15.0 / R) ** 5
+            # control: the quantum occupation rho in place of rho (1 - rho)
+            assert abs(norm - k_space(lambda rho: rho)) > 0.1 * norm
+        assert 10.0 < tails[15.0] / tails[25.0] < 16.0
 
 
 class TestLocalDensities:

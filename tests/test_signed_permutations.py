@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from diracfock import expectation, fields, fock
+from diracfock import currents, expectation, fields, fock
 from diracfock.constants import natural_units
 from diracfock.fock import ANNIHILATORS, CREATORS, DIM, mode_annihilator, mode_creator
 from diracfock.gamma import CONJUGATION, GAMMA, GAMMA0
@@ -415,9 +415,9 @@ def _chunked_field_tensor(family, xs, spec, consts, weighted=True, derivatives=F
     return (T, Td) if derivatives else T
 
 
-def _phased_general_family():
+def _phased_general_family(seed=6):
     # all sixteen coefficients nonzero, random magnitudes and k-dependent random phases
-    rng = np.random.default_rng(6)
+    rng = np.random.default_rng(seed)
     amp = rng.uniform(0.2, 1.0, DIM)
     amp /= np.linalg.norm(amp)
     phases, offsets = rng.normal(size=(3, DIM)), rng.uniform(0.0, 2.0 * np.pi, DIM)
@@ -533,6 +533,50 @@ def test_smeared_currents_match_normal_minus_antinormal(pair, monkeypatch):
         assert np.max(np.abs(got - pref * (first - second))) <= 1e-14 * scale
 
 
+def _operator_smeared_current(bra, ket, x, spec, current=currents.j_current_conjugated_stack):
+    """<a| j b> smeared as the operator layer writes it, every pair of nodes at once.
+
+    X^mu = q c / (2 pi)^3 sum_{n n'} w_n w_n' a(k_n)^dagger J^mu(k_n, k_n', x) b(k_n'),
+    w the product-rule weights without the mode measure; the two families
+    share their cutoff, so one rule serves both sides.
+    """
+    r, wr, dirs, wo = expectation._sphere_rule(bra, spec)
+    k = (r[:, None, None] * dirs).reshape(-1, 3)
+    w = np.outer(wr, wo).ravel()
+    za, zb = (w[:, None] * f.coefficients(k) for f in (bra, ket))
+    J = current(k[:, None], k[None, :], x, NAT.kappa)  # (n, n', mu, 16, 16)
+    return NAT.q * NAT.c / (2.0 * np.pi) ** 3 * np.einsum("nc,nmucd,md->u", za.conj(), J, zb)
+
+
+# two dense families at 3 x 8 nodes: 576 node pairs, and the 64-row state side of
+# each family's field-tensor pass takes all three spheres in one block
+OPERATOR_PAIR = (PHASED, _phased_general_family(seed=11))
+OPERATOR_SPEC = QuadratureSpec(n_radial=3, n_theta=2)
+
+
+@pytest.mark.parametrize("control", [False, True])
+def test_smeared_currents_match_the_operator_layer(control, monkeypatch):
+    # the tensor form pref [B(T_a, T_b) - B(T_Ca, T_Cb)] of current_reality_residual
+    # against the double node sum of currents.j_current_conjugated_stack; the
+    # control puts the r-current, which has no conjugation-odd projection, in its place
+    assert _block_counts(OPERATOR_SPEC) == [1, 1]
+    values = []
+
+    def first_run(run, spec, *args, **kwargs):
+        values.append(run(spec))
+        return values[-1]
+
+    monkeypatch.setattr(expectation, "_field_guard", first_run)
+    fa, fb = OPERATOR_PAIR
+    x = XS[2]
+    expectation.current_reality_residual(fa, fb, x, OPERATOR_SPEC, NAT)
+    current = currents.r_current_stack if control else currents.j_current_conjugated_stack
+    for got, (bra, ket) in zip(values[0], [(fa, fb), (fb, fa)]):
+        want = _operator_smeared_current(bra, ket, x, OPERATOR_SPEC, current)
+        gap = _relative_gap(got, want)
+        assert gap > 0.5 if control else gap <= 1e-13
+
+
 def _count_spinors(monkeypatch):
     """A list that grows by the number of wave vectors of each u_columns or v_columns call."""
     counted = []
@@ -591,13 +635,16 @@ class _SignsSpy:
 def test_sandwich_forms_one_mode_for_the_wrapped_two_component_family(monkeypatch):
     # sech^2 wrapped as a general family, as the benchmark's field_audit has it,
     # fills the vacuum and mode 1 only: of the four modes only mode 1 has both
-    # bit slices live, so each sphere forms the pair products of that mode alone
+    # bit slices live, so each block of spheres forms the pair products of that
+    # mode alone
     radial = sech2_family(1.0)
     wrapped = GeneralStateFamily(radial.coefficients, radial.k_cutoff)
+    blocks = sum(1 for _ in expectation._blocks(wrapped, PRODUCT_SPEC, NAT, True, False, 4))
+    assert blocks < PRODUCT_SPEC.n_radial  # several spheres per block
     spy = _SignsSpy()
     monkeypatch.setattr(expectation, "SIGNS", spy)
     got = expectation._overlap_spinor(wrapped, XS, PRODUCT_SPEC, NAT)
-    assert spy.modes == [0] * PRODUCT_SPEC.n_radial
+    assert spy.modes == [0] * blocks
     assert _relative_gap(got, _chunked_overlap_spinor(wrapped, XS, PRODUCT_SPEC, NAT)) <= 1e-14
 
 
@@ -610,7 +657,7 @@ def _einsum_contraction(u, v, S):
 
     def apply(W):
         W = W.reshape(*W.shape[:-3], 4 * ni)
-        return W @ K1, W.conj() @ K2
+        return [W @ K1 + W.conj() @ K2]
 
     return apply
 
@@ -639,6 +686,42 @@ def test_radial_contraction_matches_einsum_bit_for_bit(variant, monkeypatch):
             patch.setattr(expectation, "_contraction", _einsum_contraction)
             oracle = call(radial)
         assert [a.tobytes() for a in batched] == [a.tobytes() for a in oracle]
+
+
+# 128 directions per sphere: the 4-row sandwich takes 36 spheres per block, the
+# 64-row mode actions 9, so both sides contract several spheres in one product
+BLOCK_SPEC = QuadratureSpec(n_radial=60, n_theta=8)
+BLOCK_CALLS = {
+    "spinor": lambda: (expectation._overlap_spinor(PHASED, XS, BLOCK_SPEC, NAT),),
+    "spinor-derivatives": lambda: expectation._overlap_spinor(
+        PHASED, XS, BLOCK_SPEC, NAT, derivatives=True
+    ),
+    "tensor": lambda: (expectation._field_tensor(PHASED, XS, BLOCK_SPEC, NAT),),
+    "tensor-derivatives": lambda: expectation._field_tensor(
+        PHASED, XS, BLOCK_SPEC, NAT, derivatives=True
+    ),
+}
+
+
+def _block_counts(spec):
+    """The number of product-rule blocks for the sandwich's and the mode actions' state side."""
+    return [
+        sum(1 for _ in expectation._blocks(PHASED, spec, NAT, True, False, rows))
+        for rows in (4, 4 * DIM)
+    ]
+
+
+@pytest.mark.parametrize("call", sorted(BLOCK_CALLS))
+def test_blocks_of_several_spheres_match_one_sphere_blocks(call, monkeypatch):
+    # the one-sphere layout, each sphere contracted and its d/dt taken on its
+    # own, is the oracle of blocks that contract several spheres in one product
+    assert max(_block_counts(BLOCK_SPEC)) < BLOCK_SPEC.n_radial / 8
+    got = BLOCK_CALLS[call]()
+    monkeypatch.setattr(expectation, "_BLOCK_BYTES", 1)  # below one sphere: one sphere a block
+    assert _block_counts(BLOCK_SPEC) == [BLOCK_SPEC.n_radial] * 2
+    want = BLOCK_CALLS[call]()
+    for a, b in zip(got, want):
+        assert _relative_gap(a, b) <= 1e-15
 
 
 def test_general_total_charge_matches_chunked_layout():
