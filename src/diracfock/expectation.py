@@ -12,23 +12,28 @@ smeared currents read the current as the charge-conjugation-odd part of
 the pair correlation, so they take a pass of z and one of C_hat z per
 family, C_hat (fock.CHARGE_CONJUGATION) applied to the state as a signed
 row gather.  Both evaluate single points (_point): a batch is refused,
-not cut to its first point.  Every field integral is a sum over spheres |k| = r.  On a
-sphere the spinors are affine in the direction: u(r khat) = even(r) +
-sum_j khat_j odd_j(r), both parts read off from six spinor evaluations
-per radius (_spinor_parts).  So each sphere
-contributes its spinor parts contracted with the direction moments
-(1, khat) of the weighted phases times the state side (_contraction).
-For a two-component family the state is constant on each sphere, and
-the moments are the Rayleigh plane-wave expansion
-4 pi (j0(k |x|), i j1(k |x|) xhat), in closed form: a radial rule alone.
-A general family gets the spherical product rule, one sphere of
-2 n_theta^2 directions per radial node, taken in blocks of consecutive
-spheres; there the moments meet the state first, node by node, and the
-spinor parts come last, so no spinor is formed at any node.  Derivatives
-of integrals are always analytic (phase insertions, or the derivatives
-of the Bessel terms), never finite differences; the field equations then
-hold at every node and the residual checks probe the algebra, not the
-step size.
+not cut to its first point.
+
+Every field integral is one loop, _accumulate, over the blocks of one
+source, _blocks, the one place that picks a family's rule.  The integral
+is a sum over spheres |k| = r.  On a sphere the spinors are affine in
+the direction: u(r khat) = even(r) + sum_j khat_j odd_j(r), both parts
+read off from six spinor evaluations per radius (_spinor_parts).  So
+each sphere contributes its spinor parts contracted with the direction
+moments (1, khat) of the weighted phases times the state side.  A block
+carries its moment builder and a ready contraction, which returns the
+parts of the value and of all four d/dx^mu; the loop only slices points
+and adds parts.  For a two-component family the state is constant on
+each sphere, and the moments are the Rayleigh plane-wave expansion
+4 pi (j0(k |x|), i j1(k |x|) xhat), in closed form: one block of the
+radial rule alone (_radial_contraction).  A general family gets the
+spherical product rule, one sphere of 2 n_theta^2 directions per radial
+node, taken in blocks of consecutive spheres; there the moments meet the
+state first, node by node, and the spinor parts come last, so no spinor
+is formed at any node (_product_contraction).  Derivatives of integrals
+are always analytic (phase insertions, or the derivatives of the Bessel
+terms), never finite differences; the field equations then hold at
+every node and the residual checks probe the algebra, not the step size.
 
 The state is held mode-major, one column per node.  Mode s is bit s - 1
 of the basis index (fock's Jordan-Wigner order), so each mode operator,
@@ -43,8 +48,7 @@ inf in the state still reaches the result.  The product rule takes as
 many spheres per block as keep the block's state and state side within
 _BLOCK_BYTES, so each block costs one coefficient call, one state side
 and one moment build; each sphere still reaches the sum on its own, in
-the order of the rule, with its time derivative read off the value
-contraction.  A block's moments are built for one slice of
+the order of the rule.  A block's moments are built for one slice of
 points at a time, at most _CHUNK_NODES points x nodes per slice (times
 the four moments and the derivatives; all that _CHUNK_NODES sizes), so
 peak memory follows the output, not the number of points times nodes.
@@ -84,7 +88,7 @@ _CHUNK_NODES = 60_000
 # bytes of a product-rule block's state and state side: four default spheres
 # for the 4-row sandwich, one for the 64-row mode actions
 _BLOCK_BYTES = 1_500_000
-# +1 on the (part, mode) pairs of P, -1 on those of Q, see _contraction
+# +1 on the (part, mode) pairs of P, -1 on those of Q, see _product_contraction
 _P_MINUS_Q = np.tile([1.0, 1.0, -1.0, -1.0], 4)
 
 
@@ -101,18 +105,6 @@ def _weight(kmag: np.ndarray, consts: PhysicalConstants) -> np.ndarray:
     return consts.ell**2.5 * np.sqrt(consts.c / ((2.0 * np.pi) ** 3 * 2.0 * omega))
 
 
-def _sphere_rule(family: StateFamily, spec: QuadratureSpec):
-    """The spherical product rule as (r, wr, dirs, wo), integrated in blocks of spheres.
-
-    Sphere n has the nodes r[n] * dirs (2 n_theta^2 of them) and the weights
-    wr[n] * wo; wr carries the k^2 measure, wo the angular weights.  The
-    spheres are taken in a fixed order, so accumulation is deterministic.
-    """
-    r, wr = _radial_nodes(family, spec)
-    dirs, wo = angular_rule(spec.n_theta)
-    return r, wr * r**2, dirs, wo
-
-
 # a mode-major state (DIM, m) viewed as (2, 2, 2, 2, m), where fock's bit slices apply
 _BITS = (2,) * N_MODES
 
@@ -125,7 +117,7 @@ def _sandwich(zT):
     block; a dead mode's row is zero.  A NaN or inf in zT still reaches
     the result.  It is the state side of _overlap_spinor: the creators of
     modes 3, 4 paired with v give the conjugate sandwiches, whose
-    conjugates S holds (see _contraction).
+    conjugates S holds (see _blocks).
     """
     z5 = zT.reshape(*_BITS, -1)
     # the basis rows nonzero at some node (a NaN counts), then per mode those with its bit set;
@@ -159,7 +151,7 @@ def _mode_actions(zT):
     Rows s DIM + c hold (O_s z)_c for the operators paired with (u, u, v, v):
     the annihilators of modes 1, 2 and the creators of modes 3, 4.  Each is
     a signed copy of one bit slice of zT into the other; the rows paired
-    with v are conjugated (see _contraction).
+    with v are conjugated (see _blocks).
     """
     z5 = zT.reshape(*_BITS, -1)
     S = np.empty((N_MODES, *_BITS, zT.shape[1]), dtype=np.complex128)
@@ -178,13 +170,11 @@ _C_SIGNS = CHARGE_CONJUGATION.real[np.arange(DIM), _C_ROWS, None]
 
 
 def _plane_moments(kvT, k0, w, dirs, derivatives, xs):
-    """Direction moments of a block of product-rule spheres and their d/dx^j, see _blocks.
+    """Direction moments of a block of product-rule spheres and their d/dx^j, sphere-major.
 
-    W[x, i, a, m] = w[i, m] exp(-i k.x) (1, khat_m)_a at the nodes k =
-    kvT[i, :, m] of sphere i; d/dx^j brings down i k^j for the spatial j.
-    Both are built sphere-major, W as (i, x, 4, m) and dW as (i, j, x, 4,
-    m), and returned as views in the order of _blocks, so swapaxes(0, -3)
-    gives _contraction each sphere's moments as one matrix with no copy.
+    W[i, x, a, m] = w[i, m] exp(-i k.x) (1, khat_m)_a at the nodes k =
+    kvT[i, :, m] of sphere i, and dW[i, j, x, a, m] its d/dx^j, which
+    brings down i k^j for the spatial j; dW is None without derivatives.
     """
     ni, m = w.shape
     W = np.empty((ni, len(xs), 4, m), dtype=np.complex128)
@@ -196,31 +186,10 @@ def _plane_moments(kvT, k0, w, dirs, derivatives, xs):
     E *= w[:, None]
     np.multiply(E[:, :, None], dirs.T, out=W[:, :, 1:])
     if not derivatives:
-        return W.swapaxes(0, 1), None
+        return W, None
     dW = np.empty((ni, 3, len(xs), 4, m), dtype=np.complex128)
     np.multiply(W[:, None], 1.0j * kvT[:, :, None, None], out=dW)
-    return W.swapaxes(0, 1), dW.swapaxes(0, 2)
-
-
-def _product_blocks(family, spec, consts, weighted, derivatives, rows):
-    """Blocks of the spherical product rule, of whole spheres, for any family; see _blocks.
-
-    Each block takes as many consecutive spheres as keep its state and a
-    state side of `rows` rows within _BLOCK_BYTES, at least one.  k0, the
-    mode measure and the spinor parts take one value per sphere.
-    """
-    r, wr, dirs, wo = _sphere_rule(family, spec)
-    k0 = np.sqrt(consts.kappa**2 + r**2)
-    w = wr * (_weight(r, consts) if weighted else 1.0)
-    u, v = _spinor_parts(r, consts.kappa)
-    per = max(1, _BLOCK_BYTES // ((DIM + rows) * 16 * len(dirs)))
-    for sl in (slice(n, n + per) for n in range(0, len(r), per)):
-        kv = r[sl, None, None] * dirs
-        zT = family.coefficients(kv.reshape(-1, 3)).T
-        phases = partial(
-            _plane_moments, kv.transpose(0, 2, 1), k0[sl], w[sl, None] * wo, dirs, derivatives
-        )
-        yield phases, u[sl], v[sl], zT, k0[sl]
+    return W, dW
 
 
 # series below this argument, closed forms above; both sides agree to roundoff
@@ -265,13 +234,14 @@ def _spherical_bessel(z):
 
 
 def _sphere_weights(r, k0, w, derivatives: bool, xs):
-    """Direction moments of the radial block and their d/dx^mu, see _blocks.
+    """Direction moments of the radial block and their d/dx^mu.
 
-    E[x, n, a, 0] is w_n times the sphere integral of exp(-i k.x)
+    E[x, n, a] is w_n times the sphere integral of exp(-i k.x)
     times (1, khat_1, khat_2, khat_3)_a at |k| = r_n.  With rho = |x| and
     z = r rho this is, by the Rayleigh expansion (DLMF 10.60.7),
     4 pi exp(-i k0 t) (j0(z), i j1(z) xhat); the x-derivatives follow from
-    j0' = -j1 and d/dz (j1(z) / z) = -j2(z) / z.
+    j0' = -j1 and d/dz (j1(z) / z) = -j2(z) / z.  dE[x, mu, n, a] holds
+    the d/dx^mu, or is None without derivatives.
     """
     nx, n = len(xs), len(r)
     x3 = xs[:, 1:]
@@ -285,7 +255,7 @@ def _sphere_weights(r, k0, w, derivatives: bool, xs):
     E[..., 0] = p * j0
     E[..., 1:] = pj1[..., None] * xhat[:, None, :]
     if not derivatives:
-        return E[..., None], None
+        return E, None
     dE = np.empty((nx, 4, n, 4), dtype=np.complex128)
     dE[:, 0] = -1.0j * k0[None, :, None] * E
     # d_i j0(r rho) = -r j1 xhat_i;  d_i (j1(r rho) xhat_j) = r (delta_ij j1/z - xhat_i xhat_j j2)
@@ -294,7 +264,7 @@ def _sphere_weights(r, k0, w, derivatives: bool, xs):
         np.eye(3)[None, :, None, :] * j1z[:, None, :, None]
         - (xhat[:, :, None] * xhat[:, None, :])[:, :, None, :] * j2[:, None, :, None]
     )
-    return E[..., None], dE[..., None]
+    return E, dE
 
 
 # k = +r e_j and k = -r e_j, shape (2, 3, 3): sign, axis j, component
@@ -318,94 +288,111 @@ def _spinor_parts(r, kappa: float):
     return parts
 
 
-def _radial_blocks(family, spec, consts, weighted, derivatives):
-    """One block of the radial rule with the angular integral in closed form.
+def _radial_contraction(u, v, S):
+    """apply(W, dW) of the radial block, one sphere per node, see _blocks.
 
-    The two-component family depends on |k| only, so each radial node is a
-    sphere with one state vector, and its moments are the sphere integrals
-    of the phase times (1, khat) in _sphere_weights.
+    The spinor parts meet the state first, once per block, and the moments
+    of _sphere_weights then take one matrix product per side: one part for
+    the value and one for the four d/dx^mu.
     """
-    r, wr = _radial_nodes(family, spec)
-    k0 = np.sqrt(consts.kappa**2 + r**2)
-    w = wr * r**2 * (_weight(r, consts) if weighted else 1.0)
-    phases = partial(_sphere_weights, r, k0, w, derivatives)
-    z = family.coefficients(np.outer(r, [0.0, 0.0, 1.0]))
-    yield phases, *_spinor_parts(r, consts.kappa), z.T, None
+    n = len(u)
+    S = S.reshape(4, -1, n)
+    # (n, a r, s) @ (n, s, c): one batched product per side
+    K1 = np.matmul(u.reshape(n, 16, 2), S[:2].transpose(2, 0, 1)).reshape(4 * n, -1)
+    K2 = np.matmul(v.reshape(n, 16, 2), S[2:].conj().transpose(2, 0, 1)).reshape(4 * n, -1)
+
+    def contract(W):
+        W = W.reshape(*W.shape[:-2], 4 * n)
+        return W @ K1 + W.conj() @ K2
+
+    # map is lazy: the derivative part is formed once the value part is added and freed
+    return lambda W, dW: ([contract(W)], () if dW is None else map(contract, [dW]))
 
 
-def _blocks(family, spec, consts, weighted, derivatives, rows):
-    """Yield (phases, u, v, zT, k0) blocks whose contractions sum to the k-integral.
+def _product_contraction(u, v, S, k0):
+    """apply(W, dW) of a block of product-rule spheres, see _blocks.
 
-    A block covers i spheres of m nodes each.  zT (DIM, i * m) holds the
-    state coefficients mode-major, one column per node, sphere-major, and
-    u, v (i, 4, 4, 2) the spinor parts of each sphere (see _spinor_parts).
-    phases(xs) returns (W, dW) for points xs (nx, 4): W (nx, i, 4, m) holds
-    the direction moments w exp(-i k.x) (1, khat)_a of the weighted phases
-    and dW (nx, 4, i, 4, m) their d/dx^mu, or None without derivatives.  The
-    particle parts u pair with W and the antiparticle parts v with its
-    conjugate, see _contraction.  Two-component families take the radial
-    rule, one sphere per node (m = 1) with the moments in closed form, and
-    k0 None; general ones the product rule, blocks of whole spheres sized
-    for a state side of `rows` rows, with k0 per sphere and dW without d/dt.
-    """
-    if isinstance(family, RhoStateFamily):
-        return _radial_blocks(family, spec, consts, weighted, derivatives)
-    return _product_blocks(family, spec, consts, weighted, derivatives, rows)
-
-
-def _contraction(u, v, S):
-    """The k-integral of a block as a function of its moments W, see _blocks.
-
-    apply(W) returns the integral P + Q as parts to add in order; P[...,
-    r * c + d] sums over the block's spheres i, parts a, spin s and nodes m
-    of one sphere
-
-        u[i, a, r, s] W[..., i, a, m] Z1[s, d, i m],
-
-    and Q the same with v, conj(W) and Z2.  The state side S (4 c, nodes)
-    holds Z1 (modes s = 0, 1) and then conj(Z2), one column per node.  On
-    the radial path (m = 1) the spinor parts meet the state first, once per
-    block, and the moments take one matrix product: one part.  On the
-    product rule the moments meet the state first, one product W S^T per
-    sphere for all four modes since conj(W) Z2 = conj(W conj(Z2)), and the
-    spinor parts come last: no spinor is formed at any node.  There each
+    The moments of _plane_moments meet the state first, one product W S^T
+    per sphere for all four modes since conj(W) Z2 = conj(W conj(Z2)), and
+    the spinor parts come last: no spinor is formed at any node.  Each
     sphere is one part, so the spheres reach the sum in the order of the
-    rule, whatever the block size, and apply(W, k0), given the spheres' k0,
-    also returns the parts of d/dt, -i k0 (P - Q) sphere by sphere.
+    rule, whatever the block size.  The spatial d/dx^j contract dW; d/dt
+    is -i k0 (P - Q) of each sphere, read off the value moments.
     """
     ni, nodes = len(u), S.shape[1]
-    if nodes == ni:  # one node per sphere: the radial rule
-        S = S.reshape(4, -1, nodes)
-        # (i, a r, s) @ (i, s, c): one batched product per side
-        K1 = np.matmul(u.reshape(ni, 16, 2), S[:2].transpose(2, 0, 1)).reshape(4 * ni, -1)
-        K2 = np.matmul(v.reshape(ni, 16, 2), S[2:].conj().transpose(2, 0, 1)).reshape(4 * ni, -1)
-
-        def apply(W):
-            W = W.reshape(*W.shape[:-3], 4 * ni)
-            return [W @ K1 + W.conj() @ K2]
-
-        return apply
-
     m, c = nodes // ni, S.shape[0] // 4
     St = S.reshape(-1, ni, m).transpose(1, 2, 0)  # sphere i's S^T, a view
     # each sphere's spinor parts by (r, a s): u on the modes s = 0, 1 and v on 2, 3
     M = np.concatenate([u, v], axis=-1).transpose(0, 2, 1, 3).reshape(ni, 4, 16)
+    M2 = np.concatenate([M, M * _P_MINUS_Q], axis=1)  # P + Q, then P - Q
 
-    def apply(W, k0=None):
-        W = W.swapaxes(0, -3)  # sphere-major, as _plane_moments builds it
-        lead = W.shape[1:-2]
+    def contract(W, rows):
+        """(i, *lead, 4, m) moments -> (i, *lead, len(rows) / 4, 4 c) parts."""
         A = np.matmul(W.reshape(ni, -1, m), St).reshape(ni, -1, 4, 4, c)
         np.conjugate(A[:, :, :, 2:], out=A[:, :, :, 2:])
-        # (i, rows, a s) @ (i, x, a s, c): P + Q, and P - Q below it if asked
-        rows = M if k0 is None else np.concatenate([M, M * _P_MINUS_Q], axis=1)
-        out = rows[:, None] @ A.reshape(ni, -1, 16, c)
-        # (sphere, *W's lead axes in their order, P + Q or P - Q, r c)
-        out = out.reshape(ni, *lead, -1, 4 * c).swapaxes(1, len(lead))
-        if k0 is None:
-            return out[..., 0, :]
-        return out[..., 0, :], out[..., 1, :] * (-1.0j * k0[:, None, None])
+        # (i, rows, a s) @ (i, x, a s, c)
+        return (rows[:, None] @ A.reshape(ni, -1, 16, c)).reshape(*W.shape[:-2], -1, 4 * c)
+
+    def derivatives(out, dW):
+        """The parts (sphere, x, mu, r c), formed once the value parts are added and freed."""
+        time = out[..., 1, :] * (-1.0j * k0[:, None, None])
+        spatial = contract(dW, M)[..., 0, :].swapaxes(1, 2)
+        yield from np.concatenate([time[:, :, None], spatial], axis=2)
+
+    def apply(W, dW):
+        if dW is None:
+            return contract(W, M)[..., 0, :], ()
+        out = contract(W, M2)
+        return out[..., 0, :], derivatives(out, dW)
 
     return apply
+
+
+def _blocks(family, spec, consts, side, rows, weighted, derivatives):
+    """Yield (phases, apply, nodes) blocks whose parts sum to the k-integral.
+
+    The one place that picks a family's rule.  A block covers i spheres of
+    m nodes each, nodes = i m in all.  side(zT) forms its state side S
+    (rows, nodes) from the state coefficients zT (DIM, nodes), mode-major,
+    one column per node, sphere-major.  phases(xs) returns the direction
+    moments W of the weighted phases w exp(-i k.x) (1, khat)_a at the
+    points xs (nx, 4), and their derivatives dW, or None without them.
+    apply(W, dW) returns (parts, dparts): the parts (nx, rows) of the
+    integral and those (nx, 4, rows) of its d/dx^mu, () without
+    derivatives, each to add in order.  dparts is lazy, so the value parts
+    can be freed before the derivative products are formed.  With the
+    spinor parts u, v (i, 4, 4, 2) of each sphere (see _spinor_parts) and
+    S holding Z1 (modes s = 0, 1) and then conj(Z2), the integral is
+    P + Q, P[..., r * c + d] the sum over spheres i, parts a, spin s and
+    nodes m of one sphere of
+
+        u[i, a, r, s] W[..., i, a, m] Z1[s, d, i m],
+
+    and Q the same with v, conj(W) and Z2.  Two-component families take
+    the radial rule, one block of one sphere per node (m = 1) with the
+    moments in closed form; general ones the product rule, blocks of whole
+    spheres, as many as keep the state and a state side of `rows` rows
+    within _BLOCK_BYTES, at least one.  k0, the mode measure and the spinor
+    parts take one value per sphere.
+    """
+    r, wr = _radial_nodes(family, spec)
+    k0 = np.sqrt(consts.kappa**2 + r**2)
+    w = wr * r**2 * (_weight(r, consts) if weighted else 1.0)
+    u, v = _spinor_parts(r, consts.kappa)
+    if isinstance(family, RhoStateFamily):  # one state vector per sphere
+        zT = family.coefficients(np.outer(r, [0.0, 0.0, 1.0])).T
+        phases = partial(_sphere_weights, r, k0, w, derivatives)
+        yield phases, _radial_contraction(u, v, side(zT)), len(r)
+        return
+    dirs, wo = angular_rule(spec.n_theta)
+    per = max(1, _BLOCK_BYTES // ((DIM + rows) * 16 * len(dirs)))
+    for sl in (slice(n, n + per) for n in range(0, len(r), per)):
+        kv = r[sl, None, None] * dirs
+        zT = family.coefficients(kv.reshape(-1, 3)).T
+        phases = partial(
+            _plane_moments, kv.transpose(0, 2, 1), k0[sl], w[sl, None] * wo, dirs, derivatives
+        )
+        yield phases, _product_contraction(u[sl], v[sl], side(zT), k0[sl]), zT.shape[1]
 
 
 def _points(xs) -> np.ndarray:
@@ -431,31 +418,22 @@ def _point(x) -> np.ndarray:
 def _accumulate(family, xs, spec, consts, side, cols, weighted, derivatives):
     """The k-integral T (nx, cols) of the field against the state side at the points xs.
 
-    side(zT) forms a block's state side S (cols, m), see _contraction.  Td
+    side(zT) forms a block's state side (cols, nodes), see _blocks.  Td
     (nx, 4, cols) holds the d/dx^mu, or is None.
     """
     xs = _points(xs)
     T = np.zeros((len(xs), cols), dtype=np.complex128)
     Td = np.zeros((len(xs), 4, cols), dtype=np.complex128) if derivatives else None
-    for phases, u, v, zT, k0 in _blocks(family, spec, consts, weighted, derivatives, cols):
-        apply = _contraction(u, v, side(zT))
+    for phases, apply, nodes in _blocks(family, spec, consts, side, cols, weighted, derivatives):
         # at most _CHUNK_NODES points x nodes per slice of points
-        per = max(1, _CHUNK_NODES // zT.shape[1])
+        per = max(1, _CHUNK_NODES // nodes)
         for sl in (slice(i, i + per) for i in range(0, len(xs), per)):
-            W, dW = phases(xs[sl])
-            if derivatives and k0 is not None:  # the product rule's d/dt, off the value moments
-                parts, time_parts = apply(W, k0)
-                for part in time_parts:
-                    Td[sl, 0] += part
-            else:
-                parts = apply(W)
+            parts, dparts = apply(*phases(xs[sl]))
             for part in parts:
                 T[sl] += part
-            del W, parts  # free before the larger derivative products and the next slice
-            if derivatives:
-                for part in apply(dW):
-                    Td[sl, -dW.shape[1] :] += part
-                del dW
+            del parts, part  # free the value products before the derivative ones
+            for part in dparts:
+                Td[sl] += part
         del apply  # free this block's state side before the next block forms its own
     return T, Td
 
@@ -641,8 +619,10 @@ def total_charge(family: StateFamily, spec: QuadratureSpec, consts: PhysicalCons
 
     def run(sp):
         acc = 0.0
-        r, wr, dirs, wo = _sphere_rule(family, sp)
-        for rn, wn in zip(r, wr):
+        r, wr = _radial_nodes(family, sp)
+        dirs, wo = angular_rule(sp.n_theta)
+        # sphere by sphere, in the order of the rule; r^2 is the k^2 measure
+        for rn, wn in zip(r, wr * r**2):
             z = family.coefficients(rn * dirs)
             acc += float(np.sum(wn * wo * ((z.real**2 + z.imag**2) @ qdiag)))
         return acc

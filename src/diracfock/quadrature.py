@@ -9,8 +9,8 @@ a trapezoid in phi, which is spectrally accurate for the plane-wave
 phases that appear here.  n_theta sets only that product rule, which
 expectation integrates in blocks of consecutive spheres (one radial node
 each), in moment form: the directions enter through the moments (1, khat)
-of the weighted phases, the spinors through six evaluations per radius.
-Its _BLOCK_BYTES sizes the blocks and _CHUNK_NODES the slices of points.
+of the weighted phases, the spinors through six evaluations per radius;
+expectation sizes the blocks and the slices of points.
 
 The reference truncation 40 is in units of the profile argument; the
 built-in densities decay at least like exp(-2r), leaving a tail below
@@ -19,6 +19,7 @@ built-in densities decay at least like exp(-2r), leaving a tail below
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -43,6 +44,10 @@ class QuadratureSpec:
     abs_tol: float = 1e-9
 
     def __post_init__(self):
+        for name in ("n_radial", "n_theta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_radial < 2 or self.n_theta < 2:
             raise ValueError("need at least two nodes per direction")
         if not (np.isfinite(self.r_max) and np.isfinite(self.abs_tol)):

@@ -17,6 +17,7 @@ support boundaries and are not rescaled by refinement.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -45,7 +46,7 @@ def _check_positive(value: float, name: str):
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if value <= 0:
-        raise ValueError(f"{name} must be positive")
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 def config_integer(value, name: str, minimum: int | None = None) -> int:
@@ -87,10 +88,11 @@ class RhoStateFamily:
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        if self.occupied not in (1, 2, 3, 4):
-            raise ValueError(f"occupied mode must be 1..4, got {self.occupied}")
-        if self.k_cutoff <= 0:
-            raise ValueError("k_cutoff must be positive")
+        # a bool or a float 1.0 compares equal to a mode number, but is none
+        integer = isinstance(self.occupied, Integral) and not isinstance(self.occupied, bool)
+        if not integer or self.occupied not in (1, 2, 3, 4):
+            raise ValueError(f"occupied mode must be an integer 1..4, got {self.occupied!r}")
+        _check_positive(self.k_cutoff, "k_cutoff")
 
     @property
     def charge_sign(self) -> int:
@@ -125,8 +127,7 @@ class GeneralStateFamily:
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        if self.k_cutoff <= 0:
-            raise ValueError("k_cutoff must be positive")
+        _check_positive(self.k_cutoff, "k_cutoff")
 
     def coefficients(self, kvecs: np.ndarray) -> np.ndarray:
         kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))

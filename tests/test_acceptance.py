@@ -27,7 +27,9 @@ from diracfock.expectation import (
     current_reality_residual,
     example_report,
     quantum_energy,
+    r_density,
     r_density_residuals,
+    two_point,
     two_point_dirac_residual,
 )
 from diracfock.fields import (
@@ -41,7 +43,7 @@ from diracfock.fields import (
     psi_matrices,
 )
 from diracfock.fock import DIM, charge_operator, mode_annihilator, mode_creator
-from diracfock.gamma import CONJUGATION
+from diracfock.gamma import CONJUGATION, GAMMA
 from diracfock.quadrature import QuadratureSpec
 from diracfock.spinors import identity_suite_batch
 from diracfock.states import gaussian_family, sech2_family, step_family
@@ -209,6 +211,13 @@ def test_criterion_09_expectation_residuals(capsys):
     tp = two_point_dirac_residual(fam, fam, xs[1], xs[2], SPEC, NAT)
     audits = r_density_residuals(fam, xs, SPEC, NAT)
     reality = current_reality_residual(fam, gaussian_family(1.0), xs[1], SPEC, NAT)
+    # r^mu(x) = Re tr(gamma^mu G(x, x)) with Im tr = 0, relative to max_mu |r^mu(x)|:
+    # the densities against the two-point matrix, one field tensor contracted twice
+    trace = 0.0
+    for family in (fam, gaussian_family(1.0, 3, xi=lambda r: 0.3 * r), step_family(1.5, 4)):
+        for x, r in zip(xs, r_density(family, xs, SPEC, NAT)):
+            tr = np.einsum("mab,ba->m", GAMMA, two_point(family, family, x, x, SPEC, NAT))
+            trace = max(trace, np.max(np.abs(tr - r)) / np.max(np.abs(r)))
     elapsed = time.perf_counter() - t0
     ok = (
         cl <= limit
@@ -217,12 +226,14 @@ def test_criterion_09_expectation_residuals(capsys):
         and audits["imag_max"] <= limit
         and audits["r0_min"] >= -limit
         and reality <= limit
+        and trace <= 1e-12
         and elapsed < 60.0
     )
     with capsys.disabled():
         _report(9, ok,
                 f"classical {cl:.2e}, two-point {tp:.2e}, continuity "
-                f"{audits['continuity']:.2e}, reality {reality:.2e}, {elapsed:.1f}s")
+                f"{audits['continuity']:.2e}, reality {reality:.2e}, trace {trace:.2e}, "
+                f"{elapsed:.1f}s")
 
 
 def test_criterion_10_verify_reports_reproducible(capsys):

@@ -982,6 +982,42 @@ class TestLocalDensities:
         x = np.array([0.1, 0.4, -0.3, 0.2])
         assert current_reality_residual(fam_a, fam_b, x, SPEC, NAT) < 1e-8
 
+    # r^mu(x) = tr(gamma^mu G(x, x)) ties r_density to two_point, which contract one
+    # field tensor in different code; an anisotropic general family at few nodes
+    trace_cases = {
+        "sech2": (sech2_family(1.0), SPEC),
+        "step": (step_family(1.5, occupied=4), SPEC),
+        "general": (
+            TestTranslationOracle._translated(
+                step_family(1.5, occupied=4, xi=lambda r: 0.3 * r), lambda kv: kv @ [0.3, -0.2, 0.25]
+            ),
+            QuadratureSpec(n_radial=16, n_theta=6),
+        ),
+    }
+    # off the origin, where a transposed G no longer gives the trace by symmetry
+    trace_xs = np.array([[0.3, 0.5, -0.2, 0.4], [0.8, -0.6, 0.3, 0.1]])
+
+    @staticmethod
+    def _trace_gaps(fam, xs, spec, transform=lambda G: G):
+        """max_mu |tr(gamma^mu G(x, x)) - r^mu(x)| / max_mu |r^mu(x)| at each point x."""
+        r = r_density(fam, xs, spec, NAT)
+        G = [transform(two_point(fam, fam, x, x, spec, NAT)) for x in xs]
+        trace = np.einsum("mab,xba->xm", GAMMA, G)
+        return np.max(np.abs(trace - r), axis=1) / np.max(np.abs(r), axis=1)
+
+    def test_general_densities_are_the_trace_of_the_two_point_matrix(self):
+        # the imaginary part of the trace counts in the gap: it must vanish too
+        fam, spec = self.trace_cases["general"]
+        assert np.max(self._trace_gaps(fam, self.trace_xs, spec)) <= 1e-12
+
+    @pytest.mark.parametrize("control", ["transposed", "extra-gamma0"])
+    @pytest.mark.parametrize("case", sorted(trace_cases))
+    def test_trace_controls_fail(self, case, control):
+        # a transposed G missed by 0.0085-1.8, an extra gamma^0 by 0.66-2.0
+        transform = (lambda G: G.T) if control == "transposed" else (lambda G: GAMMA0 @ G)
+        fam, spec = self.trace_cases[case]
+        assert np.min(self._trace_gaps(fam, self.trace_xs, spec, transform)) > 1e-3
+
 
 class TestExampleReport:
     def test_reduced_integrals_against_oracle(self):

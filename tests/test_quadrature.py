@@ -1,5 +1,7 @@
 """Quadrature rules: polynomial exactness, sphere moments, spec plumbing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,17 @@ def test_spec_rejects_non_finite_values(field, value):
     # nan <= 0 is False, so a positivity test alone lets NaN through
     with pytest.raises(ValueError, match=f"must be finite, got .*{value}"):
         QuadratureSpec(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["n_radial", "n_theta"])
+@pytest.mark.parametrize("value", [200.0, 20.5, True, np.float64(8.0), "50"])
+def test_spec_rejects_non_integer_node_counts(field, value):
+    # a float count used to fail only in the first rule, inside numpy's leggauss
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {re.escape(repr(value))}"):
+        QuadratureSpec(**{field: value})
+
+
+def test_spec_takes_numpy_integer_node_counts():
+    spec = QuadratureSpec(n_radial=np.int64(50), n_theta=np.int32(4))
+    assert len(radial_rule(1.0, spec.n_radial)[0]) == 50
+    assert len(angular_rule(spec.doubled().n_theta)[1]) == 2 * 8**2

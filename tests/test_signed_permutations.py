@@ -540,9 +540,10 @@ def _operator_smeared_current(bra, ket, x, spec, current=currents.j_current_conj
     w the product-rule weights without the mode measure; the two families
     share their cutoff, so one rule serves both sides.
     """
-    r, wr, dirs, wo = expectation._sphere_rule(bra, spec)
+    r, wr = expectation._radial_nodes(bra, spec)
+    dirs, wo = angular_rule(spec.n_theta)
     k = (r[:, None, None] * dirs).reshape(-1, 3)
-    w = np.outer(wr, wo).ravel()
+    w = np.outer(wr * r**2, wo).ravel()
     za, zb = (w[:, None] * f.coefficients(k) for f in (bra, ket))
     J = current(k[:, None], k[None, :], x, NAT.kappa)  # (n, n', mu, 16, 16)
     return NAT.q * NAT.c / (2.0 * np.pi) ** 3 * np.einsum("nc,nmucd,md->u", za.conj(), J, zb)
@@ -639,7 +640,8 @@ def test_sandwich_forms_one_mode_for_the_wrapped_two_component_family(monkeypatc
     # mode alone
     radial = sech2_family(1.0)
     wrapped = GeneralStateFamily(radial.coefficients, radial.k_cutoff)
-    blocks = sum(1 for _ in expectation._blocks(wrapped, PRODUCT_SPEC, NAT, True, False, 4))
+    side = expectation._sandwich
+    blocks = sum(1 for _ in expectation._blocks(wrapped, PRODUCT_SPEC, NAT, side, 4, True, False))
     assert blocks < PRODUCT_SPEC.n_radial  # several spheres per block
     spy = _SignsSpy()
     monkeypatch.setattr(expectation, "SIGNS", spy)
@@ -649,17 +651,17 @@ def test_sandwich_forms_one_mode_for_the_wrapped_two_component_family(monkeypatc
 
 
 def _einsum_contraction(u, v, S):
-    """expectation._contraction's radial branch as the two einsums it replaced."""
+    """expectation._radial_contraction as the two einsums it replaced."""
     ni = len(u)
     S = S.reshape(4, -1, ni)
     K1 = np.einsum("iars,sci->iarc", u, S[:2]).reshape(4 * ni, -1)
     K2 = np.einsum("iars,sci->iarc", v, S[2:].conj()).reshape(4 * ni, -1)
 
-    def apply(W):
-        W = W.reshape(*W.shape[:-3], 4 * ni)
+    def contract(W):
+        W = W.reshape(*W.shape[:-2], 4 * ni)
         return [W @ K1 + W.conj() @ K2]
 
-    return apply
+    return lambda W, dW: (contract(W), () if dW is None else contract(dW))
 
 
 RADIAL_VARIANTS = {
@@ -683,7 +685,7 @@ def test_radial_contraction_matches_einsum_bit_for_bit(variant, monkeypatch):
     for radial in (FAMILIES["radial"], constant_phase):
         batched = call(radial)
         with monkeypatch.context() as patch:
-            patch.setattr(expectation, "_contraction", _einsum_contraction)
+            patch.setattr(expectation, "_radial_contraction", _einsum_contraction)
             oracle = call(radial)
         assert [a.tobytes() for a in batched] == [a.tobytes() for a in oracle]
 
@@ -705,9 +707,10 @@ BLOCK_CALLS = {
 
 def _block_counts(spec):
     """The number of product-rule blocks for the sandwich's and the mode actions' state side."""
+    sides = [(expectation._sandwich, 4), (expectation._mode_actions, 4 * DIM)]
     return [
-        sum(1 for _ in expectation._blocks(PHASED, spec, NAT, True, False, rows))
-        for rows in (4, 4 * DIM)
+        sum(1 for _ in expectation._blocks(PHASED, spec, NAT, side, rows, True, False))
+        for side, rows in sides
     ]
 
 

@@ -1,11 +1,13 @@
 """State families: coefficient placement, validation, the profile library."""
 
+import re
+
 import numpy as np
 import pytest
 
-from diracfock.expectation import _sphere_rule
+from diracfock.expectation import _radial_nodes
 from diracfock.fock import DIM
-from diracfock.quadrature import QuadratureSpec, radial_rule
+from diracfock.quadrature import QuadratureSpec, angular_rule, radial_rule
 from diracfock.states import (
     GeneralStateFamily,
     RhoStateFamily,
@@ -75,7 +77,8 @@ def test_wave_number_matches_the_reduction_bit_for_bit(spec):
     # the length-3 reduction it replaced
     seen = []
     fam = RhoStateFamily(1, lambda r: seen.append(r) or np.full_like(r, 0.5))
-    r, _, dirs, _ = _sphere_rule(sech2_family(1.0), spec)
+    r, _ = _radial_nodes(sech2_family(1.0), spec)
+    dirs, _ = angular_rule(spec.n_theta)
     radial = np.outer(radial_rule(40.0, spec.n_radial)[0], [0.0, 0.0, 1.0])
     for kv in [rn * dirs for rn in r] + [radial]:
         fam.coefficients(kv)
@@ -85,6 +88,31 @@ def test_wave_number_matches_the_reduction_bit_for_bit(spec):
 def test_charge_sign_tracks_occupied_mode():
     for occ, sign in ((1, 1), (2, 1), (3, -1), (4, -1)):
         assert sech2_family(1.0, occupied=occ).charge_sign == sign
+
+
+@pytest.mark.parametrize("cutoff", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["radial", "general"])
+def test_families_refuse_a_non_finite_cutoff(kind, cutoff):
+    # nan <= 0 is False, so a positivity test alone let NaN and inf through to the integrals
+    with pytest.raises(ValueError, match=f"k_cutoff must be finite, got {cutoff}"):
+        if kind == "radial":
+            RhoStateFamily(1, lambda r: np.zeros_like(r), k_cutoff=cutoff)
+        else:
+            GeneralStateFamily(lambda kv: kv, cutoff)
+
+
+@pytest.mark.parametrize("occupied", [1.0, 2.5, True, np.float64(3.0), "1", None])
+def test_rho_family_refuses_a_non_integer_mode(occupied):
+    # 1.0 and True compare equal to mode 1; a float mode failed only in coefficients
+    message = f"occupied mode must be an integer 1..4, got {re.escape(repr(occupied))}"
+    with pytest.raises(ValueError, match=message):
+        RhoStateFamily(occupied, lambda r: np.zeros_like(r))
+
+
+def test_rho_family_takes_a_numpy_integer_mode():
+    fam = RhoStateFamily(np.int64(3), lambda r: np.full_like(r, 0.25))
+    assert fam.charge_sign == -1
+    assert fam.coefficients([0.0, 0.0, 1.0])[0, 4] == 0.5
 
 
 def test_density_validation():
