@@ -28,7 +28,8 @@ each sphere, and the moments are the Rayleigh plane-wave expansion
 4 pi (j0(k |x|), i j1(k |x|) xhat), in closed form: one block of the
 radial rule alone (_radial_contraction).  A general family gets the
 spherical product rule, one sphere of 2 n_theta^2 directions per radial
-node, taken in blocks of consecutive spheres; there the moments meet the
+node, taken in blocks of consecutive spheres; its antipodal directions
+share cos and sin of k.x (_plane_moments).  There the moments meet the
 state first, node by node, and the spinor parts come last, so no spinor
 is formed at any node (_product_contraction).  Derivatives of integrals
 are always analytic (phase insertions, or the derivatives of the Bessel
@@ -36,15 +37,15 @@ terms), never finite differences; the field equations then hold at
 every node and the residual checks probe the algebra, not the step size.
 
 The state is held mode-major, one column per node.  Mode s is bit s - 1
-of the basis index (fock's Jordan-Wigner order), so each mode operator,
-and each sandwich <z| a_s |z> the classical spinor needs, pairs two bit
-slices of the state, fock.BIT_CLEAR and BIT_SET with the signs
-fock.SIGNS (fock is the one source of these tables): row views, with no
-gather and no dense 16 x 16 product.  The sandwich skips a dead mode,
-one whose bit-clear or bit-set slice is zero at every node of the block,
-and writes its row as zeros: a two-component state, wrapped as a general
-family or not, costs the pair products of its one mode, and a NaN or
-inf in the state still reaches the result.  The product rule takes as
+of the basis index (fock's Jordan-Wigner order), so each mode operator
+pairs two bit slices of the state, fock.BIT_CLEAR and BIT_SET with the
+signs fock.SIGNS (fock is the one source of these tables): row views,
+with no gather and no dense 16 x 16 product.  The sandwich <z| a_s |z>
+the classical spinor needs forms only its live pairs (fock.ROWS, COLS),
+both rows nonzero somewhere in the block: a two-component state,
+wrapped as a general family or not, costs one pair product per node, a
+mode with no live pair stays out of the contraction, and a NaN or inf
+in the state still reaches the result.  The product rule takes as
 many spheres per block as keep the block's state and state side within
 _BLOCK_BYTES, so each block costs one coefficient call, one state side
 and one moment build; each sphere still reaches the sum on its own, in
@@ -69,7 +70,7 @@ from functools import partial
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fock import BIT_CLEAR, BIT_SET, CHARGE_CONJUGATION, DIM, N_MODES, OCCUPATION, SIGNS
+from .fock import BIT_CLEAR, BIT_SET, CHARGE_CONJUGATION, COLS, DIM, N_MODES, ROWS, SIGNS
 from .fock import charge_operator
 from .gamma import BILINEAR, GAMMA, GAMMA0
 from .quadrature import (
@@ -88,8 +89,6 @@ _CHUNK_NODES = 60_000
 # bytes of a product-rule block's state and state side: four default spheres
 # for the 4-row sandwich, one for the 64-row mode actions
 _BLOCK_BYTES = 1_500_000
-# +1 on the (part, mode) pairs of P, -1 on those of Q, see _product_contraction
-_P_MINUS_Q = np.tile([1.0, 1.0, -1.0, -1.0], 4)
 
 
 def _radial_nodes(family: StateFamily, spec: QuadratureSpec):
@@ -112,36 +111,24 @@ _BITS = (2,) * N_MODES
 def _sandwich(zT):
     """<z| a_s |z> (4, m) for s = 1..4 from the mode-major state zT (DIM, m).
 
-    Each is eight signed pair products of bit slices of zT, formed only for
-    the live modes, whose two slices are both nonzero somewhere in the
-    block; a dead mode's row is zero.  A NaN or inf in zT still reaches
-    the result.  It is the state side of _overlap_spinor: the creators of
-    modes 3, 4 paired with v give the conjugate sandwiches, whose
-    conjugates S holds (see _blocks).
+    Each is a signed sum of the pair products conj(z[ROWS]) z[COLS] of fock's
+    tables, formed only for the live pairs, whose two basis rows are both
+    nonzero somewhere in the block; a mode with no live pair has a zero row.
+    A NaN or inf in zT still reaches the result.  It is the state side of
+    _overlap_spinor: the creators of modes 3, 4 paired with v give the
+    conjugate sandwiches, whose conjugates S holds (see _blocks).
     """
-    z5 = zT.reshape(*_BITS, -1)
-    # the basis rows nonzero at some node (a NaN counts), then per mode those with its bit set;
-    # np.any takes k = gcd(nodes, 64) nodes side by side, a long inner loop on a node-major state
+    # the basis rows nonzero at some node (a NaN counts); np.any takes k = gcd(nodes, 64)
+    # nodes side by side, a long inner loop on a node-major state
     live = np.any(zT.T.reshape(-1, DIM * np.gcd(zT.shape[1], 64)), axis=0)
     live = live.reshape(-1, DIM).any(axis=0)
-    # a live mode pairs every row, so a NaN or inf anywhere reaches its result
-    # (0 * NaN is NaN); only a state with one nonzero row has no live mode, and
-    # a non-finite one is then paired all the same
-    if np.count_nonzero(live) == 1 and not np.isfinite(zT[live]).all():
-        live[:] = True
-    bit_set = live @ OCCUPATION
-    bit_clear = np.count_nonzero(live) - bit_set
-    y = np.empty((N_MODES, zT.shape[1]), dtype=np.complex128)
-    # row-major whatever the layout of zT, so each signed sum is one product
-    pairs = np.empty((8, zT.shape[1]), dtype=np.complex128)
-    products = pairs.reshape(2, 2, 2, -1)  # shaped as a bit slice
-    for s in range(N_MODES):
-        if not (bit_clear[s] and bit_set[s]):  # a slice zero at every node: every product is zero
-            y[s] = 0.0
-            continue
-        np.conjugate(z5[BIT_CLEAR[s]], out=products)
-        products *= z5[BIT_SET[s]]
-        np.matmul(SIGNS[s], pairs, out=y[s])
+    pairs = live[ROWS] & live[COLS]
+    # with every pair formed, a NaN or inf in a live row reaches the result (0 * NaN is NaN)
+    if not np.isfinite(zT[live]).all():
+        pairs[:] = True
+    y = np.zeros((N_MODES, zT.shape[1]), dtype=np.complex128)
+    for s in np.flatnonzero(pairs.any(axis=1)):
+        y[s] = np.dot(SIGNS[s, pairs[s]], zT[ROWS[s, pairs[s]]].conj() * zT[COLS[s, pairs[s]]])
     return y
 
 
@@ -175,15 +162,20 @@ def _plane_moments(kvT, k0, w, dirs, derivatives, xs):
     W[i, x, a, m] = w[i, m] exp(-i k.x) (1, khat_m)_a at the nodes k =
     kvT[i, :, m] of sphere i, and dW[i, j, x, a, m] its d/dx^j, which
     brings down i k^j for the spatial j; dW is None without derivatives.
+    The second half of each sphere's nodes negates the first (angular_rule):
+    its phases exp(i k.x) are the first half's conjugates, times one
+    exp(-i k0 t) per sphere and point.
     """
     ni, m = w.shape
+    h = m // 2
     W = np.empty((ni, len(xs), 4, m), dtype=np.complex128)
     E = W[:, :, 0]  # the moment (1, khat)_0 is 1
-    phase = np.matmul(xs[:, 1:], kvT)
-    phase -= xs[:, :1] * k0[:, None, None]
-    np.cos(phase, out=E.real)
-    np.sin(phase, out=E.imag)
-    E *= w[:, None]
+    phase = np.matmul(xs[:, 1:], kvT[..., :h])
+    np.cos(phase, out=E[..., :h].real)
+    np.sin(phase, out=E[..., :h].imag)
+    E[..., :h] *= w[:, None, :h]
+    np.conjugate(E[..., :h], out=E[..., h:])
+    E *= np.exp(-1.0j * k0[:, None, None] * xs[:, 0, None])
     np.multiply(E[:, :, None], dirs.T, out=W[:, :, 1:])
     if not derivatives:
         return W, None
@@ -309,41 +301,45 @@ def _radial_contraction(u, v, S):
     return lambda W, dW: ([contract(W)], () if dW is None else map(contract, [dW]))
 
 
-def _product_contraction(u, v, S, k0):
+def _product_contraction(M, S, k0):
     """apply(W, dW) of a block of product-rule spheres, see _blocks.
 
-    The moments of _plane_moments meet the state first, one product W S^T
-    per sphere for all four modes since conj(W) Z2 = conj(W conj(Z2)), and
-    the spinor parts come last: no spinor is formed at any node.  Each
-    sphere is one part, so the spheres reach the sum in the order of the
-    rule, whatever the block size.  The spatial d/dx^j contract dW; d/dt
-    is -i k0 (P - Q) of each sphere, read off the value moments.
+    M (i, rows, 16) holds each sphere's spinor parts by (r, a s): P + Q,
+    then with derivatives P - Q.  The moments of _plane_moments meet the
+    state first, one product W S^T per sphere for all four modes since
+    conj(W) Z2 = conj(W conj(Z2)), and the spinor parts come last: no
+    spinor is formed at any node.  The sandwich, one row per mode, leaves
+    out the modes zero at every node; the mode actions keep all four, as
+    their scan would cost more than the product saves.  Each sphere is
+    one part, so the spheres reach the sum in the order of the rule,
+    whatever the block size.  The spatial d/dx^j contract dW; d/dt is
+    -i k0 (P - Q) of each sphere, read off the value moments.
     """
-    ni, nodes = len(u), S.shape[1]
+    ni, nodes = len(M), S.shape[1]
     m, c = nodes // ni, S.shape[0] // 4
     St = S.reshape(-1, ni, m).transpose(1, 2, 0)  # sphere i's S^T, a view
-    # each sphere's spinor parts by (r, a s): u on the modes s = 0, 1 and v on 2, 3
-    M = np.concatenate([u, v], axis=-1).transpose(0, 2, 1, 3).reshape(ni, 4, 16)
-    M2 = np.concatenate([M, M * _P_MINUS_Q], axis=1)  # P + Q, then P - Q
+    modes = np.flatnonzero(S.any(axis=1)) if c == 1 else np.arange(4)  # a NaN is nonzero
+    St = St[..., modes] if c == 1 else St
+    n, nu = len(modes), np.count_nonzero(modes < 2)  # nu of them paired with u
+    M = M[..., (4 * np.arange(4)[:, None] + modes).ravel()]  # the parts (a, s) of those s
 
     def contract(W, rows):
         """(i, *lead, 4, m) moments -> (i, *lead, len(rows) / 4, 4 c) parts."""
-        A = np.matmul(W.reshape(ni, -1, m), St).reshape(ni, -1, 4, 4, c)
-        np.conjugate(A[:, :, :, 2:], out=A[:, :, :, 2:])
+        x = W.size // (ni * 4 * m)  # spelled out: with no live mode A is empty
+        A = np.matmul(W.reshape(ni, -1, m), St).reshape(ni, x, 4, n, c)
+        np.conjugate(A[:, :, :, nu:], out=A[:, :, :, nu:])
         # (i, rows, a s) @ (i, x, a s, c)
-        return (rows[:, None] @ A.reshape(ni, -1, 16, c)).reshape(*W.shape[:-2], -1, 4 * c)
+        return (rows[:, None] @ A.reshape(ni, x, 4 * n, c)).reshape(*W.shape[:-2], -1, 4 * c)
 
     def derivatives(out, dW):
         """The parts (sphere, x, mu, r c), formed once the value parts are added and freed."""
         time = out[..., 1, :] * (-1.0j * k0[:, None, None])
-        spatial = contract(dW, M)[..., 0, :].swapaxes(1, 2)
+        spatial = contract(dW, M[:, :4])[..., 0, :].swapaxes(1, 2)
         yield from np.concatenate([time[:, :, None], spatial], axis=2)
 
     def apply(W, dW):
-        if dW is None:
-            return contract(W, M)[..., 0, :], ()
-        out = contract(W, M2)
-        return out[..., 0, :], derivatives(out, dW)
+        out = contract(W, M)
+        return out[..., 0, :], () if dW is None else derivatives(out, dW)
 
     return apply
 
@@ -378,21 +374,25 @@ def _blocks(family, spec, consts, side, rows, weighted, derivatives):
     r, wr = _radial_nodes(family, spec)
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * r**2 * (_weight(r, consts) if weighted else 1.0)
-    u, v = _spinor_parts(r, consts.kappa)
     if isinstance(family, RhoStateFamily):  # one state vector per sphere
         zT = family.coefficients(np.outer(r, [0.0, 0.0, 1.0])).T
         phases = partial(_sphere_weights, r, k0, w, derivatives)
-        yield phases, _radial_contraction(u, v, side(zT)), len(r)
+        yield phases, _radial_contraction(*_spinor_parts(r, consts.kappa), side(zT)), len(r)
         return
     dirs, wo = angular_rule(spec.n_theta)
     per = max(1, _BLOCK_BYTES // ((DIM + rows) * 16 * len(dirs)))
+    # each sphere's spinor parts by (r, a s): u on the modes s = 0, 1 and v on 2, 3
+    M = np.concatenate(_spinor_parts(r, consts.kappa), axis=-1).transpose(0, 2, 1, 3)
+    M = M.reshape(-1, 4, 16)
+    if derivatives:  # P + Q, then P - Q: -1 on the parts (a, s) of Q, s = 2, 3
+        M = np.concatenate([M, M * np.tile([1.0, 1.0, -1.0, -1.0], 4)], axis=1)
     for sl in (slice(n, n + per) for n in range(0, len(r), per)):
         kv = r[sl, None, None] * dirs
         zT = family.coefficients(kv.reshape(-1, 3)).T
         phases = partial(
             _plane_moments, kv.transpose(0, 2, 1), k0[sl], w[sl, None] * wo, dirs, derivatives
         )
-        yield phases, _product_contraction(u[sl], v[sl], side(zT), k0[sl]), zT.shape[1]
+        yield phases, _product_contraction(M[sl], side(zT), k0[sl]), zT.shape[1]
 
 
 def _points(xs) -> np.ndarray:

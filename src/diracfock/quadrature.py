@@ -6,11 +6,10 @@ the radial rule alone, their angular integral being closed form (see
 expectation).  Integrands of general families, whose angular structure is
 arbitrary, get a spherical product rule: Gauss-Legendre in cos(theta) and
 a trapezoid in phi, which is spectrally accurate for the plane-wave
-phases that appear here.  n_theta sets only that product rule, which
-expectation integrates in blocks of consecutive spheres (one radial node
-each), in moment form: the directions enter through the moments (1, khat)
-of the weighted phases, the spinors through six evaluations per radius;
-expectation sizes the blocks and the slices of points.
+phases that appear here.  The second half of its directions is the
+exact negation of the first, so expectation takes the phases of half the
+nodes.  n_theta sets only that product rule, which expectation
+integrates in blocks of consecutive spheres, in moment form (see there).
 
 The reference truncation 40 is in units of the profile argument; the
 built-in densities decay at least like exp(-2r), leaving a tail below
@@ -94,16 +93,16 @@ def angular_rule(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions and weights integrating to 4 pi over the sphere.
 
     The phi rule uses 2 n_theta equispaced points, exact for azimuthal
-    modes up to that order.
+    modes up to that order.  The second half of the directions is the
+    exact negation of the first, with the same weights.
     """
     ct, wt = _leggauss(n_theta)
     st = np.sqrt(1.0 - ct**2)
     n_phi = 2 * n_theta
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    w_phi = 2.0 * np.pi / n_phi
-    dirs = np.empty((n_theta * n_phi, 3))
-    dirs[:, 0] = np.outer(st, np.cos(phi)).ravel()
-    dirs[:, 1] = np.outer(st, np.sin(phi)).ravel()
-    dirs[:, 2] = np.repeat(ct, n_phi)
-    weights = np.repeat(wt * w_phi, n_phi)
-    return dirs, weights
+    grid = np.outer(st, np.cos(phi)), np.outer(st, np.sin(phi)), np.outer(ct, np.ones(n_phi))
+    # the first n_theta^2 grid nodes, cos(theta) < 0 and, for an odd n_theta, the equator at
+    # phi < pi; leggauss makes ct antisymmetric and wt symmetric, so -half is the other half
+    half = np.stack([g.ravel()[: n_theta**2] for g in grid], axis=1)
+    weights = np.repeat(wt * (2.0 * np.pi / n_phi), n_phi)[: n_theta**2]
+    return np.concatenate([half, -half]), np.concatenate([weights, weights])

@@ -51,7 +51,14 @@ from diracfock.states import (
     tabulated_family,
     vacuum_family,
 )
-from test_signed_permutations import adjoint_tensor, unweighted_tensor
+from test_quadrature import grid_angular_rule
+from test_signed_permutations import (
+    PHASED,
+    XS,
+    _grid_plane_moments,
+    adjoint_tensor,
+    unweighted_tensor,
+)
 
 NAT = natural_units()
 SPEC = QuadratureSpec()
@@ -362,6 +369,36 @@ class TestRotationOracle:
         got = classical_spinor(rotated, self.xs, SPEC, NAT, check=False)
         error = self._relative_error(got, self._spinor_back(occupied))
         assert error > 0.1 if caught else error < 1e-12
+
+
+MIRROR_FAMILIES = {
+    "sech2-wrapped": lambda: GeneralStateFamily(sech2_family(1.0).coefficients, 40.0),
+    "phased": lambda: PHASED,
+    "rotated": lambda: TestRotationOracle._rotated(3),
+}
+# an even n_theta, and an odd one whose equator row pairs phi with phi + pi
+MIRROR_SPECS = {"even": QuadratureSpec(n_radial=80, n_theta=12), "odd": QuadratureSpec(n_theta=5)}
+
+
+@pytest.mark.parametrize("spec", sorted(MIRROR_SPECS))
+@pytest.mark.parametrize("family", sorted(MIRROR_FAMILIES))
+def test_mirrored_rule_matches_the_grid_rule(family, spec, monkeypatch):
+    # the grid order of the angular rule, every node's phase taken whole, is the
+    # oracle of the mirrored halves whose second half takes the first's conjugates
+    fam, sp = MIRROR_FAMILIES[family](), MIRROR_SPECS[spec]
+    calls = {
+        "spinor": lambda: (_overlap_spinor(fam, XS, sp, NAT),),
+        "spinor-derivatives": lambda: _overlap_spinor(fam, XS, sp, NAT, derivatives=True),
+        "tensor": lambda: (_field_tensor(fam, XS, sp, NAT),),
+        "tensor-derivatives": lambda: _field_tensor(fam, XS, sp, NAT, derivatives=True),
+        "charge": lambda: (np.array(total_charge(fam, sp, NAT)),),
+    }
+    mirrored = {name: call() for name, call in calls.items()}
+    monkeypatch.setattr(expectation, "angular_rule", grid_angular_rule)
+    monkeypatch.setattr(expectation, "_plane_moments", _grid_plane_moments)
+    for name, call in calls.items():
+        for got, want in zip(mirrored[name], call(), strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
 
 
 class TestScalars:

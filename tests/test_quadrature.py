@@ -81,6 +81,37 @@ def test_angular_plane_wave():
     assert got == pytest.approx(4.0 * np.pi * np.sin(qm) / qm, abs=1e-12)
 
 
+def grid_angular_rule(n_theta):
+    """The angular rule as a plain theta-major (theta, phi) grid, the oracle of its mirrored order."""
+    ct, wt = np.polynomial.legendre.leggauss(n_theta)
+    st = np.sqrt(1.0 - ct**2)
+    n_phi = 2 * n_theta
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    dirs = np.empty((n_theta * n_phi, 3))
+    dirs[:, 0] = np.outer(st, np.cos(phi)).ravel()
+    dirs[:, 1] = np.outer(st, np.sin(phi)).ravel()
+    dirs[:, 2] = np.repeat(ct, n_phi)
+    return dirs, np.repeat(wt * (2.0 * np.pi / n_phi), n_phi)
+
+
+@pytest.mark.parametrize("n_theta", [2, 3, 5, 24])
+def test_rule_halves_negate_each_other_and_reorder_the_grid(n_theta):
+    # the first half is the grid's first n_theta^2 nodes; each negated node is one
+    # of the grid's other nodes, (theta, phi + pi), to roundoff in cos and sin of
+    # phi + pi, and carries that node's weight; an odd n_theta splits the equator
+    dirs, w = angular_rule(n_theta)
+    grid, grid_w = grid_angular_rule(n_theta)
+    half = n_theta**2
+    assert dirs.shape == grid.shape and w.shape == grid_w.shape
+    assert (-dirs[:half]).tobytes() == dirs[half:].tobytes()
+    assert w[:half].tobytes() == w[half:].tobytes()
+    assert np.array_equal(dirs[:half], grid[:half]) and np.array_equal(w[:half], grid_w[:half])
+    nearest = np.array([np.argmin(np.abs(grid - d).sum(axis=1)) for d in dirs[half:]])
+    assert sorted(nearest) == list(range(half, 2 * half))
+    assert np.max(np.abs(dirs[half:] - grid[nearest])) <= 1e-15
+    assert np.array_equal(w[half:], grid_w[nearest])
+
+
 def test_spec_defaults_and_doubling():
     spec = QuadratureSpec()
     assert spec.r_max == REFERENCE_R_MAX

@@ -7,9 +7,11 @@ one import check on those tables trips on a corrupted stack.  They also
 keep the earlier layout of the spherical product rule as the oracle of
 its moment form: many spheres per block, the spinor columns and the mode
 measure evaluated at every node, and the spinor sandwich or the mode
-actions contracted with those columns node by node.  The engine forms
-the adjoint field tensor as gamma^0 C^-1 T(C_hat z) C_hat; its oracle
-here contracts a state side of the adjoint operators and conjugates.
+actions contracted with those columns node by node; and the moments of
+the grid-ordered rule, every node's phase taken whole, as the oracle of
+the mirrored one.  The engine forms the adjoint field tensor as
+gamma^0 C^-1 T(C_hat z) C_hat; its oracle here contracts a state side of
+the adjoint operators and conjugates.
 """
 
 import itertools
@@ -375,6 +377,24 @@ def _plane_weights(kv, k0, w, derivatives, xs):
     return E, -1.0j * k_cov.T[None, :, :] * E[:, None, :]
 
 
+def _grid_plane_moments(kvT, k0, w, dirs, derivatives, xs):
+    """expectation._plane_moments before the mirrored rule: cos and sin of every node's whole phase."""
+    ni, m = w.shape
+    W = np.empty((ni, len(xs), 4, m), dtype=np.complex128)
+    E = W[:, :, 0]
+    phase = np.matmul(xs[:, 1:], kvT)
+    phase -= xs[:, :1] * k0[:, None, None]
+    np.cos(phase, out=E.real)
+    np.sin(phase, out=E.imag)
+    E *= w[:, None]
+    np.multiply(E[:, :, None], dirs.T, out=W[:, :, 1:])
+    if not derivatives:
+        return W, None
+    dW = np.empty((ni, 3, len(xs), 4, m), dtype=np.complex128)
+    np.multiply(W[:, None], 1.0j * kvT[:, :, None, None], out=dW)
+    return W, dW
+
+
 def _gathered_sandwich(z):
     """<z| a_s |z> for modes 1, 2 and <z| a_s^dagger |z> for modes 3, 4, from the gather stack."""
     zc = z.conj()
@@ -555,26 +575,37 @@ OPERATOR_PAIR = (PHASED, _phased_general_family(seed=11))
 OPERATOR_SPEC = QuadratureSpec(n_radial=3, n_theta=2)
 
 
-@pytest.mark.parametrize("control", [False, True])
-def test_smeared_currents_match_the_operator_layer(control, monkeypatch):
-    # the tensor form pref [B(T_a, T_b) - B(T_Ca, T_Cb)] of current_reality_residual
-    # against the double node sum of currents.j_current_conjugated_stack; the
-    # control puts the r-current, which has no conjugation-odd projection, in its place
-    assert _block_counts(OPERATOR_SPEC) == [1, 1]
+def operator_layer_gaps(monkeypatch, current=currents.j_current_conjugated_stack):
+    """Relative gaps of current_reality_residual's <a| j b> and <b| j a> from the operator layer.
+
+    OPERATOR_PAIR at XS[2] and OPERATOR_SPEC, the tensor form taken at the
+    spec alone; current replaces the operator layer's current stack.
+    """
     values = []
 
     def first_run(run, spec, *args, **kwargs):
         values.append(run(spec))
         return values[-1]
 
-    monkeypatch.setattr(expectation, "_field_guard", first_run)
     fa, fb = OPERATOR_PAIR
     x = XS[2]
-    expectation.current_reality_residual(fa, fb, x, OPERATOR_SPEC, NAT)
+    with monkeypatch.context() as patch:
+        patch.setattr(expectation, "_field_guard", first_run)
+        expectation.current_reality_residual(fa, fb, x, OPERATOR_SPEC, NAT)
+    return [
+        _relative_gap(got, _operator_smeared_current(bra, ket, x, OPERATOR_SPEC, current))
+        for got, (bra, ket) in zip(values[0], [(fa, fb), (fb, fa)])
+    ]
+
+
+@pytest.mark.parametrize("control", [False, True])
+def test_smeared_currents_match_the_operator_layer(control, monkeypatch):
+    # the tensor form pref [B(T_a, T_b) - B(T_Ca, T_Cb)] of current_reality_residual
+    # against the double node sum of currents.j_current_conjugated_stack; the
+    # control puts the r-current, which has no conjugation-odd projection, in its place
+    assert _block_counts(OPERATOR_SPEC) == [1, 1]
     current = currents.r_current_stack if control else currents.j_current_conjugated_stack
-    for got, (bra, ket) in zip(values[0], [(fa, fb), (fb, fa)]):
-        want = _operator_smeared_current(bra, ket, x, OPERATOR_SPEC, current)
-        gap = _relative_gap(got, want)
+    for gap in operator_layer_gaps(monkeypatch, current):
         assert gap > 0.5 if control else gap <= 1e-13
 
 
@@ -622,22 +653,42 @@ def test_sandwich_skips_lose_no_nan_or_inf(rows, bad):
     assert np.array_equal(np.isfinite(got).all(axis=0), np.arange(6) != 2)
 
 
+def _small_supports():
+    """Every set of one, two or three basis rows."""
+    return [rows for n in (1, 2, 3) for rows in itertools.combinations(range(DIM), n)]
+
+
+def test_live_pair_sandwich_matches_the_oracles_on_small_supports():
+    # pairs of one mode are disjoint, so up to three rows give each mode at most
+    # one live pair: the pair-product oracle's sum over zero products must give
+    # the one signed product the sandwich forms, bit for bit (the dense einsum
+    # rounds its triple products its own way)
+    rng = np.random.default_rng(13)
+    for rows in _small_supports():
+        zT = np.zeros((DIM, 5), dtype=np.complex128)
+        zT[list(rows)] = rng.normal(size=(len(rows), 5)) + 1.0j * rng.normal(size=(len(rows), 5))
+        zT /= np.linalg.norm(zT, axis=0)
+        got, pair = expectation._sandwich(zT), _pair_sandwich(zT.T).T
+        assert got.tobytes() == pair.tobytes(), rows
+        assert np.max(np.abs(got - _dense_sandwich(zT))) <= 1e-15, rows
+
+
 class _SignsSpy:
-    """fock.SIGNS that records which modes' signs are read."""
+    """fock.SIGNS that records, per read, the mode and the number of signs read."""
 
     def __init__(self):
-        self.modes = []
+        self.reads = []
 
-    def __getitem__(self, s):
-        self.modes.append(s)
-        return fock.SIGNS[s]
+    def __getitem__(self, key):
+        signs = fock.SIGNS[key]
+        self.reads.append((int(key[0]), signs.size))
+        return signs
 
 
 def test_sandwich_forms_one_mode_for_the_wrapped_two_component_family(monkeypatch):
     # sech^2 wrapped as a general family, as the benchmark's field_audit has it,
-    # fills the vacuum and mode 1 only: of the four modes only mode 1 has both
-    # bit slices live, so each block of spheres forms the pair products of that
-    # mode alone
+    # fills the vacuum and mode 1 only: of the 32 basis pairs only (vacuum, mode 1)
+    # has both rows live, so each block of spheres forms that one pair product
     radial = sech2_family(1.0)
     wrapped = GeneralStateFamily(radial.coefficients, radial.k_cutoff)
     side = expectation._sandwich
@@ -646,7 +697,7 @@ def test_sandwich_forms_one_mode_for_the_wrapped_two_component_family(monkeypatc
     spy = _SignsSpy()
     monkeypatch.setattr(expectation, "SIGNS", spy)
     got = expectation._overlap_spinor(wrapped, XS, PRODUCT_SPEC, NAT)
-    assert spy.modes == [0] * blocks
+    assert spy.reads == [(0, 1)] * blocks
     assert _relative_gap(got, _chunked_overlap_spinor(wrapped, XS, PRODUCT_SPEC, NAT)) <= 1e-14
 
 
@@ -746,11 +797,13 @@ def test_pair_tables_rebuild_the_dense_sandwich():
     assert np.array_equal(np.abs(signs), np.ones((4, 8)))
     z = _random_z(40, 7)
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    got = expectation._sandwich(np.ascontiguousarray(z.T)).T
-    want = np.einsum("nc,scd,nd->ns", z.conj(), ANNIHILATORS, z)
-    assert np.max(np.abs(got - want)) <= 1e-15
-    # against the pair-product form it replaces, and the gather stack
-    assert np.max(np.abs(got - _pair_sandwich(z))) <= 1e-15
-    y1, y2 = _gathered_sandwich(z)
-    assert np.max(np.abs(got[:, :2] - y1)) <= 1e-15
-    assert np.max(np.abs(got[:, 2:].conj() - y2)) <= 1e-15
+    # mode-major, and node-major as a product-rule block holds the state
+    for zT in (np.ascontiguousarray(z.T), z.T):
+        got = expectation._sandwich(zT).T
+        want = np.einsum("nc,scd,nd->ns", z.conj(), ANNIHILATORS, z)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        # against the pair-product form it replaces, and the gather stack
+        assert np.max(np.abs(got - _pair_sandwich(z))) <= 1e-15
+        y1, y2 = _gathered_sandwich(z)
+        assert np.max(np.abs(got[:, :2] - y1)) <= 1e-15
+        assert np.max(np.abs(got[:, 2:].conj() - y2)) <= 1e-15
