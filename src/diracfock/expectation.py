@@ -31,7 +31,11 @@ spherical product rule, one sphere of 2 n_theta^2 directions per radial
 node, taken in blocks of consecutive spheres; its antipodal directions
 share cos and sin of k.x (_plane_moments).  There the moments meet the
 state first, node by node, and the spinor parts come last, so no spinor
-is formed at any node (_product_contraction).  Derivatives of integrals
+is formed at any node (_product_contraction).  The integral is linear in
+the state side, so the product rule takes only each sphere's side less
+its mean, and one last radial block the means, exact in angle; a block
+whose remainder is bounded below the rule's own rounding builds no
+moments at all (_split, _blocks).  Derivatives of integrals
 are always analytic (phase insertions, or the derivatives of the Bessel
 terms), never finite differences; the field equations then hold at
 every node and the residual checks probe the algebra, not the step size.
@@ -301,35 +305,30 @@ def _radial_contraction(u, v, S):
     return lambda W, dW: ([contract(W)], () if dW is None else map(contract, [dW]))
 
 
-def _product_contraction(M, S, k0):
+def _product_contraction(M, rest, live, rows, k0):
     """apply(W, dW) of a block of product-rule spheres, see _blocks.
 
-    M (i, rows, 16) holds each sphere's spinor parts by (r, a s): P + Q,
-    then with derivatives P - Q.  The moments of _plane_moments meet the
-    state first, one product W S^T per sphere for all four modes since
-    conj(W) Z2 = conj(W conj(Z2)), and the spinor parts come last: no
-    spinor is formed at any node.  The sandwich, one row per mode, leaves
-    out the modes zero at every node; the mode actions keep all four, as
-    their scan would cost more than the product saves.  Each sphere is
-    one part, so the spheres reach the sum in the order of the rule,
-    whatever the block size.  The spatial d/dx^j contract dW; d/dt is
+    M (i, R, 16) holds each sphere's spinor parts by (r, a s): P + Q, then
+    with derivatives P - Q.  rest (n, i, m) holds the live rows `live` of
+    the state side, of `rows` in all; the others are zero at every node.
+    The moments of _plane_moments meet the state first, one product W S^T
+    per sphere of the live rows alone, since conj(W) Z2 = conj(W conj(Z2)),
+    and the spinor parts come last: no spinor is formed at any node.  Each
+    sphere is one part, so the spheres reach the sum in the order of the
+    rule, whatever the block size.  The spatial d/dx^j contract dW; d/dt is
     -i k0 (P - Q) of each sphere, read off the value moments.
     """
-    ni, nodes = len(M), S.shape[1]
-    m, c = nodes // ni, S.shape[0] // 4
-    St = S.reshape(-1, ni, m).transpose(1, 2, 0)  # sphere i's S^T, a view
-    modes = np.flatnonzero(S.any(axis=1)) if c == 1 else np.arange(4)  # a NaN is nonzero
-    St = St[..., modes] if c == 1 else St
-    n, nu = len(modes), np.count_nonzero(modes < 2)  # nu of them paired with u
-    M = M[..., (4 * np.arange(4)[:, None] + modes).ravel()]  # the parts (a, s) of those s
+    ni, m, c = len(M), rest.shape[2], rows // 4
+    St = rest.transpose(1, 2, 0)  # sphere i's live S^T, a view
 
-    def contract(W, rows):
-        """(i, *lead, 4, m) moments -> (i, *lead, len(rows) / 4, 4 c) parts."""
-        x = W.size // (ni * 4 * m)  # spelled out: with no live mode A is empty
-        A = np.matmul(W.reshape(ni, -1, m), St).reshape(ni, x, 4, n, c)
-        np.conjugate(A[:, :, :, nu:], out=A[:, :, :, nu:])
-        # (i, rows, a s) @ (i, x, a s, c)
-        return (rows[:, None] @ A.reshape(ni, x, 4 * n, c)).reshape(*W.shape[:-2], -1, 4 * c)
+    def contract(W, parts):
+        """(i, *lead, 4, m) moments -> (i, *lead, len(parts) / 4, 4 c) parts."""
+        x = W.size // (ni * 4 * m)  # the points, times the three d/dx^j for dW
+        A = np.zeros((ni, 4 * x, rows), dtype=np.complex128)
+        A[..., live] = np.matmul(W.reshape(ni, -1, m), St)
+        np.conjugate(A[..., 2 * c :], out=A[..., 2 * c :])
+        # (i, R, a s) @ (i, x, a s, c)
+        return (parts[:, None] @ A.reshape(ni, x, 16, c)).reshape(*W.shape[:-2], -1, 4 * c)
 
     def derivatives(out, dW):
         """The parts (sphere, x, mu, r c), formed once the value parts are added and freed."""
@@ -342,6 +341,29 @@ def _product_contraction(M, S, k0):
         return out[..., 0, :], () if dW is None else derivatives(out, dW)
 
     return apply
+
+
+def _split(S, wo, scales, tol):
+    """The live rows of the state side S (rows, i m), less each sphere's mean.
+
+    Returns (live, rest, mean, negligible): the rows `live` nonzero in the
+    block (a NaN counts), rest (n, i, m) their values less the mean
+    mean[:, i] = sum_m wo_m S[live, i m] / 4 pi of sphere i over its angular
+    weights wo, and whether the remainder is negligible.  With
+    |exp(-i k.x)| = 1 and |khat_j| <= 1, the remainder's part of the
+    integral is at most sum_i scales[f, i] sum_m wo_m |rest|, row by row;
+    scales holds each sphere's weight times the largest sum over parts of
+    its spinor parts, and with derivatives that times k0 >= |k| as well.
+    It is negligible when every row's bound is at most tol times the same
+    sum over |mean|; a NaN or inf makes the bound NaN, never negligible.
+    """
+    live = np.flatnonzero(S.any(axis=1))  # a NaN is nonzero
+    rest = S[live].reshape(len(live), S.shape[1] // len(wo), len(wo))
+    mean = rest @ (wo / (4.0 * np.pi))
+    rest -= mean[..., None]
+    bound = (np.abs(rest) @ wo) @ scales.T
+    scale = (4.0 * np.pi) * np.abs(mean) @ scales.T
+    return live, rest, mean, bool(np.all(bound <= tol * scale))
 
 
 def _blocks(family, spec, consts, side, rows, weighted, derivatives):
@@ -366,33 +388,50 @@ def _blocks(family, spec, consts, side, rows, weighted, derivatives):
 
     and Q the same with v, conj(W) and Z2.  Two-component families take
     the radial rule, one block of one sphere per node (m = 1) with the
-    moments in closed form; general ones the product rule, blocks of whole
-    spheres, as many as keep the state and a state side of `rows` rows
-    within _BLOCK_BYTES, at least one.  k0, the mode measure and the spinor
+    moments in closed form.  General ones take the product rule for what
+    the radial rule cannot: blocks of whole spheres, as many as keep the
+    state and a state side of `rows` rows within _BLOCK_BYTES, at least
+    one, each sphere's mean taken out of S (_split), then one radial block
+    for the means.  The integral is linear in S, so this is exact for any
+    means, and the radial block is exact in angle.  A block whose remainder
+    is negligible is not yielded: the plain rule's sum of N = n_radial
+    2 n_theta^2 terms rounds by about sqrt(N) eps times the sum of their
+    magnitudes, so a remainder bounded below that moves the result by less
+    than the rule's own rounding.  k0, the mode measure and the spinor
     parts take one value per sphere.
     """
     r, wr = _radial_nodes(family, spec)
     k0 = np.sqrt(consts.kappa**2 + r**2)
     w = wr * r**2 * (_weight(r, consts) if weighted else 1.0)
+    radial = partial(_sphere_weights, r, k0, w, derivatives)
     if isinstance(family, RhoStateFamily):  # one state vector per sphere
         zT = family.coefficients(np.outer(r, [0.0, 0.0, 1.0])).T
-        phases = partial(_sphere_weights, r, k0, w, derivatives)
-        yield phases, _radial_contraction(*_spinor_parts(r, consts.kappa), side(zT)), len(r)
+        yield radial, _radial_contraction(*_spinor_parts(r, consts.kappa), side(zT)), len(r)
         return
     dirs, wo = angular_rule(spec.n_theta)
     per = max(1, _BLOCK_BYTES // ((DIM + rows) * 16 * len(dirs)))
+    u, v = _spinor_parts(r, consts.kappa)
     # each sphere's spinor parts by (r, a s): u on the modes s = 0, 1 and v on 2, 3
-    M = np.concatenate(_spinor_parts(r, consts.kappa), axis=-1).transpose(0, 2, 1, 3)
-    M = M.reshape(-1, 4, 16)
+    M = np.concatenate([u, v], axis=-1).transpose(0, 2, 1, 3).reshape(-1, 4, 16)
     if derivatives:  # P + Q, then P - Q: -1 on the parts (a, s) of Q, s = 2, 3
         M = np.concatenate([M, M * np.tile([1.0, 1.0, -1.0, -1.0], 4)], axis=1)
+    # the weight times the largest sum over parts a of |M|; k0 with derivatives (see _split)
+    scales = w * np.abs(M).reshape(len(r), -1, 4, 4).sum(axis=2).max(axis=(1, 2))
+    scales = np.stack([scales, k0 * scales]) if derivatives else scales[None]
+    tol = np.sqrt(len(r) * len(dirs)) * np.finfo(float).eps
+    means = np.zeros((rows, len(r)), dtype=np.complex128)
     for sl in (slice(n, n + per) for n in range(0, len(r), per)):
         kv = r[sl, None, None] * dirs
-        zT = family.coefficients(kv.reshape(-1, 3)).T
-        phases = partial(
-            _plane_moments, kv.transpose(0, 2, 1), k0[sl], w[sl, None] * wo, dirs, derivatives
-        )
-        yield phases, _product_contraction(M[sl], side(zT), k0[sl]), zT.shape[1]
+        S = side(family.coefficients(kv.reshape(-1, 3)).T)
+        live, rest, mean, negligible = _split(S, wo, scales[:, sl], tol)
+        means[live, sl] = mean
+        if not negligible:
+            phases = partial(
+                _plane_moments, kv.transpose(0, 2, 1), k0[sl], w[sl, None] * wo, dirs, derivatives
+            )
+            yield phases, _product_contraction(M[sl], rest, live, rows, k0[sl]), kv.size // 3
+        del S, rest  # free this block's state side before the next block forms its own
+    yield radial, _radial_contraction(u, v, means), len(r)
 
 
 def _points(xs) -> np.ndarray:
@@ -425,8 +464,8 @@ def _accumulate(family, xs, spec, consts, side, cols, weighted, derivatives):
     T = np.zeros((len(xs), cols), dtype=np.complex128)
     Td = np.zeros((len(xs), 4, cols), dtype=np.complex128) if derivatives else None
     for phases, apply, nodes in _blocks(family, spec, consts, side, cols, weighted, derivatives):
-        # at most _CHUNK_NODES points x nodes per slice of points
-        per = max(1, _CHUNK_NODES // nodes)
+        # at most _CHUNK_NODES points x nodes, and points x cols of the parts, per slice of points
+        per = max(1, _CHUNK_NODES // max(nodes, cols))
         for sl in (slice(i, i + per) for i in range(0, len(xs), per)):
             parts, dparts = apply(*phases(xs[sl]))
             for part in parts:
@@ -528,7 +567,8 @@ def classical_spinor(
 ) -> np.ndarray:
     """The four classical field components at x (batched over leading axes).
 
-    check=False runs no refinement for any family; a general family can then alias silently.
+    check=False runs no refinement for any family; the anisotropic remainder of a
+    general family (see _blocks) can then alias silently.
     """
     x = np.asarray(x, dtype=float)
     out = _field_guard(

@@ -31,13 +31,16 @@ def _zero(r: np.ndarray) -> np.ndarray:
     return np.zeros_like(np.asarray(r, dtype=float))
 
 
-def _phased(amplitude: np.ndarray, phase) -> np.ndarray:
-    """amplitude e^{i phase}, with no exponential when the phase is zero at every node.
+def _phased(amplitude: np.ndarray, phase, r) -> np.ndarray:
+    """amplitude e^{i phase(r)}, with no exponential when the phase is zero at every node.
 
-    Multiplying by e^{i 0} = 1 + 0j changes no bit.  np.any is True on a NaN,
-    so a NaN phase still takes the exponential and stays NaN.
+    Multiplying by e^{i 0} = 1 + 0j changes no bit, so the default phase
+    _zero is not even called.  np.any is True on a NaN, so a NaN phase still
+    takes the exponential and stays NaN.
     """
-    phase = np.asarray(phase, dtype=float)
+    if phase is _zero:
+        return amplitude
+    phase = np.asarray(phase(r), dtype=float)
     return amplitude * np.exp(1.0j * phase) if np.any(phase) else amplitude
 
 
@@ -101,9 +104,12 @@ class RhoStateFamily:
 
     def radial_density(self, kmag) -> np.ndarray:
         out = np.asarray(self.rho(np.asarray(kmag, dtype=float)), dtype=float)
-        if np.any(out < -1e-12) or np.any(out > 1.0 + 1e-12):
-            raise ValueError("density values must lie in [0, 1]")
-        return np.clip(out, 0.0, 1.0)
+        # one min and one max pass; a NaN fails both tests, and np.clip keeps it NaN
+        if not (np.min(out, initial=0.0) >= 0.0 and np.max(out, initial=1.0) <= 1.0):
+            if np.any(out < -1e-12) or np.any(out > 1.0 + 1e-12):
+                raise ValueError("density values must lie in [0, 1]")
+            out = np.clip(out, 0.0, 1.0)
+        return out
 
     def coefficients(self, kvecs: np.ndarray) -> np.ndarray:
         """Stack of 16-component state vectors, one per wave vector row."""
@@ -112,8 +118,8 @@ class RhoStateFamily:
         r = np.sqrt((kx * kx + ky * ky) + kz * kz)
         rho = self.radial_density(r)
         z = np.zeros((len(r), DIM), dtype=np.complex128)
-        z[:, 0] = _phased(np.sqrt(1.0 - rho), self.chi(r))
-        z[:, 1 << (self.occupied - 1)] = _phased(np.sqrt(rho), self.xi(r))
+        z[:, 0] = _phased(np.sqrt(1.0 - rho), self.chi, r)
+        z[:, 1 << (self.occupied - 1)] = _phased(np.sqrt(rho), self.xi, r)
         return z
 
 

@@ -57,6 +57,7 @@ from test_signed_permutations import (
     XS,
     _grid_plane_moments,
     adjoint_tensor,
+    plain_split,
     unweighted_tensor,
 )
 
@@ -177,20 +178,22 @@ class TestRadialReduction:
         assert np.max(np.abs(phi3d - phi1d)) < SPEC.abs_tol
 
     def test_densities_beyond_the_default_sphere_bandwidth(self):
-        # k |x| reaches 20 * 1.97 = 39: the default 24 polar nodes alias by
-        # about 2%, so the angular guard trips; 40 resolve it (and 80 agree),
-        # and the radial path needs no angular nodes
+        # k |x| reaches 20 * 1.97 = 39, beyond the default 24 polar nodes; all of it
+        # is in the sphere means, which the radial rule takes, so the wrapped family
+        # passes the angular guard and matches the radial path.  Translated by 3,
+        # the remainder carries k |x - a| up to 80 and still aliases, and the guard trips
         radial = RhoStateFamily(
             1, rho=lambda r: 1.0 / np.cosh(r) ** 2, k_cutoff=20.0, hard_cutoff=True
         )
         general = GeneralStateFamily(radial.coefficients, radial.k_cutoff, hard_cutoff=True)
         x = np.array([0.2, 1.2, -1.2, 1.0])
         spec = QuadratureSpec(n_radial=60)
-        exact = r_density(general, x, QuadratureSpec(n_radial=60, n_theta=40), NAT)
-        with pytest.raises(QuadratureNotConverged, match="angular refinement moved"):
-            r_density(general, x, spec, NAT)
         reduced = r_density(radial, x, spec, NAT)
-        assert np.max(np.abs(reduced - exact)) <= 1e-12 * np.max(np.abs(exact))
+        got = r_density(general, x, spec, NAT)
+        assert np.max(np.abs(got - reduced)) <= 1e-12 * np.max(np.abs(reduced))
+        translated = TestTranslationOracle._translated(radial, lambda kv: kv @ TRANSLATION)
+        with pytest.raises(QuadratureNotConverged, match="angular refinement moved"):
+            r_density(translated, x, spec, NAT)
 
     @pytest.mark.parametrize("z", [0.0, 1e-8, 0.3, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.7, 9.5, 60.0])
     def test_bessel_helpers_against_scipy(self, z):
@@ -369,6 +372,113 @@ class TestRotationOracle:
         got = classical_spinor(rotated, self.xs, SPEC, NAT, check=False)
         error = self._relative_error(got, self._spinor_back(occupied))
         assert error > 0.1 if caught else error < 1e-12
+
+
+class TestRadialControlVariate:
+    """The product rule takes each sphere's state side less its mean, the radial rule the means.
+
+    The integral is linear in the state side, so the split is exact for any
+    means; with every mean zero (plain_split) it is the plain product rule,
+    the oracle wherever that has converged: many polar nodes and k |x| small.
+    A block whose remainder is bounded below the rule's rounding builds no
+    moments.
+    """
+
+    spec = QuadratureSpec(n_radial=60, n_theta=32)
+    families = {
+        "phased": (lambda: PHASED, XS),
+        "translated": (
+            lambda: TestTranslationOracle._translated(
+                sech2_family(1.0), lambda kv: kv @ [0.6, 0.5, -0.55]
+            ),
+            TestTranslationOracle.xs,
+        ),
+        "rotated": (lambda: TestRotationOracle._rotated(3), TestTranslationOracle.xs),
+    }
+    calls = {
+        "spinor": lambda f, xs, sp: (_overlap_spinor(f, xs, sp, NAT),),
+        "spinor-derivatives": lambda f, xs, sp: _overlap_spinor(f, xs, sp, NAT, derivatives=True),
+        "tensor": lambda f, xs, sp: (_field_tensor(f, xs, sp, NAT),),
+        "tensor-derivatives": lambda f, xs, sp: _field_tensor(f, xs, sp, NAT, derivatives=True),
+    }
+    wrapped = GeneralStateFamily(sech2_family(1.0).coefficients, 40.0)
+
+    @staticmethod
+    def _anisotropic():
+        # the occupied row carries exp(i k.a): no sphere's state side is constant
+        radial, a = sech2_family(1.0), np.array([0.5, -0.3, 0.8])
+
+        def z(kv):
+            out = radial.coefficients(kv)
+            out[:, 1] *= np.exp(1.0j * (kv @ a))
+            return out
+
+        return GeneralStateFamily(z, radial.k_cutoff)
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        """A list that grows by one at each call of expectation.<name>."""
+        calls, real = [], getattr(expectation, name)
+        monkeypatch.setattr(expectation, name, lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("call", sorted(calls))
+    @pytest.mark.parametrize("family", sorted(families))
+    def test_matches_the_plain_rule(self, family, call, monkeypatch):
+        make, xs = self.families[family]
+        fam = make()
+        got = self.calls[call](fam, xs, self.spec)
+        monkeypatch.setattr(expectation, "_split", plain_split)
+        for a, b in zip(got, self.calls[call](fam, xs, self.spec), strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    def test_wrapped_family_builds_no_moments(self, monkeypatch):
+        # every block of the wrapped family is skipped; the anisotropic one skips none
+        x = np.array([0.1, 0.9, -0.8, 0.5])
+        builds = self._count(monkeypatch, "_plane_moments")
+        classical_spinor(self.wrapped, x, SPEC, NAT, check=False)
+        assert builds == []
+        blocks = self._count(monkeypatch, "_product_contraction")
+        classical_spinor(self._anisotropic(), x, SPEC, NAT, check=False)
+        assert len(builds) == len(blocks) == 50
+
+    @pytest.mark.parametrize("call", ["spinor", "tensor-derivatives"])
+    def test_skipped_remainders_stay_within_their_bound(self, call, monkeypatch):
+        # each skipped block moves each entry by at most its bound summed over rows
+        xs = np.array([[0.3, -0.7, 0.8, 0.6], [0.1, 0.9, -0.8, 0.5]])
+        skipped = self.calls[call](self.wrapped, xs, SPEC)
+        bounds, real = [], expectation._split
+
+        def unskipped(S, wo, scales, tol):
+            live, rest, mean, negligible = real(S, wo, scales, tol)
+            assert negligible
+            bounds.append(np.sum((np.abs(rest) @ wo) @ scales.T))
+            return live, rest, mean, False
+
+        monkeypatch.setattr(expectation, "_split", unskipped)
+        full = self.calls[call](self.wrapped, xs, SPEC)
+        assert len(bounds) == (50 if call == "spinor" else 200)
+        for a, b in zip(skipped, full, strict=True):
+            assert np.max(np.abs(a - b)) <= sum(bounds)
+
+    def test_wrapped_densities_pass_their_guards_at_the_default_spec(self):
+        # with the product rule on the whole state side, r_density raised here:
+        # "angular refinement moved the result by 3.807e-03"
+        radial, x = sech2_family(1.0), np.array([0.1, 0.5, -0.3, 0.7])
+        got, want = r_density(self.wrapped, x, SPEC, NAT), r_density(radial, x, SPEC, NAT)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        got, want = (r_density_residuals(f, x, SPEC, NAT) for f in (self.wrapped, radial))
+        assert all(abs(got[key] - want[key]) <= 1e-12 * scale for key in want)
+
+    def test_wrapped_values_match_the_radial_path(self):
+        # the benchmark's audit points, and the derivative insertions
+        xs = np.array([[0.3, -0.7, 0.8, 0.6], [0.1, 0.9, -0.8, 0.5], [-0.5, 0.2, 0.3, -1.1]])
+        radial = sech2_family(1.0)
+        for call in ("spinor-derivatives", "tensor-derivatives"):
+            got, want = self.calls[call](self.wrapped, xs, SPEC), self.calls[call](radial, xs, SPEC)
+            for a, b in zip(got, want, strict=True):
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 
 MIRROR_FAMILIES = {
@@ -611,12 +721,20 @@ class TestGuardsFailClosed:
             two_point(fam, fam, x, x, spec, NAT)
 
 
+# a translation by 3 along a unit vector, whose remainder the product rule aliases
+TRANSLATION = 3.0 * np.array([0.48, -0.6, 0.64])
+
+
 class TestAngularGuard:
     """A general family's two-point matrix, densities and currents rerun with n_theta doubled.
 
-    At k |x| up to 6 * 1.97 the four polar nodes of the product rule alias,
-    and so do eight, so the two disagree and every caller raises; the radial
-    path has no angular nodes and is never rerun.
+    The product rule takes only what is left of each sphere's state side
+    after its mean.  Translated by |a| = 3, the family's remainder carries
+    k |x - a| up to 6 * 4.2, and eight polar nodes alias it, and so do
+    sixteen, so the two disagree and every caller raises.  The radial path
+    has no angular nodes and is never rerun, and the wrapped radial family
+    has no remainder: at k |x| up to 6 * 1.97 even four polar nodes match
+    the radial path.
     """
 
     radial = RhoStateFamily(1, rho=lambda r: 1.0 / np.cosh(r) ** 2, k_cutoff=6.0, hard_cutoff=True)
@@ -635,10 +753,20 @@ class TestAngularGuard:
 
     @pytest.mark.parametrize("call", sorted(calls))
     def test_guard_trips_on_aliased_angles(self, call):
+        translated = TestTranslationOracle._translated(self.radial, lambda kv: kv @ TRANSLATION)
         message = r"angular refinement moved the result by \S+ \(base .+, doubled .+, tolerance"
         with pytest.raises(QuadratureNotConverged, match=message):
-            self.calls[call](self.general, self.x, self.xp, self.spec)
+            self.calls[call](translated, self.x, self.xp, replace(self.spec, n_theta=8))
         self.calls[call](self.radial, self.x, self.xp, self.spec)
+
+    @pytest.mark.parametrize("call", sorted(calls))
+    def test_wrapped_family_converges_on_four_polar_nodes(self, call):
+        # with the product rule on the whole state side, the rerun moved these by up to 5.2
+        got = self.calls[call](self.general, self.x, self.xp, self.spec)
+        want = self.calls[call](self.radial, self.x, self.xp, self.spec)
+        got, want = (np.array(list(v.values()) if isinstance(v, dict) else v) for v in (got, want))
+        # relative, or absolute for the residuals, which are zero up to roundoff
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_radial_families_are_not_rerun(self):
         # the base run is the guard's own; only a general family adds the angular rerun

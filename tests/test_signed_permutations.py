@@ -575,6 +575,12 @@ OPERATOR_PAIR = (PHASED, _phased_general_family(seed=11))
 OPERATOR_SPEC = QuadratureSpec(n_radial=3, n_theta=2)
 
 
+def plain_split(S, wo, scales, tol):
+    """expectation._split with every mean zero: the plain product rule takes all of the side."""
+    means = np.zeros((len(S), S.shape[1] // len(wo)), dtype=np.complex128)
+    return np.arange(len(S)), S.reshape(len(S), -1, len(wo)), means, False
+
+
 def operator_layer_gaps(monkeypatch, current=currents.j_current_conjugated_stack):
     """Relative gaps of current_reality_residual's <a| j b> and <b| j a> from the operator layer.
 
@@ -591,6 +597,8 @@ def operator_layer_gaps(monkeypatch, current=currents.j_current_conjugated_stack
     x = XS[2]
     with monkeypatch.context() as patch:
         patch.setattr(expectation, "_field_guard", first_run)
+        # the node sum is the plain product rule's, with no mean taken out
+        patch.setattr(expectation, "_split", plain_split)
         expectation.current_reality_residual(fa, fb, x, OPERATOR_SPEC, NAT)
     return [
         _relative_gap(got, _operator_smeared_current(bra, ket, x, OPERATOR_SPEC, current))
@@ -690,14 +698,18 @@ def test_sandwich_forms_one_mode_for_the_wrapped_two_component_family(monkeypatc
     # fills the vacuum and mode 1 only: of the 32 basis pairs only (vacuum, mode 1)
     # has both rows live, so each block of spheres forms that one pair product
     radial = sech2_family(1.0)
-    wrapped = GeneralStateFamily(radial.coefficients, radial.k_cutoff)
-    side = expectation._sandwich
-    blocks = sum(1 for _ in expectation._blocks(wrapped, PRODUCT_SPEC, NAT, side, 4, True, False))
+    calls = []
+    wrapped = GeneralStateFamily(lambda kv: calls.append(1) or radial.coefficients(kv), 40.0)
+    expectation._overlap_spinor(wrapped, XS, PRODUCT_SPEC, NAT)
+    blocks = len(calls)
     assert blocks < PRODUCT_SPEC.n_radial  # several spheres per block
     spy = _SignsSpy()
     monkeypatch.setattr(expectation, "SIGNS", spy)
-    got = expectation._overlap_spinor(wrapped, XS, PRODUCT_SPEC, NAT)
+    expectation._overlap_spinor(wrapped, XS, PRODUCT_SPEC, NAT)
     assert spy.reads == [(0, 1)] * blocks
+    # the chunked layout is the plain product rule's, which aliases the isotropic part
+    monkeypatch.setattr(expectation, "_split", plain_split)
+    got = expectation._overlap_spinor(wrapped, XS, PRODUCT_SPEC, NAT)
     assert _relative_gap(got, _chunked_overlap_spinor(wrapped, XS, PRODUCT_SPEC, NAT)) <= 1e-14
 
 
@@ -757,10 +769,17 @@ BLOCK_CALLS = {
 
 
 def _block_counts(spec):
-    """The number of product-rule blocks for the sandwich's and the mode actions' state side."""
+    """The number of product-rule blocks for the sandwich's and the mode actions' state side.
+
+    PHASED is anisotropic on every sphere, so no block is skipped; the radial
+    block of the sphere means that _blocks yields last is not counted.
+    """
     sides = [(expectation._sandwich, 4), (expectation._mode_actions, 4 * DIM)]
     return [
-        sum(1 for _ in expectation._blocks(PHASED, spec, NAT, side, rows, True, False))
+        sum(
+            phases.func is expectation._plane_moments
+            for phases, _, _ in expectation._blocks(PHASED, spec, NAT, side, rows, True, False)
+        )
         for side, rows in sides
     ]
 

@@ -130,6 +130,27 @@ def test_density_clipped_within_roundoff():
     assert np.all(fam.radial_density([0.3, 0.7]) == 1.0)
 
 
+def test_density_range_check_beside_a_nan():
+    # a NaN fails the one min/max test and takes the elementwise one: an
+    # out-of-range value beside it still raises, and a NaN alone reaches the state
+    beside = RhoStateFamily(1, rho=lambda r: np.where(r > 0.5, np.nan, -0.5))
+    with pytest.raises(ValueError, match="lie in"):
+        beside.radial_density([0.3, 0.7])
+    alone = RhoStateFamily(1, rho=lambda r: np.where(r > 0.5, np.nan, 0.5))
+    z = alone.coefficients([[0.0, 0.0, 0.3], [0.0, 0.0, 0.7]])
+    assert np.isfinite(z[0]).all() and np.isnan(z[1, :2]).all()
+
+
+def test_default_phases_keep_the_bytes_of_explicit_zero_phases():
+    # the default phase is never called; e^{i 0} = 1 + 0j changes no bit either
+    k = np.random.default_rng(2).normal(size=(50, 3))
+    zero = lambda r: np.zeros_like(r)
+    for occupied in (1, 4):
+        plain = sech2_family(1.0, occupied).coefficients(k)
+        explicit = sech2_family(1.0, occupied, chi=zero, xi=zero).coefficients(k)
+        assert plain.tobytes() == explicit.tobytes()
+
+
 def test_vacuum_family_is_empty():
     z = vacuum_family().coefficients(np.array([[0.1, 0.2, 0.3]]))
     expect = np.zeros(16)
